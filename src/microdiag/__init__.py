@@ -52,9 +52,7 @@ from .train_eval import (
     MetricsReport,
     SeparabilityMode,
     ablate,
-    evaluate_classification,
-    evaluate_detection,
-    evaluate_localization,
+    evaluate,
     pca_2d,
     prepare_dataset,
     separability_report,
@@ -81,8 +79,7 @@ __all__ = [
     "count_params", "diagmlp_forward", "fusion_mlp", "gcn_forward",
     "init_params", "normalized_adjacency",
     "DatasetBundle", "MetricsReport", "SeparabilityMode", "ablate",
-    "evaluate_classification", "evaluate_detection", "evaluate_localization",
-    "pca_2d", "prepare_dataset", "separability_report", "silhouette_score",
+    "evaluate", "pca_2d", "prepare_dataset", "separability_report", "silhouette_score",
     "topk_accuracy", "train",
     "__version__",
 ]

@@ -27,6 +27,7 @@ __all__ = [
     "matmul",
     "relu",
     "reshape",
+    "transpose",
     "concat",
     "tsum",
     "tmean",
@@ -141,6 +142,11 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return Tensor(out_data, (a,), grad_fn)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Matrix transpose of a 2-D tensor."""
+    return Tensor(a.data.T, (a,), lambda g: (g.T,))
 
 
 def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import train_eval
-from .preprocess import preprocess_stream, windows_from_bytes, write_preprocess_outputs
+from .preprocess import preprocess_stream, write_preprocess_outputs
 from .prng import prng_new
 from .serialize import (
     atomic_write_bytes,
@@ -32,8 +31,16 @@ from .serialize import (
     serialize_stream,
     write_csv,
 )
-from .simulator import ScenarioSpec, generate_topology, schedule_faults, scenario_preset, simulate
-from .train_eval import DatasetBundle, SeparabilityMode, ablate, prepare_dataset, train
+# `simulate` is imported for callers that reach it through this module
+from .simulator import ScenarioSpec, scenario_preset, simulate  # noqa: F401
+from .train_eval import (
+    DatasetBundle,
+    SeparabilityMode,
+    ablate,
+    prepare_dataset,
+    simulate_scenario,
+    train,
+)
 from .types import Backbone, RunConfig, Task
 
 PRESETS = ("local", "propagated")
@@ -76,10 +83,7 @@ def _run_config(args: argparse.Namespace, scenario: ScenarioSpec | None = None) 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     out = Path(args.out) if args.out else _default_workdir(args)
-    root = prng_new(args.seed)
-    graph = generate_topology(scenario.n_nodes, scenario.edge_density, root.child("simulate"))
-    faults = schedule_faults(scenario, graph, root.child("simulate"))
-    stream = simulate(graph, faults, scenario, root.child("simulate"))
+    graph, faults, stream = simulate_scenario(scenario, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out / "telemetry.jsonl", serialize_stream(stream))
     atomic_write_text(out / "graph.json", graph_to_json(graph))
@@ -124,15 +128,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _load_bundle(workdir: Path) -> DatasetBundle:
-    raw = (workdir / "windows.jsonl").read_bytes()
-    nodes, split, header = windows_from_bytes(raw)
-    graph = graph_from_json((workdir / "graph.json").read_text("utf-8"))
-    return DatasetBundle(
-        nodes=nodes,
-        split=split,
-        graph=graph,
-        vocab_size=int(header["vocab_size"]),
-        digest=hashlib.sha256(raw).hexdigest(),
+    return DatasetBundle.from_bytes(
+        (workdir / "windows.jsonl").read_bytes(),
+        graph_from_json((workdir / "graph.json").read_text("utf-8")),
     )
 
 
@@ -191,12 +189,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     write_csv(workdir / "results.csv", header, rows)
     atomic_write_text(workdir / "summary.md", train_eval.render_summary(result))
     print(f"ablation over seeds {seeds} -> {workdir / 'results.csv'}")
+    if result.failures:
+        for (backbone, seed), cause in sorted(result.failures.items()):
+            print(f"{backbone} {seed}: {cause}", file=sys.stderr)
+        return 1
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
-        for name in sorted({m for r in result.reports.values() if r for m in r.per_run}):
-            try:
-                print(f"{backbone.value} {name}: {result.mean(backbone, name):.6f}")
-            except Exception:
-                print(f"{backbone.value} {name}: failed")
+        for name in sorted({m for r in result.reports.values() for m in r.per_run}):
+            print(f"{backbone.value} {name}: {result.mean(backbone, name):.6f}")
     return 0
 
 

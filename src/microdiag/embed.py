@@ -32,6 +32,8 @@ __all__ = [
     "embed_window",
     "event_weights",
     "encoder_graph",
+    "events_graph",
+    "encode_nodes",
 ]
 
 TCN_HIDDEN = 16
@@ -81,16 +83,12 @@ def init_encoder_params(
     return params
 
 
-def _transpose(t: ad.Tensor) -> ad.Tensor:
-    return ad.Tensor(t.data.T, (t,), lambda g: (g.T,))
-
-
 def encoder_graph(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
     """TCN over a (B, C, T) tensor -> (B, d); the tape-graph building block."""
     h = ad.relu(ad.conv1d_valid(x, p[f"{prefix}/conv1_w"], p[f"{prefix}/conv1_b"]))
     h = ad.relu(ad.conv1d_valid(h, p[f"{prefix}/conv2_w"], p[f"{prefix}/conv2_b"]))
     pooled = ad.tmean(h, axis=2)  # (B, hidden)
-    return ad.add(ad.matmul(pooled, _transpose(p[f"{prefix}/proj_w"])), p[f"{prefix}/proj_b"])
+    return ad.add(ad.matmul(pooled, ad.transpose(p[f"{prefix}/proj_w"])), p[f"{prefix}/proj_b"])
 
 
 def event_weights(alert_ids_per_row, vocab_size: int) -> np.ndarray:
@@ -113,9 +111,24 @@ def events_graph(weights: np.ndarray, p: dict[str, ad.Tensor]) -> ad.Tensor:
     """Bag-of-tokens encoding for precomputed weight rows -> (B, d)."""
     pooled = ad.matmul(ad.constant(weights), p["event_embed/table"])
     return ad.add(
-        ad.matmul(pooled, _transpose(p["event_embed/proj_w"])),
+        ad.matmul(pooled, ad.transpose(p["event_embed/proj_w"])),
         p["event_embed/proj_b"],
     )
+
+
+def encode_nodes(
+    p: dict[str, ad.Tensor],
+    metric: np.ndarray,
+    log: np.ndarray,
+    trace: np.ndarray,
+    event_w: np.ndarray,
+) -> ad.Tensor:
+    """The encoder stage: per-node (rows, C, T) segments and event-weight
+    rows -> (rows, 3d) as [metric | log | trace series + alert events]."""
+    x_metric = encoder_graph(ad.constant(metric), p, "enc_metric")
+    x_log = encoder_graph(ad.constant(log), p, "enc_log")
+    x_trace = ad.add(encoder_graph(ad.constant(trace), p, "enc_trace"), events_graph(event_w, p))
+    return ad.concat([x_metric, x_log, x_trace], axis=1)
 
 
 def _wrap_params(params: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
@@ -145,12 +158,15 @@ def encode_events(alert_ids, params: dict[str, np.ndarray], vocab_size: int) -> 
 def embed_window(segments, params: dict[str, np.ndarray], vocab_size: int) -> list[NodeFeatures]:
     """Per-node d-vectors for one window; node i depends only on node i's
     segments."""
-    p = _wrap_params(params)
-    out = []
-    for seg in segments:
-        x_metric = encoder_graph(ad.constant(seg.metric[None]), p, "enc_metric").data[0]
-        x_log = encoder_graph(ad.constant(seg.log[None]), p, "enc_log").data[0]
-        trace_ts = encoder_graph(ad.constant(seg.trace[None]), p, "enc_trace").data[0]
-        trace_ev = events_graph(event_weights([seg.alerts], vocab_size), p).data[0]
-        out.append(NodeFeatures(x_metric=x_metric, x_log=x_log, x_trace=trace_ts + trace_ev))
-    return out
+    x = encode_nodes(
+        _wrap_params(params),
+        np.stack([seg.metric for seg in segments]),
+        np.stack([seg.log for seg in segments]),
+        np.stack([seg.trace for seg in segments]),
+        event_weights([seg.alerts for seg in segments], vocab_size),
+    ).data
+    x_metric, x_log, x_trace = np.split(x, 3, axis=1)
+    return [
+        NodeFeatures(x_metric=m, x_log=lg, x_trace=t)
+        for m, lg, t in zip(x_metric, x_log, x_trace)
+    ]

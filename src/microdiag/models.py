@@ -17,8 +17,6 @@ embeddings.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import autodiff as ad
@@ -39,6 +37,9 @@ __all__ = [
     "WindowBatch",
     "windows_to_batch",
     "forward_graph",
+    "adjacency",
+    "trunk",
+    "head",
     "trunk_dims",
 ]
 
@@ -112,10 +113,6 @@ def normalized_adjacency(graph: ServiceGraph) -> np.ndarray:
     return m * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def _transpose(t: ad.Tensor) -> ad.Tensor:
-    return ad.Tensor(t.data.T, (t,), lambda g: (g.T,))
-
-
 def _fusion_block(
     x: ad.Tensor,
     w: ad.Tensor,
@@ -125,7 +122,7 @@ def _fusion_block(
     prng,
 ) -> ad.Tensor:
     """Dropout(ReLU(LN(Wx + b))) over the rows of a (B, in) tensor."""
-    z = ad.add(ad.matmul(x, _transpose(w)), b)
+    z = ad.add(ad.matmul(x, ad.transpose(w)), b)
     h = ad.relu(ad.layer_norm(z, LN_EPS))
     if training and dropout_rate > 0.0:
         return ad.apply_dropout(h, ad.dropout_mask(prng, dropout_rate, h.data.shape))
@@ -213,96 +210,100 @@ def trunk_dims(params: dict[str, np.ndarray]) -> tuple[int, int, int]:
     return n, d, hidden
 
 
-def forward_graph(
+def adjacency(
+    graph: ServiceGraph | None, backbone: Backbone, disable_message_passing: bool = False
+) -> np.ndarray | None:
+    """The adjacency a backbone propagates over: none for DIAGMLP, A_hat for
+    the GCN, and the identity when message passing is disabled."""
+    if backbone is not Backbone.GCN:
+        return None
+    if graph is None:
+        raise ValueError("the GCN backbone needs a service graph")
+    if disable_message_passing:
+        return np.eye(graph.n_nodes)
+    return normalized_adjacency(graph)
+
+
+def trunk(
     p: dict[str, ad.Tensor],
-    batch: WindowBatch,
-    task: Task,
+    x: ad.Tensor,
     backbone: Backbone,
-    adj: np.ndarray,
+    adj: np.ndarray | None,
     dropout_rate: float = 0.0,
     training: bool = False,
     prng=None,
-    return_trunk: bool = False,
-):
-    """Tape graph from raw segments to logits (B, c).
+) -> ad.Tensor:
+    """Encoded nodes (B*N, 3d) -> pre-head representation (B, h_out):
+    position embedding, modal fusion, two message-passing layers for the
+    GCN, node fusion.
 
     Dropout masks, when active, are drawn modal stage first, then node
     stage, so training runs are reproducible from the step PRNG.
     """
-    B, N = batch.size, batch.n_nodes
-    x_metric = embed.encoder_graph(ad.constant(batch.metric), p, "enc_metric")
-    x_log = embed.encoder_graph(ad.constant(batch.log), p, "enc_log")
-    x_trace = ad.add(
-        embed.encoder_graph(ad.constant(batch.trace), p, "enc_trace"),
-        embed.events_graph(batch.event_w, p),
-    )
+    N = p["pos_embed"].data.shape[0]
+    B = x.data.shape[0] // N
     pos = ad.Tensor(
         np.tile(p["pos_embed"].data, (B, 1)),
         (p["pos_embed"],),
         lambda g: (g.reshape(B, N, -1).sum(axis=0),),
     )
-    x = ad.concat([x_metric, x_log, x_trace, pos], axis=1)  # (B*N, 4d)
-
-    fused = _fusion_block(
-        x, p["modal_fusion/w"], p["modal_fusion/b"], dropout_rate, training, prng
+    h = _fusion_block(
+        ad.concat([x, pos], axis=1), p["modal_fusion/w"], p["modal_fusion/b"],
+        dropout_rate, training, prng,
     )  # (B*N, h)
-    hidden = fused.data.shape[1]
-
+    hidden = h.data.shape[1]
     if backbone is Backbone.GCN:
         if adj is None:
             raise ValueError("GCN forward requires a normalized adjacency")
-        h = ad.reshape(fused, (B, N, hidden))
+        h = ad.reshape(h, (B, N, hidden))
         for w_name in ("gcn/w1", "gcn/w2"):
             h = ad.relu(ad.matmul(ad.matmul(ad.constant(adj), h), p[w_name]))
-        flat = ad.reshape(h, (B, N * hidden))
-    else:
-        flat = ad.reshape(fused, (B, N * hidden))
+    return _fusion_block(
+        ad.reshape(h, (B, N * hidden)), p["node_fusion/w"], p["node_fusion/b"],
+        dropout_rate, training, prng,
+    )
 
-    trunk = _fusion_block(
-        flat, p["node_fusion/w"], p["node_fusion/b"], dropout_rate, training, prng
-    )  # (B, h_out)
+
+def head(p: dict[str, ad.Tensor], z: ad.Tensor, task: Task) -> ad.Tensor:
+    """Affine task head: (B, h_out) -> logits (B, c)."""
     name = head_name(task)
-    logits = ad.add(ad.matmul(trunk, _transpose(p[f"{name}/w"])), p[f"{name}/b"])
-    if return_trunk:
-        return logits, trunk
-    return logits
+    return ad.add(ad.matmul(z, ad.transpose(p[f"{name}/w"])), p[f"{name}/b"])
 
 
-def _features_to_batch(features: list[NodeFeatures]) -> np.ndarray:
-    return np.stack([np.concatenate([f.x_metric, f.x_log, f.x_trace]) for f in features])
+def forward_graph(
+    p: dict[str, ad.Tensor],
+    batch: WindowBatch,
+    task: Task,
+    backbone: Backbone,
+    adj: np.ndarray | None,
+    dropout_rate: float = 0.0,
+    training: bool = False,
+    prng=None,
+) -> ad.Tensor:
+    """Tape graph from raw segments to logits (B, c): encoders, trunk, head."""
+    x = embed.encode_nodes(p, batch.metric, batch.log, batch.trace, batch.event_w)
+    return head(p, trunk(p, x, backbone, adj, dropout_rate, training, prng), task)
 
 
-def _trunk_from_features(
+def _window_logits(
     params: dict[str, np.ndarray],
     features: list[NodeFeatures],
+    task: Task,
     backbone: Backbone,
     graph: ServiceGraph | None,
-    task: Task,
 ) -> np.ndarray:
     # The head check depends on the parameters alone, so it wins over any
-    # input-shape mismatch; both wrappers report errors in this order.
+    # input-shape mismatch; the graph size is checked last.
     if f"{head_name(task)}/w" not in params:
         raise ValueError(f"parameters carry no {task.value} head")
-    n, d, hidden = trunk_dims(params)
+    n = params["pos_embed"].shape[0]
     if len(features) != n:
         raise ValueError(f"model fuses {n} nodes, got {len(features)}")
-    p = {k: ad.parameter(v) for k, v in params.items()}
-    x = np.concatenate([_features_to_batch(features), params["pos_embed"]], axis=1)
-    fused = _fusion_block(ad.constant(x), p["modal_fusion/w"], p["modal_fusion/b"], 0.0, False, None)
-    if backbone is Backbone.GCN:
-        if graph.n_nodes != n:
-            raise ValueError(f"graph has {graph.n_nodes} nodes, features have {n}")
-        adj = normalized_adjacency(graph)
-        h = ad.reshape(fused, (1, n, hidden))
-        for w_name in ("gcn/w1", "gcn/w2"):
-            h = ad.relu(ad.matmul(ad.matmul(ad.constant(adj), h), p[w_name]))
-        flat = ad.reshape(h, (1, n * hidden))
-    else:
-        flat = ad.reshape(fused, (1, n * hidden))
-    trunk = _fusion_block(flat, p["node_fusion/w"], p["node_fusion/b"], 0.0, False, None)
-    name = head_name(task)
-    logits = ad.add(ad.matmul(trunk, _transpose(p[f"{name}/w"])), p[f"{name}/b"])
-    return logits.data[0]
+    if backbone is Backbone.GCN and graph.n_nodes != n:
+        raise ValueError(f"graph has {graph.n_nodes} nodes, features have {n}")
+    p = {k: ad.constant(v) for k, v in params.items()}
+    x = ad.constant(np.stack([np.concatenate([f.x_metric, f.x_log, f.x_trace]) for f in features]))
+    return head(p, trunk(p, x, backbone, adjacency(graph, backbone)), task).data[0]
 
 
 def diagmlp_forward(
@@ -312,7 +313,7 @@ def diagmlp_forward(
 ) -> np.ndarray:
     """Evaluation-mode logits for one window's features; graph-free by
     construction."""
-    return _trunk_from_features(params, features, Backbone.DIAGMLP, None, task)
+    return _window_logits(params, features, task, Backbone.DIAGMLP, None)
 
 
 def gcn_forward(
@@ -323,38 +324,30 @@ def gcn_forward(
 ) -> np.ndarray:
     """Evaluation-mode logits with two message-passing layers between modal
     fusion and node concatenation."""
-    return _trunk_from_features(params, features, Backbone.GCN, graph, task)
+    return _window_logits(params, features, task, Backbone.GCN, graph)
 
 
 def loss_and_grads(
     params: dict[str, np.ndarray],
-    windows,
+    batch: WindowBatch,
     task: Task,
     backbone: Backbone,
-    graph: ServiceGraph,
-    vocab_size: int,
+    adj: np.ndarray | None,
     dropout_rate: float = 0.0,
     training: bool = True,
     prng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the labeled windows of a batch plus gradients
-    for every parameter tensor."""
-    usable = []
-    for w in windows:
-        if task is not Task.DETECT and not w.label_anomalous:
-            warnings.warn(f"window [{w.start_ms}, {w.end_ms}) lacks a {task.value} label; skipped")
-            continue
-        usable.append(w)
-    if not usable:
-        raise ValueError(f"no window in the batch carries a {task.value} label")
-
-    batch = windows_to_batch(usable, vocab_size)
+    """Mean cross-entropy over a batch plus gradients for every parameter
+    tensor. Every row must carry a label for the task."""
+    labels = batch.labels(task)
+    if np.any(labels < 0):
+        raise ValueError(
+            f"batch rows {np.flatnonzero(labels < 0).tolist()} carry no {task.value} label"
+        )
     p = {k: ad.parameter(v) for k, v in params.items()}
-    adj = normalized_adjacency(graph) if backbone is Backbone.GCN else None
-    logits = forward_graph(
-        p, batch, task, backbone, adj, dropout_rate, training, prng
+    loss = ad.cross_entropy(
+        forward_graph(p, batch, task, backbone, adj, dropout_rate, training, prng), labels
     )
-    loss = ad.cross_entropy(logits, batch.labels(task))
     ad.backward(loss)
     grads = {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .prng import Prng
-from .serialize import atomic_write_bytes, atomic_write_text
+from .serialize import atomic_write_bytes, atomic_write_text, graph_from_dict, graph_to_dict
 from .templates import TemplateTable, mine_templates, template_series
 from .types import (
     FAULT_TYPES,
@@ -379,22 +379,13 @@ class Transforms:
             "template_stats": {k: list(v) for k, v in sorted(self.template_stats.items())},
             "trace_stats": {k: list(v) for k, v in sorted(self.trace_stats.items())},
             "alert_vocab": dict(sorted(self.alert_vocab.items(), key=lambda kv: kv[1])),
-            "graph": {
-                "n_nodes": self.graph.n_nodes,
-                "node_names": list(self.graph.node_names),
-                "edges": [list(e) for e in self.graph.edges],
-            },
+            "graph": graph_to_dict(self.graph),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str, table: TemplateTable) -> "Transforms":
         d = json.loads(text)
-        graph = ServiceGraph(
-            n_nodes=d["graph"]["n_nodes"],
-            node_names=tuple(d["graph"]["node_names"]),
-            edges=tuple(tuple(e) for e in d["graph"]["edges"]),
-        )
         return cls(
             table=table,
             metric_stats={k: tuple(v) for k, v in d["metric_stats"].items()},
@@ -402,7 +393,7 @@ class Transforms:
             template_stats={k: tuple(v) for k, v in d["template_stats"].items()},
             trace_stats={k: tuple(v) for k, v in d["trace_stats"].items()},
             alert_vocab={k: int(v) for k, v in d["alert_vocab"].items()},
-            graph=graph,
+            graph=graph_from_dict(d["graph"]),
             train_end_ms=int(d["train_end_ms"]),
             bucket_ms=int(d["bucket_ms"]),
         )

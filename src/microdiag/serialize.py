@@ -29,6 +29,8 @@ __all__ = [
     "ParseError",
     "serialize_stream",
     "deserialize_stream",
+    "graph_to_dict",
+    "graph_from_dict",
     "graph_to_json",
     "graph_from_json",
     "faults_to_json",
@@ -158,20 +160,25 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     return stream
 
 
-def graph_to_json(graph: ServiceGraph) -> str:
-    return json.dumps(
-        {"n_nodes": graph.n_nodes, "node_names": list(graph.node_names),
-         "edges": [list(e) for e in graph.edges]},
-        indent=2) + "\n"
+def graph_to_dict(graph: ServiceGraph) -> dict:
+    return {"n_nodes": graph.n_nodes, "node_names": list(graph.node_names),
+            "edges": [list(e) for e in graph.edges]}
 
 
-def graph_from_json(text: str) -> ServiceGraph:
-    obj = json.loads(text)
+def graph_from_dict(obj: dict) -> ServiceGraph:
     return ServiceGraph(
         n_nodes=obj["n_nodes"],
         node_names=tuple(obj["node_names"]),
         edges=tuple((int(u), int(v)) for u, v in obj["edges"]),
     )
+
+
+def graph_to_json(graph: ServiceGraph) -> str:
+    return json.dumps(graph_to_dict(graph), indent=2) + "\n"
+
+
+def graph_from_json(text: str) -> ServiceGraph:
+    return graph_from_dict(json.loads(text))
 
 
 def faults_to_json(faults: Iterable[FaultSpec]) -> str:
@@ -230,6 +237,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

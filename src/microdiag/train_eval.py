@@ -28,19 +28,27 @@ from . import autodiff as ad
 from . import embed
 from . import models
 from .preprocess import PreprocessResult, preprocess_stream, windows_from_bytes, windows_to_bytes
-from .prng import Prng, prng_new
+from .prng import prng_new
 from .simulator import ScenarioSpec, generate_topology, schedule_faults, simulate
-from .types import Backbone, DatasetSplit, DiagnosisWindow, RunConfig, ServiceGraph, Task
+from .types import (
+    Backbone,
+    DatasetSplit,
+    DiagnosisWindow,
+    FaultSpec,
+    RunConfig,
+    ServiceGraph,
+    Task,
+    TelemetryStream,
+)
 
 __all__ = [
     "DatasetBundle",
     "prepare_dataset",
+    "simulate_scenario",
     "TrainResult",
     "train",
     "MetricsReport",
-    "evaluate_detection",
-    "evaluate_classification",
-    "evaluate_localization",
+    "evaluate",
     "topk_accuracy",
     "precision_recall_f1",
     "ablate",
@@ -79,6 +87,28 @@ class DatasetBundle:
         seg = self.split.train[0].segments[0]
         return seg.metric.shape[0], seg.log.shape[0], seg.trace.shape[0]
 
+    @classmethod
+    def from_bytes(cls, raw: bytes, graph: ServiceGraph) -> "DatasetBundle":
+        """Parse serialized windows bytes; the digest is taken over them."""
+        nodes, split, header = windows_from_bytes(raw)
+        return cls(
+            nodes=nodes,
+            split=split,
+            graph=graph,
+            vocab_size=int(header["vocab_size"]),
+            digest=hashlib.sha256(raw).hexdigest(),
+        )
+
+
+def simulate_scenario(
+    scenario: ScenarioSpec, seed: int
+) -> tuple[ServiceGraph, list[FaultSpec], TelemetryStream]:
+    """Topology, fault schedule and telemetry for a scenario from one seed."""
+    root = prng_new(seed)
+    graph = generate_topology(scenario.n_nodes, scenario.edge_density, root.child("simulate"))
+    faults = schedule_faults(scenario, graph, root.child("simulate"))
+    return graph, faults, simulate(graph, faults, scenario, root.child("simulate"))
+
 
 def prepare_dataset(
     scenario: ScenarioSpec,
@@ -92,27 +122,17 @@ def prepare_dataset(
     The bundle is parsed back from the serialized windows bytes, so
     in-memory runs and file-staged CLI runs consume identical inputs.
     """
-    root = prng_new(dataset_seed)
-    graph = generate_topology(scenario.n_nodes, scenario.edge_density, root.child("simulate"))
-    faults = schedule_faults(scenario, graph, root.child("simulate"))
-    stream = simulate(graph, faults, scenario, root.child("simulate"))
+    _, faults, stream = simulate_scenario(scenario, dataset_seed)
     window_ms = int(round((scenario.window_len_s if window_s is None else window_s) * 1000))
     stride_ms = int(round((scenario.stride_s if stride_s is None else stride_s) * 1000))
     result = preprocess_stream(
-        stream, faults, window_ms, stride_ms, root.child("preprocess"), metric_k=metric_k
+        stream, faults, window_ms, stride_ms, prng_new(dataset_seed).child("preprocess"),
+        metric_k=metric_k,
     )
     raw = windows_to_bytes(
         result.nodes, result.split, window_ms, stride_ms, result.transforms.vocab_size
     )
-    nodes, split, header = windows_from_bytes(raw)
-    bundle = DatasetBundle(
-        nodes=nodes,
-        split=split,
-        graph=result.transforms.graph,
-        vocab_size=int(header["vocab_size"]),
-        digest=hashlib.sha256(raw).hexdigest(),
-    )
-    return bundle, result, raw
+    return DatasetBundle.from_bytes(raw, result.transforms.graph), result, raw
 
 
 def _task_windows(windows: list[DiagnosisWindow], task: Task) -> list[DiagnosisWindow]:
@@ -137,22 +157,6 @@ def _eval_logits(
     return np.concatenate(outs, axis=0)
 
 
-def _objective(logits: np.ndarray, labels: np.ndarray, task: Task) -> float:
-    if task is Task.LOCALIZE:
-        return topk_accuracy(logits, labels, 1)
-    preds = logits.argmax(axis=1)
-    if task is Task.DETECT:
-        p, r, f1 = precision_recall_f1(labels == 1, preds == 1)
-        return f1
-    return _macro_f1(labels, preds)
-
-
-def _ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
-    return float((lse[:, 0] - logits[np.arange(len(labels)), labels]).mean())
-
-
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
@@ -161,21 +165,29 @@ class TrainResult:
     best_objective: float
     epochs_run: int
     schedule_digest: str  # identifies the shuffle/dropout stream lineage
+    shared_init_digest: str  # initial tensors both backbones share
+
+
+def _shared_init_digest(params: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        if name.startswith("gcn/"):
+            continue
+        h.update(name.encode())
+        h.update(params[name].tobytes())
+    return h.hexdigest()
 
 
 def train(
     bundle: DatasetBundle,
     config: RunConfig,
-    tcn_hidden: int = 16,
-    frozen: frozenset = frozenset(),
-    adj_override: Optional[np.ndarray] = None,
-    param_overrides: Optional[dict[str, np.ndarray]] = None,
+    disable_message_passing: bool = False,
 ) -> TrainResult:
     """Adam training with early stopping on the validation objective.
 
-    `frozen`, `adj_override`, and `param_overrides` exist for controlled
-    ablation experiments (e.g. identity message passing); normal runs leave
-    them unset.
+    With disable_message_passing, a GCN propagates over the identity
+    adjacency with identity `gcn/w1`, `gcn/w2` that Adam never updates, so
+    it computes exactly what DIAGMLP computes.
     """
     task, backbone = config.task, config.backbone
     train_w = _task_windows(bundle.split.train, task)
@@ -187,18 +199,19 @@ def train(
     root = prng_new(config.seed)
     params = models.init_params(
         root, task, backbone, bundle.n_nodes, config.d, config.hidden,
-        bundle.vocab_size, mc, lc, tc, tcn_hidden=tcn_hidden,
+        bundle.vocab_size, mc, lc, tc,
     )
-    if param_overrides:
-        for k, v in param_overrides.items():
-            params[k] = np.array(v, dtype=np.float64)
-    adj = adj_override
-    if adj is None and backbone is Backbone.GCN:
-        adj = models.normalized_adjacency(bundle.graph)
+    fixed = ()
+    if disable_message_passing and backbone is Backbone.GCN:
+        fixed = ("gcn/w1", "gcn/w2")
+        for k in fixed:
+            params[k] = np.eye(config.hidden)
+    shared_init = _shared_init_digest(params)
+    adj = models.adjacency(bundle.graph, backbone, disable_message_passing)
+    metric_fn, objective = TASK_METRICS[task]
 
     train_batch = models.windows_to_batch(train_w, bundle.vocab_size)
     valid_batch = models.windows_to_batch(valid_w, bundle.vocab_size)
-    train_labels = train_batch.labels(task)
     valid_labels = valid_batch.labels(task)
 
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -222,31 +235,26 @@ def train(
         order = erng.permutation(n_train)
         if epoch == 0:
             schedule_digest.update(order.tobytes())
-        losses = []
+        loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             rows = order[lo : lo + config.batch_size]
-            chunk = train_batch.select(rows)
-            p = {k: ad.parameter(arr) for k, arr in params.items()}
-            logits = models.forward_graph(
-                p, chunk, task, backbone, adj,
+            loss, grads = models.loss_and_grads(
+                params, train_batch.select(rows), task, backbone, adj,
                 dropout_rate=config.dropout_rate, training=True,
                 prng=erng.child(f"step:{lo // config.batch_size}"),
             )
-            loss = ad.cross_entropy(logits, chunk.labels(task))
-            if not np.isfinite(loss.data):
+            if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"step {lo // config.batch_size}"
                 )
-            ad.backward(loss)
-            losses.append(float(loss.data))
+            loss_sum += loss * len(rows)
             step += 1
             bc1 = 1.0 - ADAM_BETA1 ** step
             bc2 = 1.0 - ADAM_BETA2 ** step
-            for k, tensor in p.items():
-                if k in frozen or tensor.grad is None:
+            for k, g in grads.items():
+                if k in fixed:
                     continue
-                g = tensor.grad
                 m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
                 v2[k] = ADAM_BETA2 * v2[k] + (1.0 - ADAM_BETA2) * g * g
                 params[k] = params[k] - config.learning_rate * (m[k] / bc1) / (
@@ -254,9 +262,9 @@ def train(
                 )
 
         val_logits = _eval_logits(params, valid_batch, task, backbone, adj)
-        val_obj = _objective(val_logits, valid_labels, task)
-        val_loss = _ce_loss(val_logits, valid_labels)
-        history.append((epoch, "train", float(np.mean(losses)), ""))
+        val_obj = metric_fn(val_logits, valid_labels)[objective]
+        val_loss = float(ad.cross_entropy(ad.constant(val_logits), valid_labels).data)
+        history.append((epoch, "train", loss_sum / n_train, ""))
         history.append((epoch, "valid", val_loss, val_obj))
 
         if val_obj > best_obj:
@@ -279,6 +287,7 @@ def train(
         best_objective=best_obj,
         epochs_run=epochs_run,
         schedule_digest=schedule_digest.hexdigest(),
+        shared_init_digest=shared_init,
     )
 
 
@@ -291,20 +300,6 @@ def precision_recall_f1(labels_pos: np.ndarray, preds_pos: np.ndarray) -> tuple[
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
-
-
-def _macro_f1(labels: np.ndarray, preds: np.ndarray) -> float:
-    classes = sorted(set(labels.tolist()))
-    return float(np.mean([precision_recall_f1(labels == c, preds == c)[2] for c in classes]))
-
-
-def _macro_prf(labels: np.ndarray, preds: np.ndarray) -> tuple[float, float, float]:
-    classes = sorted(set(labels.tolist()))
-    prf = np.array([precision_recall_f1(labels == c, preds == c) for c in classes])
-    means = prf.mean(axis=0)
-    # macro F1 averages per-class F1 (the P,R means do not satisfy the F1
-    # identity in general, so the report stores per-class-averaged F1)
-    return float(means[0]), float(means[1]), float(means[2])
 
 
 def topk_accuracy(scores: np.ndarray, true_nodes: np.ndarray, k: int) -> float:
@@ -326,6 +321,36 @@ def topk_accuracy(scores: np.ndarray, true_nodes: np.ndarray, k: int) -> float:
     return hits / len(true_nodes)
 
 
+def _binary_prf(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    if not np.any(labels == 1):
+        warnings.warn("no anomalous windows among labels; precision defined as 0")
+    p, r, f1 = precision_recall_f1(labels == 1, logits.argmax(axis=1) == 1)
+    return {"precision": p, "recall": r, "f1": f1}
+
+
+def _macro_prf(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    # macro F1 averages per-class F1 over the classes present (the P,R means
+    # do not satisfy the F1 identity in general)
+    preds = logits.argmax(axis=1)
+    classes = sorted(set(labels.tolist()))
+    prf = np.array([precision_recall_f1(labels == c, preds == c) for c in classes])
+    p, r, f1 = prf.mean(axis=0)
+    return {"precision": float(p), "recall": float(r), "f1": float(f1)}
+
+
+def _topk(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    return {f"top{k}": topk_accuracy(logits, labels, k) for k in TOPK_KS if k <= logits.shape[1]}
+
+
+# Per task: the metric function of (logits, labels) and the metric that
+# early stopping maximizes on the validation split.
+TASK_METRICS = {
+    Task.DETECT: (_binary_prf, "f1"),
+    Task.CLASSIFY: (_macro_prf, "f1"),
+    Task.LOCALIZE: (_topk, "top1"),
+}
+
+
 @dataclass
 class MetricsReport:
     """Evaluation metrics for one or more runs of one task."""
@@ -342,7 +367,9 @@ class MetricsReport:
             for v in values:
                 if not (0.0 <= v <= 1.0):
                     raise ValueError(f"metric '{name}' value {v} outside [0, 1]")
-        if "precision" in self.per_run and "f1" in self.per_run:
+        # only a binary report's F1 is 2PR/(P+R); a macro report averages
+        # per-class F1 values instead
+        if self.task is Task.DETECT and "precision" in self.per_run and "f1" in self.per_run:
             for p, r, f1 in zip(
                 self.per_run["precision"], self.per_run["recall"], self.per_run["f1"]
             ):
@@ -403,94 +430,27 @@ def config_fingerprint(config: RunConfig, dataset_digest: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _prediction_logits(
-    params: dict[str, np.ndarray],
-    windows: list[DiagnosisWindow],
-    task: Task,
-    backbone: Backbone,
-    graph: Optional[ServiceGraph],
-    vocab_size: int,
-    adj_override: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    usable = _task_windows(windows, task)
-    if not usable:
-        raise ValueError(f"no labeled {task.value} windows to evaluate")
-    batch = models.windows_to_batch(usable, vocab_size)
-    adj = adj_override
-    if adj is None and backbone is Backbone.GCN:
-        adj = models.normalized_adjacency(graph)
-    logits = _eval_logits(params, batch, task, backbone, adj)
-    return logits, batch.labels(task)
-
-
-def evaluate_detection(
-    params, windows, vocab_size: int,
-    backbone: Backbone = Backbone.DIAGMLP,
-    graph: Optional[ServiceGraph] = None,
-    fingerprint: str = "",
-    adj_override: Optional[np.ndarray] = None,
-) -> MetricsReport:
-    logits, labels = _prediction_logits(
-        params, windows, Task.DETECT, backbone, graph, vocab_size, adj_override
-    )
-    if not np.any(labels == 1):
-        warnings.warn("no anomalous windows among labels; precision defined as 0")
-    p, r, f1 = precision_recall_f1(labels == 1, logits.argmax(axis=1) == 1)
-    return MetricsReport(
-        task=Task.DETECT, n_runs=1,
-        per_run={"precision": [p], "recall": [r], "f1": [f1]},
-        fingerprint=fingerprint,
-    )
-
-
-def evaluate_classification(
-    params, windows, vocab_size: int,
-    backbone: Backbone = Backbone.DIAGMLP,
-    graph: Optional[ServiceGraph] = None,
-    fingerprint: str = "",
-    adj_override: Optional[np.ndarray] = None,
-) -> MetricsReport:
-    logits, labels = _prediction_logits(
-        params, windows, Task.CLASSIFY, backbone, graph, vocab_size, adj_override
-    )
-    p, r, f1 = _macro_prf(labels, logits.argmax(axis=1))
-    return MetricsReport(
-        task=Task.CLASSIFY, n_runs=1,
-        per_run={"precision": [p], "recall": [r], "f1": [f1]},
-        fingerprint=fingerprint,
-    )
-
-
-def evaluate_localization(
-    params, windows, vocab_size: int,
-    backbone: Backbone = Backbone.DIAGMLP,
-    graph: Optional[ServiceGraph] = None,
-    fingerprint: str = "",
-    adj_override: Optional[np.ndarray] = None,
-) -> MetricsReport:
-    logits, labels = _prediction_logits(
-        params, windows, Task.LOCALIZE, backbone, graph, vocab_size, adj_override
-    )
-    per_run = {f"top{k}": [topk_accuracy(logits, labels, k)] for k in TOPK_KS if k <= logits.shape[1]}
-    return MetricsReport(task=Task.LOCALIZE, n_runs=1, per_run=per_run, fingerprint=fingerprint)
-
-
 def evaluate(
     params, windows, task: Task, vocab_size: int,
     backbone: Backbone = Backbone.DIAGMLP,
     graph: Optional[ServiceGraph] = None,
     fingerprint: str = "",
-    adj_override: Optional[np.ndarray] = None,
+    disable_message_passing: bool = False,
 ) -> MetricsReport:
-    fn = {
-        Task.DETECT: evaluate_detection,
-        Task.CLASSIFY: evaluate_classification,
-        Task.LOCALIZE: evaluate_localization,
-    }[task]
-    return fn(
-        params, windows, vocab_size,
-        backbone=backbone, graph=graph, fingerprint=fingerprint,
-        adj_override=adj_override,
+    """One run's test metrics over the windows that carry a label for the
+    task: binary P/R/F1 for DETECT, macro P/R/F1 for CLASSIFY, top-k for
+    LOCALIZE."""
+    usable = _task_windows(windows, task)
+    if not usable:
+        raise ValueError(f"no labeled {task.value} windows to evaluate")
+    batch = models.windows_to_batch(usable, vocab_size)
+    adj = models.adjacency(graph, backbone, disable_message_passing)
+    metrics = TASK_METRICS[task][0](
+        _eval_logits(params, batch, task, backbone, adj), batch.labels(task)
+    )
+    return MetricsReport(
+        task=task, n_runs=1, per_run={k: [v] for k, v in metrics.items()},
+        fingerprint=fingerprint,
     )
 
 
@@ -567,34 +527,19 @@ def separability_report(
         raise ValueError("separability needs >= 2 distinct root-cause labels")
     batch = models.windows_to_batch(anomalous, vocab_size)
     p = {k: ad.constant(v) for k, v in params.items()}
-    adj = models.normalized_adjacency(graph) if backbone is Backbone.GCN else None
+    adj = models.adjacency(graph, backbone)
 
     feats = []
     rows = np.arange(batch.size)
     for lo in range(0, batch.size, EVAL_CHUNK):
         chunk = batch.select(rows[lo : lo + EVAL_CHUNK])
+        x = embed.encode_nodes(p, chunk.metric, chunk.log, chunk.trace, chunk.event_w)
         if mode is SeparabilityMode.RAW_CONCAT:
-            xm = embed.encoder_graph(ad.constant(chunk.metric), p, "enc_metric").data
-            xl = embed.encoder_graph(ad.constant(chunk.log), p, "enc_log").data
-            xt = embed.encoder_graph(ad.constant(chunk.trace), p, "enc_trace").data
-            xt = xt + embed.events_graph(chunk.event_w, p).data
-            row = np.concatenate([xm, xl, xt], axis=1)  # (B*N, 3d)
-            feats.append(row.reshape(chunk.size, -1))
+            feats.append(x.data.reshape(chunk.size, -1))  # (B, N*3d)
         else:
-            task = _head_task(params)
-            _, trunk = models.forward_graph(
-                p, chunk, task, backbone, adj, return_trunk=True
-            )
-            feats.append(trunk.data)
+            feats.append(models.trunk(p, x, backbone, adj).data)
     x = np.concatenate(feats, axis=0)
     return pca_2d(x), labels, silhouette_score(x, labels)
-
-
-def _head_task(params: dict[str, np.ndarray]) -> Task:
-    for task in Task:
-        if f"{models.head_name(task)}/w" in params:
-            return task
-    raise ValueError("parameters carry no task head")
 
 
 @dataclass
@@ -609,12 +554,17 @@ class AblateResult:
     dataset_digest: str = ""
     failures: dict[tuple[str, int], str] = field(default_factory=dict)
 
+    def failed_seeds(self, backbone: Backbone) -> list[int]:
+        return [s for s in self.seeds if (backbone.value, s) in self.failures]
+
     def mean(self, backbone: Backbone, metric: str) -> float:
-        reports = [
-            r for (b, _), r in self.reports.items()
-            if b == backbone.value and r is not None and metric in r.per_run
-        ]
-        return float(np.mean([r.metric(metric) for r in reports]))
+        """Mean over every seed; raises when a seed of the backbone failed."""
+        failed = self.failed_seeds(backbone)
+        if failed:
+            raise ValueError(
+                f"{backbone.value} failed at seeds {failed}; no mean over seeds {self.seeds}"
+            )
+        return float(np.mean([self.reports[(backbone.value, s)].metric(metric) for s in self.seeds]))
 
     def paired_deltas(self, metric: str) -> list[float]:
         out = []
@@ -626,70 +576,41 @@ class AblateResult:
         return out
 
 
-def _shared_init_digest(params: dict[str, np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for name in sorted(params):
-        if name.startswith("gcn/"):
-            continue
-        h.update(name.encode())
-        h.update(params[name].tobytes())
-    return h.hexdigest()
-
-
 def ablate(
     bundle: DatasetBundle,
     base: RunConfig,
     seeds: list[int],
-    tcn_hidden: int = 16,
     disable_message_passing: bool = False,
 ) -> AblateResult:
     """Train and evaluate both backbones per seed on one dataset.
 
     With disable_message_passing, the GCN runs with identity adjacency and
-    frozen identity conv weights — the controlled-equivalence configuration
-    where the two backbones must coincide.
+    fixed identity message-passing weights — the controlled-equivalence
+    configuration where the two backbones must coincide.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     result = AblateResult(task=base.task, seeds=list(seeds), rows=[], reports={},
                           dataset_digest=bundle.digest)
-    mc, lc, tc = bundle.dims()
 
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
         for seed in seeds:
             config = dataclasses.replace(base, seed=seed, backbone=backbone)
             key = (backbone.value, seed)
-            kwargs = {}
-            eval_adj = None
-            if disable_message_passing and backbone is Backbone.GCN:
-                eye = np.eye(base.hidden)
-                eval_adj = np.eye(bundle.n_nodes)
-                kwargs = {
-                    "adj_override": eval_adj,
-                    "param_overrides": {"gcn/w1": eye, "gcn/w2": eye},
-                    "frozen": frozenset({"gcn/w1", "gcn/w2"}),
-                }
-            if disable_message_passing and backbone is Backbone.DIAGMLP:
-                kwargs = {"adj_override": np.eye(bundle.n_nodes)}
             try:
-                tr = train(bundle, config, tcn_hidden=tcn_hidden, **kwargs)
-                fp = config_fingerprint(config, bundle.digest)
+                tr = train(bundle, config, disable_message_passing)
                 report = evaluate(
                     tr.params, bundle.split.test, base.task, bundle.vocab_size,
-                    backbone=backbone, graph=bundle.graph, fingerprint=fp,
-                    adj_override=eval_adj,
-                )
-                init_params = models.init_params(
-                    prng_new(seed), base.task, backbone, bundle.n_nodes,
-                    base.d, base.hidden, bundle.vocab_size, mc, lc, tc,
-                    tcn_hidden=tcn_hidden,
+                    backbone=backbone, graph=bundle.graph,
+                    fingerprint=config_fingerprint(config, bundle.digest),
+                    disable_message_passing=disable_message_passing,
                 )
                 result.reports[key] = report
                 result.checkpoints[key] = tr.params
                 result.histories[key] = tr.history
                 result.stage_digests[key] = {
                     "dataset": bundle.digest,
-                    "shared_init": _shared_init_digest(init_params),
+                    "shared_init": tr.shared_init_digest,
                     "schedule": tr.schedule_digest,
                 }
                 result.rows.append((backbone.value, seed, base.task.value, "status", "ok"))
@@ -737,24 +658,22 @@ def render_summary(result: AblateResult) -> str:
         "| backbone | " + " | ".join(metric_names) + " |",
         "|---" * (len(metric_names) + 1) + "|",
     ]
+    n = len(result.seeds)
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
-        reports = [
-            r for (b, _), r in sorted(result.reports.items())
-            if b == backbone.value and r is not None
-        ]
+        failed = result.failed_seeds(backbone)
         cells = []
         for name in metric_names:
-            vals = np.array([r.metric(name) for r in reports if name in r.per_run])
-            if vals.size == 0:
-                cells.append("failed")
-            else:
-                std = vals.std(ddof=1) if vals.size > 1 else 0.0
-                cells.append(f"{_fmt(vals.mean())} ± {_fmt(std)}")
+            if failed:
+                cells.append(f"failed ({len(failed)} of {n} seeds)")
+                continue
+            vals = np.array([result.reports[(backbone.value, s)].metric(name) for s in result.seeds])
+            std = vals.std(ddof=1) if n > 1 else 0.0
+            cells.append(f"{_fmt(vals.mean())} ± {_fmt(std)}")
         lines.append(f"| {backbone.value} | " + " | ".join(cells) + " |")
 
     lines += ["", "## Paired per-seed deltas (DIAGMLP − GCN)", ""]
     lines.append("| metric | " + " | ".join(f"seed {s}" for s in result.seeds) + " | mean |")
-    lines.append("|---" * (len(result.seeds) + 2) + "|")
+    lines.append("|---" * (n + 2) + "|")
     for name in metric_names:
         deltas = []
         for seed in result.seeds:
@@ -764,8 +683,8 @@ def render_summary(result: AblateResult) -> str:
                 deltas.append("failed")
             else:
                 deltas.append(_fmt(a.metric(name) - b.metric(name)))
-        numeric = [float(d) for d in deltas if d != "failed"]
-        mean = _fmt(float(np.mean(numeric))) if numeric else "failed"
+        k = deltas.count("failed")
+        mean = f"failed ({k} of {n} seeds)" if k else _fmt(float(np.mean([float(d) for d in deltas])))
         lines.append(f"| {name} | " + " | ".join(deltas) + f" | {mean} |")
 
     if result.failures:

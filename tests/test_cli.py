@@ -1,0 +1,69 @@
+"""The command-line chain end to end on the tiny scenario, and the exit
+status of an ablation with failed cells."""
+
+import json
+
+import pytest
+
+from microdiag import cli
+from microdiag.train_eval import AblateResult, MetricsReport
+from microdiag.types import Task
+
+from conftest import TINY_SPEC
+
+CHAIN_FILES = (
+    "telemetry.jsonl", "graph.json", "faults.json", "scenario.json",
+    "windows.jsonl", "templates.json", "scaler.json", "checkpoint.json", "run_config.json",
+    "history.csv", "metrics.json",
+)
+
+
+def run_chain(scenario_path, out):
+    for argv in (
+        ["simulate", "--scenario", str(scenario_path), "--seed", "7", "--out", str(out)],
+        ["preprocess", "--in", str(out)],
+        ["train", "--workdir", str(out), "--seed", "1", "--task", "detect", "--d", "4",
+         "--hidden", "8"],
+        ["evaluate", "--workdir", str(out)],
+    ):
+        assert cli.main(argv) == 0, argv
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_chain_is_byte_identical_on_rerun(tmp_path, capsys):
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
+    first = run_chain(scenario, tmp_path / "a")
+    second = run_chain(scenario, tmp_path / "b")
+    assert set(CHAIN_FILES) <= set(first)
+    assert first == second
+    metrics = json.loads(first["metrics.json"])
+    assert metrics["task"] == "DETECT" and sorted(metrics["metrics"]) == ["f1", "precision", "recall"]
+    assert "f1:" in capsys.readouterr().out
+
+
+def fake_ablation(failed: bool) -> AblateResult:
+    def report(f1):
+        return MetricsReport(Task.DETECT, 1, {"precision": [f1], "recall": [f1], "f1": [f1]})
+
+    reports = {("DIAGMLP", 1): report(0.5), ("DIAGMLP", 2): report(0.75),
+               ("GCN", 1): report(1.0), ("GCN", 2): None if failed else report(0.5)}
+    failures = {("GCN", 2): "ValueError: boom"} if failed else {}
+    return AblateResult(task=Task.DETECT, seeds=[1, 2], rows=[], reports=reports,
+                        failures=failures)
+
+
+@pytest.mark.parametrize("failed", [False, True])
+def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, failed):
+    monkeypatch.setattr(cli, "prepare_dataset", lambda *a, **k: (None, None, None))
+    monkeypatch.setattr(cli, "ablate", lambda *a, **k: fake_ablation(failed))
+    code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(tmp_path), "--task", "detect"])
+    out, err = capsys.readouterr()
+    assert (tmp_path / "results.csv").is_file() and (tmp_path / "summary.md").is_file()
+    if failed:
+        assert code == 1
+        assert err == "GCN 2: ValueError: boom\n"
+        assert "GCN f1" not in out
+    else:
+        assert code == 0 and err == ""
+        assert "DIAGMLP f1: 0.625000" in out and "GCN f1: 0.750000" in out

@@ -7,19 +7,22 @@ from microdiag import autodiff as ad
 from microdiag.models import (
     LN_EPS,
     WindowBatch,
+    adjacency,
     count_params,
     diagmlp_forward,
     forward_graph,
     fusion_mlp,
     gcn_forward,
+    head,
     head_name,
     init_params,
     loss_and_grads,
     normalized_adjacency,
+    trunk,
     trunk_dims,
     windows_to_batch,
 )
-from microdiag.embed import embed_window
+from microdiag.embed import embed_window, encode_nodes
 from microdiag.prng import prng_new
 from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
 
@@ -110,6 +113,15 @@ class TestNormalizedAdjacency:
         eye_graph = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=())
         assert np.array_equal(normalized_adjacency(eye_graph), np.eye(3))
 
+    def test_adjacency_per_backbone(self):
+        assert adjacency(STAR, Backbone.DIAGMLP) is None
+        assert adjacency(STAR, Backbone.DIAGMLP, disable_message_passing=True) is None
+        assert np.array_equal(adjacency(STAR, Backbone.GCN), normalized_adjacency(STAR))
+        assert np.array_equal(adjacency(STAR, Backbone.GCN, disable_message_passing=True),
+                              np.eye(3))
+        with pytest.raises(ValueError, match="needs a service graph"):
+            adjacency(None, Backbone.GCN)
+
     def test_symmetric_and_row_mass(self):
         a_hat = normalized_adjacency(STAR)
         assert np.array_equal(a_hat, a_hat.T)
@@ -174,12 +186,12 @@ class TestForward:
         hidden = p_gcn["modal_fusion/w"].shape[0]
         p_gcn["gcn/w1"] = np.eye(hidden)
         p_gcn["gcn/w2"] = np.eye(hidden)
-        graph = STAR  # ignored by DiagMLP; GCN gets the identity override below
-        l1, g1 = loss_and_grads(p_mlp, windows, Task.LOCALIZE, Backbone.DIAGMLP,
-                                graph, 4, training=False)
+        batch = windows_to_batch(windows, 4)
+        l1, g1 = loss_and_grads(p_mlp, batch, Task.LOCALIZE, Backbone.DIAGMLP,
+                                None, training=False)
         eye_graph = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=())
-        l2, g2 = loss_and_grads(p_gcn, windows, Task.LOCALIZE, Backbone.GCN,
-                                eye_graph, 4, training=False)
+        l2, g2 = loss_and_grads(p_gcn, batch, Task.LOCALIZE, Backbone.GCN,
+                                normalized_adjacency(eye_graph), training=False)
         assert l1 == l2
         for k in g1:
             assert np.array_equal(g1[k], g2[k]), k
@@ -206,21 +218,26 @@ class TestForward:
         rng = np.random.default_rng(7)
         windows = make_windows(rng)
         params = {k: np.zeros_like(v) for k, v in tiny_params(Backbone.DIAGMLP).items()}
-        loss, _ = loss_and_grads(params, windows, Task.LOCALIZE, Backbone.DIAGMLP,
-                                 STAR, 4, training=False)
+        loss, _ = loss_and_grads(params, windows_to_batch(windows, 4), Task.LOCALIZE,
+                                 Backbone.DIAGMLP, None, training=False)
         assert loss == pytest.approx(np.log(3.0), rel=1e-12)
 
-    def test_return_trunk_dimensions(self):
+    def test_trunk_stage_dimensions(self):
         rng = np.random.default_rng(8)
         batch = windows_to_batch(make_windows(rng), 4)
         params = tiny_params(Backbone.DIAGMLP)
         t = {k: ad.parameter(v) for k, v in params.items()}
-        logits, trunk = forward_graph(t, batch, Task.LOCALIZE, Backbone.DIAGMLP,
-                                      None, return_trunk=True)
+        x = encode_nodes(t, batch.metric, batch.log, batch.trace, batch.event_w)
+        z = trunk(t, x, Backbone.DIAGMLP, None)
+        logits = head(t, z, Task.LOCALIZE)
         n, d, hidden = trunk_dims(params)
         assert (n, d, hidden) == (3, 2, 3)
-        assert trunk.data.shape == (4, 2 * hidden)
+        assert x.data.shape == (4 * n, 3 * d)
+        assert z.data.shape == (4, 2 * hidden)
         assert logits.data.shape == (4, 3)
+        # the stages compose to exactly the one forward graph
+        direct = forward_graph(t, batch, Task.LOCALIZE, Backbone.DIAGMLP, None)
+        assert np.array_equal(logits.data, direct.data)
 
     def test_single_window_wrappers_agree_with_batch(self):
         rng = np.random.default_rng(9)
@@ -263,33 +280,40 @@ class TestForward:
 
 
 class TestLossAndGrads:
-    def test_unlabeled_windows_skipped_with_warning(self):
+    def test_unlabeled_row_rejected(self):
+        # cross-entropy would score a -1 label against the last class
         rng = np.random.default_rng(11)
-        windows = make_windows(rng, n_windows=4, anomalous_from=2)
-        with pytest.warns(UserWarning, match="lacks a LOCALIZE label"):
-            loss, _ = loss_and_grads(tiny_params(Backbone.DIAGMLP), windows,
-                                     Task.LOCALIZE, Backbone.DIAGMLP, STAR, 4,
-                                     training=False)
+        batch = windows_to_batch(make_windows(rng, n_windows=4, anomalous_from=2), 4)
+        with pytest.raises(ValueError, match=r"rows \[0, 1\] carry no LOCALIZE label"):
+            loss_and_grads(tiny_params(Backbone.DIAGMLP), batch, Task.LOCALIZE,
+                           Backbone.DIAGMLP, None, training=False)
+        # the labelled rows alone are accepted
+        loss, _ = loss_and_grads(tiny_params(Backbone.DIAGMLP), batch.select(np.array([2, 3])),
+                                 Task.LOCALIZE, Backbone.DIAGMLP, None, training=False)
         assert np.isfinite(loss)
 
     def test_all_unlabeled_raises(self):
         rng = np.random.default_rng(12)
-        windows = make_windows(rng, anomalous_from=99)
-        with pytest.raises(ValueError, match="no window in the batch"), \
-             pytest.warns(UserWarning):
-            loss_and_grads(tiny_params(Backbone.DIAGMLP), windows, Task.LOCALIZE,
-                           Backbone.DIAGMLP, STAR, 4, training=False)
+        batch = windows_to_batch(make_windows(rng, anomalous_from=99), 4)
+        with pytest.raises(ValueError, match="carry no LOCALIZE label"):
+            loss_and_grads(tiny_params(Backbone.DIAGMLP), batch, Task.LOCALIZE,
+                           Backbone.DIAGMLP, None, training=False)
+        # DETECT labels every window
+        loss, _ = loss_and_grads(tiny_params(Backbone.DIAGMLP, Task.DETECT), batch,
+                                 Task.DETECT, Backbone.DIAGMLP, None, training=False)
+        assert np.isfinite(loss)
 
     @pytest.mark.parametrize("backbone", [Backbone.DIAGMLP, Backbone.GCN])
     def test_gradients_match_fd(self, backbone):
         rng = np.random.default_rng(13)
-        windows = make_windows(rng, n_windows=2, T=6)
+        batch = windows_to_batch(make_windows(rng, n_windows=2, T=6), 4)
         params = tiny_params(backbone)
-        _, grads = loss_and_grads(params, windows, Task.LOCALIZE, backbone,
-                                  STAR, 4, training=False)
+        adj = adjacency(STAR, backbone)
+        _, grads = loss_and_grads(params, batch, Task.LOCALIZE, backbone,
+                                  adj, training=False)
         fd = ad.finite_difference(
-            lambda: loss_and_grads(params, windows, Task.LOCALIZE, backbone,
-                                   STAR, 4, training=False)[0],
+            lambda: loss_and_grads(params, batch, Task.LOCALIZE, backbone,
+                                   adj, training=False)[0],
             params,
         )
         worst = 0.0

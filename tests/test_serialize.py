@@ -178,3 +178,16 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_follows_the_umask(tmp_path, umask, mode):
+    import os
+    import stat
+
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode

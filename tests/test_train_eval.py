@@ -1,0 +1,154 @@
+"""Training, evaluation and ablation oracles on hand-built inputs and the
+tiny dataset."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from microdiag import models
+from microdiag.train_eval import (
+    TASK_METRICS,
+    AblateResult,
+    MetricsReport,
+    ablate,
+    evaluate,
+    render_summary,
+    topk_accuracy,
+    train,
+)
+from microdiag.types import Backbone, RunConfig, Task
+
+
+def quick_config(task=Task.DETECT, backbone=Backbone.DIAGMLP, **kw):
+    kw = {"max_epochs": 3, "patience": 3, **kw}
+    return RunConfig(seed=1, task=task, backbone=backbone, d=4, hidden=8, **kw)
+
+
+class TestMetrics:
+    def test_topk_ties_go_to_the_lower_node_index(self):
+        scores = np.array([[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
+        # node 2 ties node 1 and ranks behind it; in a flat row node 3 is last
+        assert topk_accuracy(scores, np.array([2, 0]), 1) == 0.5
+        assert topk_accuracy(scores, np.array([1, 3]), 1) == 0.5
+        assert topk_accuracy(scores, np.array([2, 3]), 2) == 0.5
+        assert topk_accuracy(scores, np.array([2, 3]), 4) == 1.0
+
+    def test_imperfect_macro_report_builds(self):
+        labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        preds = np.array([0, 1, 1, 1, 2, 0, 3, 2])
+        metrics = TASK_METRICS[Task.CLASSIFY][0](np.eye(4)[preds], labels)
+        report = MetricsReport(Task.CLASSIFY, 1, {k: [v] for k, v in metrics.items()})
+        # per-class F1 by hand: 1/2, 4/5, 1/2, 2/3
+        assert report.f1 == pytest.approx((0.5 + 0.8 + 0.5 + 2 / 3) / 4, abs=1e-15)
+        assert report.precision == pytest.approx((0.5 + 2 / 3 + 0.5 + 1.0) / 4, abs=1e-15)
+        assert report.recall == pytest.approx((0.5 + 1.0 + 0.5 + 0.5) / 4, abs=1e-15)
+        # the same figures in a binary report break the F1 identity
+        with pytest.raises(ValueError, match="violates"):
+            MetricsReport(Task.DETECT, 1, {k: [v] for k, v in metrics.items()})
+
+    def test_detect_without_positives_warns_and_reports_zero(self, tiny_bundle):
+        bundle, _, _ = tiny_bundle
+        normal = [w for w in bundle.split.test if not w.label_anomalous]
+        params = train(bundle, quick_config(max_epochs=1)).params
+        with pytest.warns(UserWarning, match="no anomalous windows"):
+            report = evaluate(params, normal, Task.DETECT, bundle.vocab_size)
+        assert report.per_run == {"precision": [0.0], "recall": [0.0], "f1": [0.0]}
+
+    def test_localize_reports_topk_within_node_count(self, tiny_bundle):
+        bundle, _, _ = tiny_bundle
+        params = train(bundle, quick_config(Task.LOCALIZE, max_epochs=1)).params
+        report = evaluate(params, bundle.split.test, Task.LOCALIZE, bundle.vocab_size)
+        assert sorted(report.per_run) == ["top1", "top3", "top5"]  # 5 nodes
+        assert report.topk[1] <= report.topk[3] <= report.topk[5]
+
+
+class TestTrain:
+    def test_patience_zero_runs_one_epoch(self, tiny_bundle):
+        bundle, _, _ = tiny_bundle
+        result = train(bundle, quick_config(max_epochs=5, patience=0))
+        assert result.epochs_run == 1 and result.best_epoch == 0
+        assert [row[:2] for row in result.history] == [(0, "train"), (0, "valid")]
+
+    def test_epoch_loss_weighted_by_rows(self, tiny_bundle, monkeypatch):
+        bundle, _, _ = tiny_bundle
+        config = quick_config(max_epochs=1)
+        n = len(bundle.split.train)
+        sizes = [min(config.batch_size, n - lo) for lo in range(0, n, config.batch_size)]
+        assert len(set(sizes)) == 2  # one full batch and a short last one
+
+        def fake(params, batch, *args, **kwargs):
+            # the batch's loss is its row count; zero gradients leave Adam still
+            return float(batch.size), {k: np.zeros_like(v) for k, v in params.items()}
+
+        monkeypatch.setattr(models, "loss_and_grads", fake)
+        result = train(bundle, config)
+        want = sum(s * s for s in sizes) / n
+        assert result.history[0] == (0, "train", pytest.approx(want, abs=1e-12), "")
+
+    def test_shared_init_digest_agrees_across_backbones(self, tiny_bundle):
+        bundle, _, _ = tiny_bundle
+        digests = {
+            (backbone, off): train(
+                bundle, quick_config(backbone=backbone, max_epochs=1), off
+            ).shared_init_digest
+            for backbone in (Backbone.DIAGMLP, Backbone.GCN)
+            for off in (False, True)
+        }
+        assert len(set(digests.values())) == 1
+        other_seed = train(bundle, dataclasses.replace(quick_config(max_epochs=1), seed=2))
+        assert other_seed.shared_init_digest not in digests.values()
+
+    def test_disabled_message_passing_gives_identical_backbones(self, tiny_bundle):
+        bundle, _, _ = tiny_bundle
+        result = ablate(bundle, quick_config(), [1, 2], disable_message_passing=True)
+        assert not result.failures
+        for seed in (1, 2):
+            mlp, gcn = (Backbone.DIAGMLP.value, seed), (Backbone.GCN.value, seed)
+            assert result.reports[mlp].per_run == result.reports[gcn].per_run
+            assert result.histories[mlp] == result.histories[gcn]
+            for name, value in result.checkpoints[mlp].items():
+                assert np.array_equal(value, result.checkpoints[gcn][name]), name
+            # the GCN's message-passing weights stayed the identity
+            eye = np.eye(quick_config().hidden)
+            assert np.array_equal(result.checkpoints[gcn]["gcn/w1"], eye)
+            assert np.array_equal(result.checkpoints[gcn]["gcn/w2"], eye)
+
+
+def hand_built_ablation(gcn_seed2_fails=True):
+    def report(f1):
+        return MetricsReport(Task.DETECT, 1, {"precision": [f1], "recall": [f1], "f1": [f1]})
+
+    reports = {
+        ("DIAGMLP", 1): report(0.5),
+        ("DIAGMLP", 2): report(0.75),
+        ("GCN", 1): report(1.0),
+        ("GCN", 2): None if gcn_seed2_fails else report(0.5),
+    }
+    failures = {("GCN", 2): "ValueError: boom"} if gcn_seed2_fails else {}
+    return AblateResult(task=Task.DETECT, seeds=[1, 2], rows=[], reports=reports,
+                        failures=failures)
+
+
+class TestAblateResult:
+    def test_mean_over_every_seed(self):
+        result = hand_built_ablation(gcn_seed2_fails=False)
+        assert result.mean(Backbone.DIAGMLP, "f1") == 0.625
+        assert result.mean(Backbone.GCN, "f1") == 0.75
+
+    def test_mean_raises_naming_the_failed_seeds(self):
+        result = hand_built_ablation()
+        assert result.mean(Backbone.DIAGMLP, "f1") == 0.625
+        with pytest.raises(ValueError, match=r"GCN failed at seeds \[2\]"):
+            result.mean(Backbone.GCN, "f1")
+        result.reports[("GCN", 1)] = None
+        result.failures[("GCN", 1)] = "ValueError: boom"
+        with pytest.raises(ValueError, match=r"GCN failed at seeds \[1, 2\]"):
+            result.mean(Backbone.GCN, "f1")
+
+    def test_summary_shows_metrics_only_for_complete_backbones(self):
+        text = render_summary(hand_built_ablation())
+        assert "| DIAGMLP | 0.625000 ± 0.176777 | 0.625000 ± 0.176777 | 0.625000 ± 0.176777 |" in text
+        assert "| GCN | failed (1 of 2 seeds) | failed (1 of 2 seeds) | failed (1 of 2 seeds) |" in text
+        assert "| f1 | -0.500000 | failed | failed (1 of 2 seeds) |" in text
+        assert "- GCN seed 2: ValueError: boom" in text
