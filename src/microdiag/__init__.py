@@ -15,7 +15,6 @@ from .types import (
     DiagnosisWindow,
     FaultSpec,
     FaultType,
-    NodeFeatures,
     NodeSegments,
     RunConfig,
     ServiceGraph,
@@ -38,15 +37,8 @@ from .preprocess import (
     windows_from_bytes,
     windows_to_bytes,
 )
-from .embed import embed_window, encode_events, encode_timeseries, init_encoder_params
-from .models import (
-    count_params,
-    diagmlp_forward,
-    fusion_mlp,
-    gcn_forward,
-    init_params,
-    normalized_adjacency,
-)
+from .embed import init_encoder_params
+from .models import count_params, init_params, normalized_adjacency
 from .train_eval import (
     DatasetBundle,
     MetricsReport,
@@ -65,8 +57,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlertDirection", "AlertSource", "Backbone", "DatasetSplit",
-    "DiagnosisWindow", "FaultSpec", "FaultType", "NodeFeatures",
-    "NodeSegments", "RunConfig", "ServiceGraph", "Span", "Task",
+    "DiagnosisWindow", "FaultSpec", "FaultType", "NodeSegments",
+    "RunConfig", "ServiceGraph", "Span", "Task",
     "TelemetryStream",
     "Prng", "prng_new",
     "ScenarioSpec", "generate_topology", "scenario_preset", "schedule_faults",
@@ -75,9 +67,8 @@ __all__ = [
     "AlertEvent", "Transforms", "apply_transforms", "fit_transforms",
     "plan_windows", "preprocess_stream", "three_sigma_alerts", "window_label",
     "windows_from_bytes", "windows_to_bytes",
-    "embed_window", "encode_events", "encode_timeseries", "init_encoder_params",
-    "count_params", "diagmlp_forward", "fusion_mlp", "gcn_forward",
-    "init_params", "normalized_adjacency",
+    "init_encoder_params",
+    "count_params", "init_params", "normalized_adjacency",
     "DatasetBundle", "MetricsReport", "SeparabilityMode", "ablate",
     "evaluate", "pca_2d", "prepare_dataset", "separability_report", "silhouette_score",
     "topk_accuracy", "train",

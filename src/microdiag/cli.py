@@ -61,13 +61,7 @@ def _load_scenario(value: str) -> ScenarioSpec:
     return ScenarioSpec.from_dict(json.loads(path.read_text("utf-8")))
 
 
-def _run_config(args: argparse.Namespace, scenario: ScenarioSpec | None = None) -> RunConfig:
-    window = args.window
-    stride = args.stride
-    if window is None:
-        window = scenario.window_len_s if scenario else 60.0
-    if stride is None:
-        stride = scenario.stride_s if scenario else 60.0
+def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         task=Task(args.task.upper()),
@@ -75,8 +69,6 @@ def _run_config(args: argparse.Namespace, scenario: ScenarioSpec | None = None) 
         d=args.d,
         hidden=args.hidden,
         dropout_rate=args.dropout,
-        window_len=window,
-        stride=stride,
     )
 
 
@@ -102,17 +94,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     stream = deserialize_stream((indir / "telemetry.jsonl").read_bytes())
     faults = faults_from_json((indir / "faults.json").read_text("utf-8"))
     meta_path = indir / "scenario.json"
-    window_s, stride_s, seed = args.window, args.stride, 0
+    spec, seed = ScenarioSpec(), 0
     if meta_path.is_file():
         meta = json.loads(meta_path.read_text("utf-8"))
         seed = int(meta.get("seed", 0))
         spec = ScenarioSpec.from_dict(meta["scenario"])
-        if window_s is None:
-            window_s = spec.window_len_s
-        if stride_s is None:
-            stride_s = spec.stride_s
-    window_s = 60.0 if window_s is None else window_s
-    stride_s = 60.0 if stride_s is None else stride_s
+    window_s = spec.window_len_s if args.window is None else args.window
+    stride_s = spec.stride_s if args.stride is None else args.stride
     result = preprocess_stream(
         stream, faults,
         int(round(window_s * 1000)), int(round(stride_s * 1000)),
@@ -183,7 +171,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     bundle, _, _ = prepare_dataset(
         scenario, args.seed, window_s=args.window, stride_s=args.stride
     )
-    base = _run_config(args, scenario)
+    base = _run_config(args)
     result = ablate(bundle, base, seeds)
     header, rows = train_eval.results_csv_rows(result)
     write_csv(workdir / "results.csv", header, rows)
@@ -205,7 +193,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     bundle, _, _ = prepare_dataset(
         scenario, args.seed, window_s=args.window, stride_s=args.stride
     )
-    base = _run_config(args, scenario)
+    base = _run_config(args)
     variants = []
     checkpoints = {}
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
@@ -262,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dropout", type=float, default=0.1,
                        help="dropout rate (default 0.1)")
 
-    def window_flags(p, default_none=False):
-        p.add_argument("--window", type=float, default=None if default_none else 30.0,
-                       help="window length in seconds")
-        p.add_argument("--stride", type=float, default=None if default_none else 30.0,
-                       help="window stride in seconds")
+    def window_flags(p):
+        p.add_argument("--window", type=float, default=None,
+                       help="window length in seconds (default: the scenario's)")
+        p.add_argument("--stride", type=float, default=None,
+                       help="window stride in seconds (default: the scenario's)")
 
     p = sub.add_parser("simulate", help="generate telemetry for a scenario")
     p.add_argument("--scenario", default="local",
@@ -277,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="turn staged telemetry into windows")
     p.add_argument("--in", dest="indir", required=True, help="directory from simulate")
-    window_flags(p, default_none=True)
+    window_flags(p)
     p.add_argument("--out", default=None, help="output directory (default: --in)")
     p.set_defaults(func=cmd_preprocess)
 
@@ -285,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workdir", default=None, help="directory with windows.jsonl + graph.json")
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     common_model_flags(p)
-    window_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained checkpoint on the test split")
@@ -300,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated run seeds (default 1,2,3,4,5)")
     p.add_argument("--workdir", default=None, help="output directory")
     common_model_flags(p)
-    window_flags(p, default_none=True)
+    window_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="emit 2D separability tables for raw and trunk features")
@@ -309,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="run + dataset seed (default 1)")
     p.add_argument("--workdir", default=None, help="output directory")
     common_model_flags(p)
-    window_flags(p, default_none=True)
+    window_flags(p)
     p.set_defaults(func=cmd_report)
 
     return parser

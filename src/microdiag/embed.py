@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .prng import Prng
-from .types import NodeFeatures
 
 __all__ = [
     "TCN_HIDDEN",
@@ -27,9 +26,6 @@ __all__ = [
     "UNK_ID",
     "init_encoder_params",
     "uniform_init",
-    "encode_timeseries",
-    "encode_events",
-    "embed_window",
     "event_weights",
     "encoder_graph",
     "events_graph",
@@ -129,44 +125,3 @@ def encode_nodes(
     x_log = encoder_graph(ad.constant(log), p, "enc_log")
     x_trace = ad.add(encoder_graph(ad.constant(trace), p, "enc_trace"), events_graph(event_w, p))
     return ad.concat([x_metric, x_log, x_trace], axis=1)
-
-
-def _wrap_params(params: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
-    return {name: ad.parameter(arr) for name, arr in params.items()}
-
-
-def encode_timeseries(segment: np.ndarray, params: dict[str, np.ndarray],
-                      prefix: str) -> np.ndarray:
-    """Encode one (channels, T) segment to R^d."""
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.ndim != 2:
-        raise ValueError("segment must be a channels x T matrix")
-    if segment.shape[1] < KERNEL_WIDTH:
-        raise ValueError(
-            f"segment length {segment.shape[1]} shorter than kernel width {KERNEL_WIDTH}"
-        )
-    out = encoder_graph(ad.constant(segment[None]), _wrap_params(params), prefix)
-    return out.data[0]
-
-
-def encode_events(alert_ids, params: dict[str, np.ndarray], vocab_size: int) -> np.ndarray:
-    """Encode one alert id sequence to R^d."""
-    w = event_weights([tuple(alert_ids)], vocab_size)
-    return events_graph(w, _wrap_params(params)).data[0]
-
-
-def embed_window(segments, params: dict[str, np.ndarray], vocab_size: int) -> list[NodeFeatures]:
-    """Per-node d-vectors for one window; node i depends only on node i's
-    segments."""
-    x = encode_nodes(
-        _wrap_params(params),
-        np.stack([seg.metric for seg in segments]),
-        np.stack([seg.log for seg in segments]),
-        np.stack([seg.trace for seg in segments]),
-        event_weights([seg.alerts for seg in segments], vocab_size),
-    ).data
-    x_metric, x_log, x_trace = np.split(x, 3, axis=1)
-    return [
-        NodeFeatures(x_metric=m, x_log=lg, x_trace=t)
-        for m, lg, t in zip(x_metric, x_log, x_trace)
-    ]

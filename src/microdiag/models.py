@@ -22,15 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from . import embed
 from .prng import Prng
-from .types import FAULT_TYPES, Backbone, NodeFeatures, ServiceGraph, Task
+from .types import FAULT_TYPES, Backbone, ServiceGraph, Task
 
 __all__ = [
     "LN_EPS",
     "init_params",
     "normalized_adjacency",
-    "fusion_mlp",
-    "diagmlp_forward",
-    "gcn_forward",
     "loss_and_grads",
     "count_params",
     "head_name",
@@ -127,27 +124,6 @@ def _fusion_block(
     if training and dropout_rate > 0.0:
         return ad.apply_dropout(h, ad.dropout_mask(prng, dropout_rate, h.data.shape))
     return h
-
-
-def fusion_mlp(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    prng=None,
-) -> np.ndarray:
-    """Single fusion block on one vector; evaluation mode is deterministic."""
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape[1] != x.shape[-1]:
-        raise ValueError(f"weight expects input width {w.shape[1]}, got {x.shape[-1]}")
-    if training and dropout_rate > 0.0 and prng is None:
-        raise ValueError("training-mode dropout requires a prng")
-    out = _fusion_block(
-        ad.constant(x[None]), ad.parameter(w), ad.parameter(b),
-        dropout_rate, training, prng,
-    )
-    return out.data[0]
 
 
 class WindowBatch:
@@ -280,51 +256,22 @@ def forward_graph(
     training: bool = False,
     prng=None,
 ) -> ad.Tensor:
-    """Tape graph from raw segments to logits (B, c): encoders, trunk, head."""
+    """Tape graph from raw segments to logits (B, c): encoders, trunk, head.
+
+    The head check depends on the parameters alone, so it wins over any
+    input-shape mismatch; the graph size is checked after the node count.
+    """
+    if f"{head_name(task)}/w" not in p:
+        raise ValueError(f"parameters carry no {task.value} head")
+    n = p["pos_embed"].data.shape[0]
+    if batch.n_nodes != n:
+        raise ValueError(f"model fuses {n} nodes, got {batch.n_nodes}")
+    if adj is not None and adj.shape != (n, n):
+        raise ValueError(f"graph has {adj.shape[0]} nodes, features have {n}")
+    if training and dropout_rate > 0.0 and prng is None:
+        raise ValueError("training-mode dropout requires a prng")
     x = embed.encode_nodes(p, batch.metric, batch.log, batch.trace, batch.event_w)
     return head(p, trunk(p, x, backbone, adj, dropout_rate, training, prng), task)
-
-
-def _window_logits(
-    params: dict[str, np.ndarray],
-    features: list[NodeFeatures],
-    task: Task,
-    backbone: Backbone,
-    graph: ServiceGraph | None,
-) -> np.ndarray:
-    # The head check depends on the parameters alone, so it wins over any
-    # input-shape mismatch; the graph size is checked last.
-    if f"{head_name(task)}/w" not in params:
-        raise ValueError(f"parameters carry no {task.value} head")
-    n = params["pos_embed"].shape[0]
-    if len(features) != n:
-        raise ValueError(f"model fuses {n} nodes, got {len(features)}")
-    if backbone is Backbone.GCN and graph.n_nodes != n:
-        raise ValueError(f"graph has {graph.n_nodes} nodes, features have {n}")
-    p = {k: ad.constant(v) for k, v in params.items()}
-    x = ad.constant(np.stack([np.concatenate([f.x_metric, f.x_log, f.x_trace]) for f in features]))
-    return head(p, trunk(p, x, backbone, adjacency(graph, backbone)), task).data[0]
-
-
-def diagmlp_forward(
-    features: list[NodeFeatures],
-    params: dict[str, np.ndarray],
-    task: Task = Task.LOCALIZE,
-) -> np.ndarray:
-    """Evaluation-mode logits for one window's features; graph-free by
-    construction."""
-    return _window_logits(params, features, task, Backbone.DIAGMLP, None)
-
-
-def gcn_forward(
-    features: list[NodeFeatures],
-    graph: ServiceGraph,
-    params: dict[str, np.ndarray],
-    task: Task = Task.LOCALIZE,
-) -> np.ndarray:
-    """Evaluation-mode logits with two message-passing layers between modal
-    fusion and node concatenation."""
-    return _window_logits(params, features, task, Backbone.GCN, graph)
 
 
 def loss_and_grads(

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .prng import Prng
-from .serialize import atomic_write_bytes, atomic_write_text, graph_from_dict, graph_to_dict
+from .serialize import atomic_write_bytes, atomic_write_text, graph_to_dict
 from .templates import TemplateTable, mine_templates, template_series
 from .types import (
     FAULT_TYPES,
@@ -53,6 +53,7 @@ __all__ = [
     "PreprocessResult",
     "windows_to_bytes",
     "windows_from_bytes",
+    "window_label",
     "EMPTY_TOKEN",
     "UNK_TOKEN",
     "TRACE_STAT_NAMES",
@@ -116,14 +117,12 @@ def _correlation_embedding(series: dict[str, np.ndarray], train_len: int) -> tup
     rows = np.stack([np.asarray(series[k], dtype=np.float64)[:train_len] for k in keys])
     sigma = rows.std(axis=1)
     centered = rows - rows.mean(axis=1, keepdims=True)
-    corr = np.zeros((len(keys), len(keys)))
-    for i in range(len(keys)):
-        for j in range(len(keys)):
-            if i == j:
-                corr[i, j] = 1.0
-            elif sigma[i] > 0 and sigma[j] > 0:
-                corr[i, j] = float((centered[i] * centered[j]).mean() / (sigma[i] * sigma[j]))
-            # constant channels are uncorrelated with everything by convention
+    live = sigma > 0
+    scale = np.where(live, sigma, 1.0)
+    cov = centered @ centered.T / rows.shape[1]
+    # constant channels are uncorrelated with everything by convention
+    corr = np.where(live[:, None] & live[None, :], cov / np.outer(scale, scale), 0.0)
+    np.fill_diagonal(corr, 1.0)
     return keys, corr
 
 
@@ -137,10 +136,10 @@ def compress_metrics(
         raise ValueError("k must be positive")
     if k > len(series):
         raise ValueError(f"k={k} exceeds channel count {len(series)}")
+    if k == len(series):
+        return sorted(series)
     keys, corr = _correlation_embedding(series, train_len)
     n = len(keys)
-    if k == n:
-        return keys
 
     rng = prng.child("compress")
     centers = corr[np.sort(rng.permutation(n)[:k])].copy()
@@ -383,21 +382,6 @@ class Transforms:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str, table: TemplateTable) -> "Transforms":
-        d = json.loads(text)
-        return cls(
-            table=table,
-            metric_stats={k: tuple(v) for k, v in d["metric_stats"].items()},
-            selected_channels=list(d["selected_channels"]),
-            template_stats={k: tuple(v) for k, v in d["template_stats"].items()},
-            trace_stats={k: tuple(v) for k, v in d["trace_stats"].items()},
-            alert_vocab={k: int(v) for k, v in d["alert_vocab"].items()},
-            graph=graph_from_dict(d["graph"]),
-            train_end_ms=int(d["train_end_ms"]),
-            bucket_ms=int(d["bucket_ms"]),
-        )
-
 
 def _metric_grid(stream: TelemetryStream) -> tuple[dict[tuple[str, str], np.ndarray], int]:
     """Metric series as arrays on the 1 Hz grid from t=0; validates alignment."""
@@ -518,21 +502,15 @@ def fit_transforms(
 
     arrays, _ = _metric_grid(stream)
     channels = sorted({ch for (_, ch) in arrays})
-    metric_stats = {}
-    per_node_z = {}
-    for (node, ch), arr in arrays.items():
-        train = arr[:train_sec]
-        if train.size == 0:
-            raise ValueError(f"channel '{node}/{ch}' has no training samples")
-        mu, sigma = float(train.mean()), float(train.std())
-        metric_stats[f"{node}/{ch}"] = (mu, sigma)
-        per_node_z[(node, ch)] = np.zeros(train_sec) if sigma == 0 else (train - mu) / sigma
+    train_z, metric_stats = standardize_metrics(
+        {f"{node}/{ch}": arr[:train_sec] for (node, ch), arr in arrays.items()}, train_sec
+    )
 
     # Channel selection is shared across nodes: correlate each channel name
     # using its z-scored train segments concatenated over nodes.
     k = len(channels) if metric_k is None else metric_k
     pooled = {
-        ch: np.concatenate([per_node_z[(node, ch)] for node in stream.nodes])
+        ch: np.concatenate([train_z[f"{node}/{ch}"] for node in stream.nodes])
         for ch in channels
     }
     selected = compress_metrics(pooled, k, train_sec * len(stream.nodes), prng)
@@ -587,7 +565,7 @@ def fit_transforms(
     # Vocabulary: tokens raised on the train range, plus EMPTY/UNK reserves.
     metric_z = np.stack(
         [
-            np.stack([per_node_z[(node, ch)] for ch in selected])
+            np.stack([train_z[f"{node}/{ch}"] for ch in selected])
             for node in stream.nodes
         ]
     )

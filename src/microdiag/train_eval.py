@@ -408,22 +408,6 @@ class MetricsReport:
             if f"top{k}" in self.per_run
         }
 
-    @staticmethod
-    def merge(reports: list["MetricsReport"]) -> "MetricsReport":
-        if not reports:
-            raise ValueError("nothing to merge")
-        task = reports[0].task
-        names = list(reports[0].per_run)
-        if any(r.task is not task or list(r.per_run) != names for r in reports):
-            raise ValueError("reports disagree on task or metrics")
-        per_run = {n: [v for r in reports for v in r.per_run[n]] for n in names}
-        return MetricsReport(
-            task=task,
-            n_runs=sum(r.n_runs for r in reports),
-            per_run=per_run,
-            fingerprint=reports[0].fingerprint,
-        )
-
 
 def config_fingerprint(config: RunConfig, dataset_digest: str) -> str:
     blob = json.dumps(config.to_dict(), sort_keys=True) + dataset_digest
@@ -565,15 +549,6 @@ class AblateResult:
                 f"{backbone.value} failed at seeds {failed}; no mean over seeds {self.seeds}"
             )
         return float(np.mean([self.reports[(backbone.value, s)].metric(metric) for s in self.seeds]))
-
-    def paired_deltas(self, metric: str) -> list[float]:
-        out = []
-        for seed in self.seeds:
-            a = self.reports.get((Backbone.DIAGMLP.value, seed))
-            b = self.reports.get((Backbone.GCN.value, seed))
-            if a is not None and b is not None and metric in a.per_run and metric in b.per_run:
-                out.append(a.metric(metric) - b.metric(metric))
-        return out
 
 
 def ablate(

@@ -24,7 +24,6 @@ __all__ = [
     "FaultSpec",
     "Span",
     "TelemetryStream",
-    "NodeFeatures",
     "NodeSegments",
     "DiagnosisWindow",
     "DatasetSplit",
@@ -220,40 +219,6 @@ class TelemetryStream:
                         f"span ({s.caller} -> {s.callee}) is not a graph edge"
                     )
 
-    @staticmethod
-    def empty(nodes: tuple[str, ...]) -> "TelemetryStream":
-        return TelemetryStream(nodes=nodes, metrics={}, logs={}, spans=[])
-
-
-@dataclass(eq=False)
-class NodeFeatures:
-    """Per-node embedded features: one d-vector per modality."""
-
-    x_metric: np.ndarray
-    x_log: np.ndarray
-    x_trace: np.ndarray
-
-    def __post_init__(self):
-        d = self.x_metric.shape
-        if not (self.x_log.shape == d and self.x_trace.shape == d and len(d) == 1):
-            raise ValueError("modality vectors must share one length d")
-        for name in ("x_metric", "x_log", "x_trace"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
-
-    @property
-    def d(self) -> int:
-        return self.x_metric.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeFeatures):
-            return NotImplemented
-        return (
-            np.array_equal(self.x_metric, other.x_metric)
-            and np.array_equal(self.x_log, other.x_log)
-            and np.array_equal(self.x_trace, other.x_trace)
-        )
-
 
 @dataclass(eq=False)
 class NodeSegments:
@@ -365,14 +330,11 @@ class RunConfig:
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 20
-    window_len: float = 60.0
-    stride: float = 60.0
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("d", "hidden", "learning_rate", "batch_size", "max_epochs",
-                     "window_len", "stride"):
+        for name in ("d", "hidden", "learning_rate", "batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         # patience=0 is meaningful: stop after the first epoch.

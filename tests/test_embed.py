@@ -8,9 +8,7 @@ from microdiag.embed import (
     EMPTY_ID,
     KERNEL_WIDTH,
     UNK_ID,
-    embed_window,
-    encode_events,
-    encode_timeseries,
+    encode_nodes,
     encoder_graph,
     event_weights,
     events_graph,
@@ -30,6 +28,20 @@ def params():
         prng_new(42).child("init"), d=D, metric_channels=2, log_channels=4,
         trace_channels=3, vocab_size=VOCAB, tcn_hidden=4,
     )
+
+
+def tensors(params):
+    return {k: ad.constant(v) for k, v in params.items()}
+
+
+def encode_series(segment, params, prefix):
+    """One (channels, T) segment through the TCN -> R^d."""
+    return encoder_graph(ad.constant(segment[None]), tensors(params), prefix).data[0]
+
+
+def encode_alerts(ids, params):
+    """One alert id sequence through the bag-of-tokens encoder -> R^d."""
+    return events_graph(event_weights([tuple(ids)], VOCAB), tensors(params)).data[0]
 
 
 class TestInit:
@@ -58,23 +70,21 @@ class TestInit:
 class TestTimeseriesEncoder:
     def test_too_short_segment_rejected(self, params):
         with pytest.raises(ValueError, match="shorter than kernel"):
-            encode_timeseries(np.zeros((2, KERNEL_WIDTH - 1)), params, "enc_metric")
-        with pytest.raises(ValueError, match="channels x T"):
-            encode_timeseries(np.zeros(7), params, "enc_metric")
+            encode_series(np.zeros((2, KERNEL_WIDTH - 1)), params, "enc_metric")
 
     def test_constant_series_is_length_invariant(self, params):
         # mean-pool over time: a flat series encodes identically at any
         # length once both convolutions fit
-        base = encode_timeseries(np.full((2, 8), 1.7), params, "enc_metric")
-        long = encode_timeseries(np.full((2, 50), 1.7), params, "enc_metric")
+        base = encode_series(np.full((2, 8), 1.7), params, "enc_metric")
+        long = encode_series(np.full((2, 50), 1.7), params, "enc_metric")
         np.testing.assert_allclose(base, long, atol=1e-12)
         assert base.shape == (D,)
 
     def test_output_depends_on_input(self, params):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 12))
-        a = encode_timeseries(x, params, "enc_metric")
-        b = encode_timeseries(x + 0.5, params, "enc_metric")
+        a = encode_series(x, params, "enc_metric")
+        b = encode_series(x + 0.5, params, "enc_metric")
         assert not np.allclose(a, b)
 
     def test_gradients_match_fd_through_encoder(self, params):
@@ -108,13 +118,13 @@ class TestEventEncoder:
         assert EMPTY_ID == 0 and UNK_ID == 1
 
     def test_repeated_token_normalizes_to_single(self, params):
-        a = encode_events([3, 3], params, VOCAB)
-        b = encode_events([3], params, VOCAB)
+        a = encode_alerts([3, 3], params)
+        b = encode_alerts([3], params)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_empty_sequence_uses_empty_row(self, params):
-        a = encode_events([], params, VOCAB)
-        b = encode_events([EMPTY_ID], params, VOCAB)
+        a = encode_alerts([], params)
+        b = encode_alerts([EMPTY_ID], params)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_out_of_vocab_id_rejected(self):
@@ -141,6 +151,8 @@ class TestEventEncoder:
 
 
 class TestEmbedWindow:
+    """`encode_nodes`, the encoder stage of the forward graph."""
+
     def make_segments(self, rng, n=2, T=10):
         return [
             NodeSegments(
@@ -152,27 +164,39 @@ class TestEmbedWindow:
             for i in range(n)
         ]
 
+    def encode(self, segs, params):
+        return encode_nodes(
+            tensors(params),
+            np.stack([seg.metric for seg in segs]),
+            np.stack([seg.log for seg in segs]),
+            np.stack([seg.trace for seg in segs]),
+            event_weights([seg.alerts for seg in segs], VOCAB),
+        ).data
+
     def test_trace_feature_is_sum_of_series_and_events(self, params):
         rng = np.random.default_rng(3)
         segs = self.make_segments(rng)
-        feats = embed_window(segs, params, VOCAB)
-        for seg, f in zip(segs, feats):
-            ts = encode_timeseries(seg.trace, params, "enc_trace")
-            ev = encode_events(seg.alerts, params, VOCAB)
-            np.testing.assert_allclose(f.x_trace, ts + ev, atol=1e-12)
+        x = self.encode(segs, params)
+        assert x.shape == (len(segs), 3 * D)
+        for seg, row in zip(segs, x):
+            x_metric, x_log, x_trace = np.split(row, 3)
+            ts = encode_series(seg.trace, params, "enc_trace")
+            ev = encode_alerts(seg.alerts, params)
+            np.testing.assert_allclose(x_trace, ts + ev, atol=1e-12)
             np.testing.assert_allclose(
-                f.x_metric, encode_timeseries(seg.metric, params, "enc_metric"),
-                atol=1e-12,
+                x_metric, encode_series(seg.metric, params, "enc_metric"), atol=1e-12,
             )
-            assert f.d == D
+            np.testing.assert_allclose(
+                x_log, encode_series(seg.log, params, "enc_log"), atol=1e-12,
+            )
 
     def test_node_features_are_local(self, params):
         rng = np.random.default_rng(4)
         segs = self.make_segments(rng)
-        before = embed_window(segs, params, VOCAB)
+        before = self.encode(segs, params)
         # perturb node 1 only; node 0's features must be bit-identical
         segs2 = [segs[0], NodeSegments(metric=segs[1].metric + 5.0, log=segs[1].log,
                                        trace=segs[1].trace, alerts=segs[1].alerts)]
-        after = embed_window(segs2, params, VOCAB)
-        assert before[0] == after[0]
-        assert not np.allclose(before[1].x_metric, after[1].x_metric)
+        after = self.encode(segs2, params)
+        assert np.array_equal(before[0], after[0])
+        assert not np.allclose(before[1, :D], after[1, :D])

@@ -6,13 +6,10 @@ import pytest
 from microdiag import autodiff as ad
 from microdiag.models import (
     LN_EPS,
-    WindowBatch,
+    _fusion_block,
     adjacency,
     count_params,
-    diagmlp_forward,
     forward_graph,
-    fusion_mlp,
-    gcn_forward,
     head,
     head_name,
     init_params,
@@ -22,7 +19,7 @@ from microdiag.models import (
     trunk_dims,
     windows_to_batch,
 )
-from microdiag.embed import embed_window, encode_nodes
+from microdiag.embed import encode_nodes
 from microdiag.prng import prng_new
 from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
 
@@ -60,35 +57,54 @@ def tiny_params(backbone, task=Task.LOCALIZE, n_nodes=3, d=2, hidden=3, vocab=4)
 STAR = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=((0, 1), (0, 2)))
 
 
+def fusion(x, w, b, dropout_rate=0.0, training=False, prng=None):
+    """One fusion block on one vector."""
+    out = _fusion_block(ad.constant(np.asarray(x, dtype=np.float64)[None]), ad.constant(w),
+                        ad.constant(b), dropout_rate, training, prng)
+    return out.data[0]
+
+
 class TestFusionMlp:
     def test_hand_values_plain_arithmetic(self):
         # z = Wx + b = [3, 1]; LN: mean 2, variance 1 -> +-1/sqrt(1 + eps);
         # ReLU keeps the positive entry only
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.zeros(2)
-        out = fusion_mlp(np.array([3.0, 1.0]), w, b)
+        out = fusion(np.array([3.0, 1.0]), w, b)
         expect = 1.0 / np.sqrt(1.0 + LN_EPS)
         np.testing.assert_allclose(out, [expect, 0.0], rtol=0, atol=1e-15)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="input width"):
-            fusion_mlp(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        with pytest.raises(ValueError, match="mismatch"):
+            fusion(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
 
     def test_training_dropout_requires_prng(self):
-        with pytest.raises(ValueError, match="requires a prng"):
-            fusion_mlp(np.ones(4), np.eye(4), np.zeros(4), dropout_rate=0.5,
-                       training=True)
+        # the fusion blocks draw their dropout masks from the step prng, so
+        # the forward graph refuses training-mode dropout without one; a
+        # wrong graph size is reported first
+        rng = np.random.default_rng(14)
+        batch = windows_to_batch(make_windows(rng), 4)
+        t = {k: ad.parameter(v) for k, v in tiny_params(Backbone.GCN).items()}
+        with pytest.raises(ValueError, match="graph has 2 nodes"):
+            forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(2),
+                          dropout_rate=0.5, training=True)
+        with pytest.raises(ValueError, match="training-mode dropout requires a prng"):
+            forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3),
+                          dropout_rate=0.5, training=True)
+        # without dropout, or outside training, no prng is needed
+        forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), training=True)
+        forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), dropout_rate=0.5)
 
     def test_eval_mode_ignores_dropout_rate(self):
         x, w, b = np.array([5.0, 1.0, -2.0]), np.eye(3), np.zeros(3)
-        a = fusion_mlp(x, w, b, dropout_rate=0.9, training=False)
-        assert np.array_equal(a, fusion_mlp(x, w, b))
+        a = fusion(x, w, b, dropout_rate=0.9, training=False)
+        assert np.array_equal(a, fusion(x, w, b))
 
     def test_training_dropout_reproducible_per_path(self):
         x, w, b = np.array([5.0, 1.0, -2.0, 7.0]), np.eye(4), np.zeros(4)
-        a = fusion_mlp(x, w, b, 0.5, True, prng_new(2).child("step:0"))
-        b2 = fusion_mlp(x, w, b, 0.5, True, prng_new(2).child("step:0"))
-        c = fusion_mlp(x, w, b, 0.5, True, prng_new(2).child("step:1"))
+        a = fusion(x, w, b, 0.5, True, prng_new(2).child("step:0"))
+        b2 = fusion(x, w, b, 0.5, True, prng_new(2).child("step:0"))
+        c = fusion(x, w, b, 0.5, True, prng_new(2).child("step:1"))
         assert np.array_equal(a, b2) and not np.array_equal(a, c)
 
 
@@ -239,44 +255,32 @@ class TestForward:
         direct = forward_graph(t, batch, Task.LOCALIZE, Backbone.DIAGMLP, None)
         assert np.array_equal(logits.data, direct.data)
 
-    def test_single_window_wrappers_agree_with_batch(self):
-        rng = np.random.default_rng(9)
-        windows = make_windows(rng, n_windows=1)
-        p_mlp = tiny_params(Backbone.DIAGMLP)
-        p_gcn = tiny_params(Backbone.GCN)
-        feats = embed_window(windows[0].segments, p_mlp, 4)
-        direct = diagmlp_forward(feats, p_mlp, Task.LOCALIZE)
-        batch = windows_to_batch(windows, 4)
-        t = {k: ad.parameter(v) for k, v in p_mlp.items()}
-        via_batch = forward_graph(t, batch, Task.LOCALIZE, Backbone.DIAGMLP, None)
-        np.testing.assert_allclose(direct, via_batch.data[0], atol=1e-12)
-        g = gcn_forward(embed_window(windows[0].segments, p_gcn, 4), STAR, p_gcn,
-                        Task.LOCALIZE)
-        assert g.shape == (3,)
-
     def test_node_count_guards(self):
+        # the head check depends on the parameters alone, so it wins over a
+        # batch of the wrong node count
         rng = np.random.default_rng(10)
-        feats = embed_window(make_windows(rng, n_windows=1, n_nodes=2)[0].segments,
-                             tiny_params(Backbone.DIAGMLP), 4)
-        with pytest.raises(ValueError, match="fuses 3 nodes"):
-            diagmlp_forward(feats, tiny_params(Backbone.DIAGMLP), Task.LOCALIZE)
+        batch = windows_to_batch(make_windows(rng, n_windows=3, n_nodes=2), 4)
+        t = {k: ad.parameter(v) for k, v in tiny_params(Backbone.DIAGMLP).items()}
+        with pytest.raises(ValueError, match="model fuses 3 nodes, got 2"):
+            forward_graph(t, batch, Task.LOCALIZE, Backbone.DIAGMLP, None)
         with pytest.raises(ValueError, match="no CLASSIFY head"):
-            diagmlp_forward(feats, tiny_params(Backbone.DIAGMLP), Task.CLASSIFY)
+            forward_graph(t, batch, Task.CLASSIFY, Backbone.DIAGMLP, None)
 
     def test_gcn_node_count_guards(self):
         # Same guards, same order as DiagMLP; the graph size is checked last.
         rng = np.random.default_rng(10)
-        params = tiny_params(Backbone.GCN)
-        feats = embed_window(make_windows(rng, n_windows=1, n_nodes=2)[0].segments,
-                             params, 4)
-        with pytest.raises(ValueError, match="fuses 3 nodes"):
-            gcn_forward(feats, STAR, params, Task.LOCALIZE)
+        t = {k: ad.parameter(v) for k, v in tiny_params(Backbone.GCN).items()}
+        batch2 = windows_to_batch(make_windows(rng, n_windows=3, n_nodes=2), 4)
+        pair = np.eye(2)
+        with pytest.raises(ValueError, match="model fuses 3 nodes, got 2"):
+            forward_graph(t, batch2, Task.LOCALIZE, Backbone.GCN, pair)
         with pytest.raises(ValueError, match="no CLASSIFY head"):
-            gcn_forward(feats, STAR, params, Task.CLASSIFY)
-        feats3 = embed_window(make_windows(rng, n_windows=1)[0].segments, params, 4)
-        pair = ServiceGraph(n_nodes=2, node_names=("a", "b"), edges=((0, 1),))
+            forward_graph(t, batch2, Task.CLASSIFY, Backbone.GCN, pair)
+        batch3 = windows_to_batch(make_windows(rng, n_windows=3), 4)
         with pytest.raises(ValueError, match="graph has 2 nodes"):
-            gcn_forward(feats3, pair, params, Task.LOCALIZE)
+            forward_graph(t, batch3, Task.LOCALIZE, Backbone.GCN, pair)
+        assert forward_graph(t, batch3, Task.LOCALIZE, Backbone.GCN,
+                             normalized_adjacency(STAR)).data.shape == (3, 3)
 
 
 class TestLossAndGrads:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microdiag.preprocess import (
+    _correlation_embedding,
     BUCKET_MS,
     EMPTY_TOKEN,
     TRACE_SEGMENT_STATS,
@@ -159,6 +160,32 @@ class TestCompressMetrics:
         assert picked == compress_metrics(series, 2, 200, prng_new(5))
         # one representative per correlated family
         assert {ch[0] for ch in picked} == {"a", "b"}
+
+
+class TestCorrelationEmbedding:
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=40)
+        series = {"a": base, "b": 2 * base + rng.normal(size=40), "c": np.full(40, 4.0),
+                  "d": rng.normal(size=40), "e": -base}
+        keys, corr = _correlation_embedding(series, 30)
+        assert keys == ["a", "b", "c", "d", "e"]
+        # reference: population correlation pair by pair over the first 30
+        # samples; constant channels are uncorrelated with everything
+        rows = np.stack([series[k][:30] for k in keys])
+        sigma = rows.std(axis=1)
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        want = np.eye(len(keys))
+        for i in range(len(keys)):
+            for j in range(len(keys)):
+                if i != j and sigma[i] > 0 and sigma[j] > 0:
+                    want[i, j] = (centered[i] * centered[j]).mean() / (sigma[i] * sigma[j])
+        # summation order differs: a few ulps of 30 products of unit scale
+        np.testing.assert_allclose(corr, want, rtol=0, atol=1e-13)
+        c = keys.index("c")
+        assert corr[c, c] == 1.0
+        assert not np.delete(corr[c], c).any() and not np.delete(corr[:, c], c).any()
+        assert corr[0, 4] == pytest.approx(-1.0, abs=1e-13)
 
 
 class TestPlanWindows:

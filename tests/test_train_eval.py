@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from microdiag import models
+from microdiag.prng import prng_new
 from microdiag.train_eval import (
     TASK_METRICS,
     AblateResult,
@@ -113,6 +114,39 @@ class TestTrain:
             eye = np.eye(quick_config().hidden)
             assert np.array_equal(result.checkpoints[gcn]["gcn/w1"], eye)
             assert np.array_equal(result.checkpoints[gcn]["gcn/w2"], eye)
+
+    def test_one_adam_step_matches_hand_arithmetic(self, tiny_bundle):
+        # one epoch of one full batch without dropout is one Adam step from
+        # the initial tensors; the control's identity gcn/w* stay fixed
+        bundle, _, _ = tiny_bundle
+        n = len(bundle.split.train)
+        config = quick_config(backbone=Backbone.GCN, max_epochs=1, batch_size=n,
+                              dropout_rate=0.0, learning_rate=0.01)
+        result = train(bundle, config, disable_message_passing=True)
+
+        mc, lc, tc = bundle.dims()
+        theta = models.init_params(prng_new(config.seed), config.task, Backbone.GCN,
+                                   bundle.n_nodes, config.d, config.hidden,
+                                   bundle.vocab_size, mc, lc, tc)
+        eye = np.eye(config.hidden)
+        theta["gcn/w1"], theta["gcn/w2"] = eye, eye
+        batch = models.windows_to_batch(bundle.split.train, bundle.vocab_size)
+        _, grads = models.loss_and_grads(theta, batch, config.task, Backbone.GCN,
+                                         np.eye(bundle.n_nodes), training=False)
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+        assert set(result.params) == set(theta)
+        for name, g in grads.items():
+            if name.startswith("gcn/"):
+                assert np.array_equal(result.params[name], eye), name
+                continue
+            m_hat = (1 - beta1) * g / (1 - beta1)
+            v_hat = (1 - beta2) * g * g / (1 - beta2)
+            want = theta[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            # the batch's rows are shuffled in training, which moves only the
+            # last bits of the gradient
+            np.testing.assert_allclose(result.params[name], want, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert not np.array_equal(result.params["head_detect/w"], theta["head_detect/w"])
 
 
 def hand_built_ablation(gcn_seed2_fails=True):

@@ -10,7 +10,6 @@ from microdiag.types import (
     DiagnosisWindow,
     FaultSpec,
     FaultType,
-    NodeFeatures,
     NodeSegments,
     RunConfig,
     ServiceGraph,
@@ -122,21 +121,6 @@ class TestTelemetryStream:
         )
         with pytest.raises(ValueError, match="not a graph edge"):
             stream.validate(graph)
-
-
-class TestNodeFeatures:
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="share one length"):
-            NodeFeatures(np.zeros(3), np.zeros(3), np.zeros(4))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            NodeFeatures(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
-
-    def test_equality_is_elementwise(self):
-        a = NodeFeatures(np.ones(2), np.zeros(2), np.ones(2))
-        b = NodeFeatures(np.ones(2), np.zeros(2), np.ones(2))
-        assert a == b and a.d == 2
 
 
 class TestDiagnosisWindow:
