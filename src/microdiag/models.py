@@ -34,10 +34,10 @@ __all__ = [
     "WindowBatch",
     "windows_to_batch",
     "forward_graph",
+    "check_batch",
     "adjacency",
     "trunk",
     "head",
-    "trunk_dims",
 ]
 
 LN_EPS = 1e-5
@@ -179,13 +179,6 @@ def windows_to_batch(windows, vocab_size: int) -> WindowBatch:
     return WindowBatch(windows, vocab_size)
 
 
-def trunk_dims(params: dict[str, np.ndarray]) -> tuple[int, int, int]:
-    """(n_nodes, d, hidden) as recorded in the parameter shapes."""
-    n, d = params["pos_embed"].shape
-    hidden = params["modal_fusion/w"].shape[0]
-    return n, d, hidden
-
-
 def adjacency(
     graph: ServiceGraph | None, backbone: Backbone, disable_message_passing: bool = False
 ) -> np.ndarray | None:
@@ -246,6 +239,16 @@ def head(p: dict[str, ad.Tensor], z: ad.Tensor, task: Task) -> ad.Tensor:
     return ad.add(ad.matmul(z, ad.transpose(p[f"{name}/w"])), p[f"{name}/b"])
 
 
+def check_batch(p: dict[str, ad.Tensor], batch: WindowBatch, adj: np.ndarray | None) -> None:
+    """The batch's node count, then the adjacency's size, must match the
+    model's position embedding."""
+    n = p["pos_embed"].data.shape[0]
+    if batch.n_nodes != n:
+        raise ValueError(f"model fuses {n} nodes, got {batch.n_nodes}")
+    if adj is not None and adj.shape != (n, n):
+        raise ValueError(f"graph has {adj.shape[0]} nodes, features have {n}")
+
+
 def forward_graph(
     p: dict[str, ad.Tensor],
     batch: WindowBatch,
@@ -263,11 +266,7 @@ def forward_graph(
     """
     if f"{head_name(task)}/w" not in p:
         raise ValueError(f"parameters carry no {task.value} head")
-    n = p["pos_embed"].data.shape[0]
-    if batch.n_nodes != n:
-        raise ValueError(f"model fuses {n} nodes, got {batch.n_nodes}")
-    if adj is not None and adj.shape != (n, n):
-        raise ValueError(f"graph has {adj.shape[0]} nodes, features have {n}")
+    check_batch(p, batch, adj)
     if training and dropout_rate > 0.0 and prng is None:
         raise ValueError("training-mode dropout requires a prng")
     x = embed.encode_nodes(p, batch.metric, batch.log, batch.trace, batch.event_w)

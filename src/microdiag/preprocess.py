@@ -6,10 +6,16 @@ are z-scored and optionally compressed by correlation clustering; 3-sigma
 thresholds over every series produce alert event sequences; spans yield
 per-node latency statistics and the observed dependency graph.
 
-Leakage discipline: every statistic that transforms data (template table,
-z-scalers, channel selection, alert thresholds, alert vocabulary, observed
-graph) is fitted strictly on telemetry before `train_end_ms` and captured in
-a `Transforms` value. Applying transforms never updates them.
+Leakage discipline: each full-timeline series (the metric grid, template
+counts, trace statistics and alerts) is built once, and every statistic
+that transforms data (z-scalers, channel selection, alert thresholds, alert
+vocabulary) is fitted on its train-range slice, the part before
+`train_end_ms`. A bucket's value depends only on telemetry inside that
+bucket (an alert also on the bucket before it), so each slice equals the
+series built from train-range telemetry alone. The template table is mined
+from train-range log lines and the observed graph comes from train-range
+spans. A `Transforms` value captures every fitted statistic; applying
+transforms never updates them.
 """
 
 from __future__ import annotations
@@ -200,14 +206,13 @@ def trace_features(
     nodes: tuple[str, ...],
     start_ms: int,
     end_ms: int,
-) -> tuple[dict[str, np.ndarray], ServiceGraph]:
-    """Per-node span statistics per bucket plus the observed graph.
+) -> dict[str, np.ndarray]:
+    """Per-node span statistics per bucket.
 
     Stats rows follow TRACE_STAT_NAMES: latency and span count come from the
     node's outgoing spans (the client observes request latency), the error
     rate from its incoming spans (a failed request is the server's fault).
-    Buckets with no defining spans are encoded as 0 with count 0. The graph
-    covers only nodes that appear as span endpoints.
+    Buckets with no defining spans are encoded as 0 with count 0.
     """
     spans = list(spans)
     if not spans:
@@ -218,14 +223,9 @@ def trace_features(
 
     by_caller: dict[str, dict[int, list]] = {}
     by_callee: dict[str, dict[int, list]] = {}
-    endpoints: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
     for sp in spans:
         if not (start_ms <= sp.t_ms < end_ms):
             raise ValueError(f"span at {sp.t_ms} ms outside range [{start_ms}, {end_ms})")
-        endpoints.add(sp.caller)
-        endpoints.add(sp.callee)
-        pairs.add((sp.caller, sp.callee))
         bucket = (sp.t_ms - start_ms) // bucket_ms
         by_caller.setdefault(sp.caller, {}).setdefault(bucket, []).append(sp)
         by_callee.setdefault(sp.callee, {}).setdefault(bucket, []).append(sp)
@@ -241,12 +241,20 @@ def trace_features(
         for bucket, group in by_callee.get(node, {}).items():
             stats[3, bucket] = np.mean([sp.status != "ok" for sp in group])
         out[node] = stats
+    return out
 
-    observed = tuple(sorted(endpoints))
+
+def _observed_graph(stream: TelemetryStream, train_end_ms: int) -> ServiceGraph:
+    """The dependency graph of the spans before train_end_ms; every node of
+    the stream must appear in one of them."""
+    pairs = {(sp.caller, sp.callee) for sp in stream.spans if sp.t_ms < train_end_ms}
+    observed = tuple(sorted({name for pair in pairs for name in pair}))
+    missing = set(stream.nodes) - set(observed)
+    if missing:
+        raise ValueError(f"nodes never observed in train-range spans: {sorted(missing)}")
     index = {name: i for i, name in enumerate(observed)}
     edges = tuple(sorted((index[u], index[v]) for u, v in pairs))
-    graph = ServiceGraph(n_nodes=len(observed), node_names=observed, edges=edges)
-    return out, graph
+    return ServiceGraph(n_nodes=len(observed), node_names=observed, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -403,19 +411,21 @@ def _metric_grid(stream: TelemetryStream) -> tuple[dict[tuple[str, str], np.ndar
 
 def _train_log_lines(stream: TelemetryStream, train_end_ms: int) -> list[str]:
     """Train-range lines in global arrival order (stable across nodes)."""
-    merged = []
-    for node in stream.nodes:
-        merged.extend(
-            (t, i, text)
-            for i, (t, text) in enumerate(stream.logs[node])
-            if t < train_end_ms
-        )
-    merged.sort(key=lambda rec: (rec[0], rec[2]))
-    return [text for _, _, text in merged]
+    merged = sorted(
+        (t, text)
+        for node in stream.nodes
+        for t, text in stream.logs.get(node, ())
+        if t < train_end_ms
+    )
+    return [text for _, text in merged]
+
+
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std())
 
 
 def _trace_z_scores(
-    trace_raw: dict[str, np.ndarray], tf: "Transforms", nodes: tuple[str, ...], T: int
+    trace_raw: dict[str, np.ndarray], tf: "Transforms", nodes: tuple[str, ...]
 ) -> np.ndarray:
     """Z-score per-bucket trace stats under frozen train statistics.
 
@@ -424,7 +434,7 @@ def _trace_z_scores(
     encoding reads as "nothing unusual" rather than as an extreme value.
     """
     count_row = TRACE_STAT_NAMES.index("count")
-    out = np.zeros((len(nodes), len(TRACE_STAT_NAMES), T))
+    out = np.zeros((len(nodes),) + trace_raw[nodes[0]].shape)
     for ni, node in enumerate(nodes):
         raw = trace_raw[node]
         defined = raw[count_row] > 0
@@ -440,12 +450,11 @@ def _trace_z_scores(
 
 
 def _assemble_alerts(
-    stream_nodes: tuple[str, ...],
+    nodes: tuple[str, ...],
     metric_z: np.ndarray,
-    log_counts: dict[str, np.ndarray],
+    log_counts: np.ndarray,
     trace_z: np.ndarray,
     tf: "Transforms",
-    end_ms: int,
 ) -> dict[str, list[AlertEvent]]:
     """3-sigma alert sequences over every monitored series, train thresholds.
 
@@ -453,91 +462,83 @@ def _assemble_alerts(
     in span-free buckets), so thresholds are (0, 1) there; log series are
     raw counts and use the stored train statistics.
     """
-    alerts: dict[str, list[AlertEvent]] = {node: [] for node in stream_nodes}
-    for ni, node in enumerate(stream_nodes):
-        events: list[AlertEvent] = []
-        for ci, ch in enumerate(tf.selected_channels):
-            events.extend(
-                three_sigma_alerts(
-                    metric_z[ni, ci], 0.0, 1.0, 0, tf.bucket_ms, node,
-                    AlertSource.METRIC_CHANNEL, f"metric:{ch}",
-                )
-            )
-        counts = log_counts[node]
-        for tid in range(counts.shape[0]):
-            mu, sigma = tf.template_stats[f"{node}/{tid}"]
-            events.extend(
-                three_sigma_alerts(
-                    counts[tid], mu, sigma, 0, tf.bucket_ms, node,
-                    AlertSource.TEMPLATE_RATE, f"template:{tid}",
-                )
-            )
-        for si, stat in enumerate(TRACE_STAT_NAMES):
-            events.extend(
-                three_sigma_alerts(
-                    trace_z[ni, si], 0.0, 1.0, 0, tf.bucket_ms, node,
-                    AlertSource.TRACE_LATENCY, f"trace:{stat}",
-                )
-            )
+    alerts: dict[str, list[AlertEvent]] = {}
+    for ni, node in enumerate(nodes):
+        # (values, mu, sigma, source, identifier) per monitored series
+        series = [
+            (metric_z[ni, ci], 0.0, 1.0, AlertSource.METRIC_CHANNEL, f"metric:{ch}")
+            for ci, ch in enumerate(tf.selected_channels)
+        ]
+        series += [
+            (row, *tf.template_stats[f"{node}/{tid}"], AlertSource.TEMPLATE_RATE,
+             f"template:{tid}")
+            for tid, row in enumerate(log_counts[ni])
+        ]
+        series += [
+            (trace_z[ni, si], 0.0, 1.0, AlertSource.TRACE_LATENCY, f"trace:{stat}")
+            for si, stat in enumerate(TRACE_STAT_NAMES)
+        ]
+        events = [
+            ev
+            for values, mu, sigma, source, name in series
+            for ev in three_sigma_alerts(values, mu, sigma, 0, tf.bucket_ms, node, source, name)
+        ]
         events.sort(key=lambda ev: (ev.t_ms, ev.source.value, ev.identifier))
-        alerts[node] = [ev for ev in events if ev.t_ms < end_ms]
+        alerts[node] = events
     return alerts
 
 
 def fit_transforms(
     stream: TelemetryStream,
+    metrics: dict[tuple[str, str], np.ndarray],
     train_end_ms: int,
     prng: Prng,
     metric_k: Optional[int] = None,
-    depth: int = 3,
-    sim_threshold: float = 0.5,
-) -> Transforms:
-    """Fit every train-derived transform; reads nothing at or past
-    train_end_ms."""
+) -> tuple[Transforms, tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]]]]:
+    """Fit every train-derived transform, and return it with the model
+    inputs that `apply_transforms` makes of the whole timeline.
+
+    `metrics` is the stream's metric grid from `_metric_grid`. The template
+    counts and trace statistics are built here, once, over the whole
+    timeline; every statistic comes from the first train_end_ms of a series
+    (see the module docstring).
+    """
     if train_end_ms % BUCKET_MS != 0:
         raise ValueError("train_end_ms must align to the bucket grid")
     train_sec = train_end_ms // BUCKET_MS
     if train_sec <= 0:
         raise ValueError("empty training range")
+    nodes = stream.nodes
+    duration_ms = len(next(iter(metrics.values()))) * BUCKET_MS
 
-    arrays, _ = _metric_grid(stream)
-    channels = sorted({ch for (_, ch) in arrays})
+    channels = sorted({ch for (_, ch) in metrics})
     train_z, metric_stats = standardize_metrics(
-        {f"{node}/{ch}": arr[:train_sec] for (node, ch), arr in arrays.items()}, train_sec
+        {f"{node}/{ch}": arr[:train_sec] for (node, ch), arr in metrics.items()}, train_sec
     )
-
     # Channel selection is shared across nodes: correlate each channel name
     # using its z-scored train segments concatenated over nodes.
     k = len(channels) if metric_k is None else metric_k
     pooled = {
-        ch: np.concatenate([train_z[f"{node}/{ch}"] for node in stream.nodes])
+        ch: np.concatenate([train_z[f"{node}/{ch}"] for node in nodes])
         for ch in channels
     }
-    selected = compress_metrics(pooled, k, train_sec * len(stream.nodes), prng)
+    selected = compress_metrics(pooled, k, train_sec * len(nodes), prng)
 
-    table = mine_templates(
-        _train_log_lines(stream, train_end_ms), depth=depth, sim_threshold=sim_threshold
+    table = mine_templates(_train_log_lines(stream, train_end_ms))
+    counts = template_series(
+        table, {node: stream.logs.get(node, []) for node in nodes}, BUCKET_MS, 0, duration_ms
     )
-    train_logs = {
-        node: [(t, text) for t, text in stream.logs[node] if t < train_end_ms]
-        for node in stream.nodes
-    }
-    counts = template_series(table, train_logs, BUCKET_MS, 0, train_end_ms)
     template_stats = {
-        f"{node}/{tid}": (float(counts[node][tid].mean()), float(counts[node][tid].std()))
-        for node in stream.nodes
-        for tid in range(table.n_templates + 1)
+        f"{node}/{tid}": _mean_std(row[:train_sec])
+        for node in nodes
+        for tid, row in enumerate(counts[node])
     }
 
-    train_spans = [sp for sp in stream.spans if sp.t_ms < train_end_ms]
-    trace_raw, observed = trace_features(train_spans, BUCKET_MS, stream.nodes, 0, train_end_ms)
-    missing = set(stream.nodes) - set(observed.node_names)
-    if missing:
-        raise ValueError(f"nodes never observed in train-range spans: {sorted(missing)}")
+    trace_raw = trace_features(stream.spans, BUCKET_MS, nodes, 0, duration_ms)
     count_row = TRACE_STAT_NAMES.index("count")
     trace_stats = {}
-    for node in stream.nodes:
-        raw = trace_raw[node]
+    for node in nodes:
+        raw = trace_raw[node][:, :train_sec]
         defined = raw[count_row] > 0
         for si, stat in enumerate(TRACE_STAT_NAMES):
             if stat == "err_rate":
@@ -545,12 +546,9 @@ def fit_transforms(
             elif stat.startswith("lat_"):
                 # latency is only defined where the bucket saw outgoing spans
                 vals = raw[si][defined]
-                if vals.size == 0:
-                    trace_stats[f"{node}/{stat}"] = (0.0, 0.0)
-                else:
-                    trace_stats[f"{node}/{stat}"] = (float(vals.mean()), float(vals.std()))
+                trace_stats[f"{node}/{stat}"] = _mean_std(vals) if vals.size else (0.0, 0.0)
             else:
-                trace_stats[f"{node}/{stat}"] = (float(raw[si].mean()), float(raw[si].std()))
+                trace_stats[f"{node}/{stat}"] = _mean_std(raw[si])
 
     tf = Transforms(
         table=table,
@@ -559,57 +557,44 @@ def fit_transforms(
         template_stats=template_stats,
         trace_stats=trace_stats,
         alert_vocab={},
-        graph=observed,
+        graph=_observed_graph(stream, train_end_ms),
         train_end_ms=train_end_ms,
     )
+    inputs = apply_transforms(nodes, tf, metrics, counts, trace_raw)
     # Vocabulary: tokens raised on the train range, plus EMPTY/UNK reserves.
-    metric_z = np.stack(
-        [
-            np.stack([train_z[f"{node}/{ch}"] for ch in selected])
-            for node in stream.nodes
-        ]
+    tokens = sorted(
+        {ev.token for events in inputs[3].values() for ev in events if ev.t_ms < train_end_ms}
     )
-    trace_z = _trace_z_scores(trace_raw, tf, stream.nodes, train_sec)
-    train_alerts = _assemble_alerts(
-        stream.nodes, metric_z, counts, trace_z, tf, train_end_ms
-    )
-    tokens = sorted({ev.token for events in train_alerts.values() for ev in events})
-    tf.alert_vocab = {EMPTY_TOKEN: 0, UNK_TOKEN: 1}
-    for tok in tokens:
-        tf.alert_vocab[tok] = len(tf.alert_vocab)
-    return tf
+    tf.alert_vocab = {tok: i for i, tok in enumerate((EMPTY_TOKEN, UNK_TOKEN, *tokens))}
+    return tf, inputs
 
 
 def apply_transforms(
-    stream: TelemetryStream, tf: Transforms
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]], int]:
-    """Full-timeline model inputs under frozen transforms.
+    nodes: tuple[str, ...],
+    tf: Transforms,
+    metrics: dict[tuple[str, str], np.ndarray],
+    counts: dict[str, np.ndarray],
+    trace_raw: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]]]:
+    """Model inputs from full-timeline series under frozen transforms.
 
-    Returns (metric_z, log_counts, trace_z, alerts, duration_ms); the three
-    arrays have shape (N, channels, seconds). Trace channels follow
+    Takes the metric grid, the template counts under tf.table and the trace
+    statistics; returns (metric_z, log_counts, trace_z, alerts), where the
+    three arrays have shape (N, channels, seconds). Trace channels follow
     TRACE_SEGMENT_STATS; the count row informs alerting but is not a model
     input (span volume already reaches the model through the qps metric).
     """
-    arrays, duration_ms = _metric_grid(stream)
-    T = duration_ms // tf.bucket_ms
-    n = len(stream.nodes)
-
-    metric_z = np.zeros((n, len(tf.selected_channels), T))
-    for ni, node in enumerate(stream.nodes):
+    metric_z = np.zeros((len(nodes), len(tf.selected_channels), len(next(iter(metrics.values())))))
+    for ni, node in enumerate(nodes):
         for ci, ch in enumerate(tf.selected_channels):
             mu, sigma = tf.metric_stats[f"{node}/{ch}"]
             if sigma > 0:
-                metric_z[ni, ci] = (arrays[(node, ch)] - mu) / sigma
-
-    counts = template_series(tf.table, stream.logs, tf.bucket_ms, 0, duration_ms)
-    log_counts = np.stack([counts[node] for node in stream.nodes])
-
-    trace_raw, _ = trace_features(stream.spans, tf.bucket_ms, stream.nodes, 0, duration_ms)
-    trace_z = _trace_z_scores(trace_raw, tf, stream.nodes, T)
-
-    alerts = _assemble_alerts(stream.nodes, metric_z, counts, trace_z, tf, duration_ms)
+                metric_z[ni, ci] = (metrics[(node, ch)] - mu) / sigma
+    log_counts = np.stack([counts[node] for node in nodes])
+    trace_z = _trace_z_scores(trace_raw, tf, nodes)
+    alerts = _assemble_alerts(nodes, metric_z, log_counts, trace_z, tf)
     # windows carry only the latency/error rows; alerting above saw all stats
-    return metric_z, log_counts, trace_z[:, _TRACE_SEGMENT_ROWS, :], alerts, duration_ms
+    return metric_z, log_counts, trace_z[:, _TRACE_SEGMENT_ROWS, :], alerts
 
 
 def build_windows(
@@ -684,18 +669,15 @@ def preprocess_stream(
     window_ms: int,
     stride_ms: int,
     prng: Prng,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
     metric_k: Optional[int] = None,
 ) -> PreprocessResult:
     """Full preprocessing pipeline: plan windows, fit transforms on the
     train range, apply them to the whole timeline, cut labeled windows."""
-    _, duration_ms = _metric_grid(stream)
-    plan = plan_windows(duration_ms, window_ms, stride_ms, fractions)
-    tf = fit_transforms(stream, plan.train_end_ms, prng, metric_k=metric_k)
-    metric_z, log_counts, trace_z, alerts, _ = apply_transforms(stream, tf)
-    split = build_windows(
-        plan, stream.nodes, metric_z, log_counts, trace_z, alerts, tf.alert_vocab, faults
-    )
+    metrics, duration_ms = _metric_grid(stream)
+    plan = plan_windows(duration_ms, window_ms, stride_ms)
+    tf, inputs = fit_transforms(stream, metrics, plan.train_end_ms, prng, metric_k)
+    del metrics  # the full-timeline grid is not needed to cut windows
+    split = build_windows(plan, stream.nodes, *inputs, tf.alert_vocab, faults)
     return PreprocessResult(split=split, transforms=tf, plan=plan, nodes=stream.nodes)
 
 

@@ -24,7 +24,6 @@ s * f**k: latency channel shift, outgoing span multiplier, and timeout logs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +35,6 @@ from .types import FAULT_TYPES, FaultSpec, FaultType, ServiceGraph, Span, Teleme
 __all__ = [
     "ScenarioSpec",
     "scenario_preset",
-    "scenario_from_json",
-    "scenario_to_json",
     "generate_topology",
     "schedule_faults",
     "simulate",
@@ -181,14 +178,6 @@ def scenario_preset(name: str) -> ScenarioSpec:
             local_symptom_only=False,
         )
     raise ValueError(f"unknown scenario preset '{name}' (expected 'local' or 'propagated')")
-
-
-def scenario_to_json(spec: ScenarioSpec) -> str:
-    return json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def scenario_from_json(text: str) -> ScenarioSpec:
-    return ScenarioSpec.from_dict(json.loads(text))
 
 
 def generate_topology(n_nodes: int, edge_density: float, prng: Prng) -> ServiceGraph:

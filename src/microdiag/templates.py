@@ -87,15 +87,6 @@ class TemplateTable:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "TemplateTable":
-        d = json.loads(text)
-        return cls(
-            templates=[tuple(t) for t in d["templates"]],
-            depth=int(d["depth"]),
-            sim_threshold=float(d["sim_threshold"]),
-        )
-
 
 def mine_templates(lines, depth: int = 3, sim_threshold: float = 0.5) -> TemplateTable:
     """Build a template table from raw lines in input order."""

@@ -388,26 +388,6 @@ class MetricsReport:
     def metric(self, name: str) -> float:
         return self.mean_and_std[name][0]
 
-    @property
-    def precision(self) -> Optional[float]:
-        return self.metric("precision") if "precision" in self.per_run else None
-
-    @property
-    def recall(self) -> Optional[float]:
-        return self.metric("recall") if "recall" in self.per_run else None
-
-    @property
-    def f1(self) -> Optional[float]:
-        return self.metric("f1") if "f1" in self.per_run else None
-
-    @property
-    def topk(self) -> dict[int, float]:
-        return {
-            k: self.metric(f"top{k}")
-            for k in TOPK_KS
-            if f"top{k}" in self.per_run
-        }
-
 
 def config_fingerprint(config: RunConfig, dataset_digest: str) -> str:
     blob = json.dumps(config.to_dict(), sort_keys=True) + dataset_digest
@@ -512,6 +492,7 @@ def separability_report(
     batch = models.windows_to_batch(anomalous, vocab_size)
     p = {k: ad.constant(v) for k, v in params.items()}
     adj = models.adjacency(graph, backbone)
+    models.check_batch(p, batch, adj)
 
     feats = []
     rows = np.arange(batch.size)

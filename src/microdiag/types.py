@@ -270,10 +270,6 @@ class DiagnosisWindow:
             )
 
     @property
-    def length_ms(self) -> int:
-        return self.end_ms - self.start_ms
-
-    @property
     def n_nodes(self) -> int:
         return len(self.segments)
 

@@ -1,6 +1,5 @@
-"""Shared fixtures. Heavy artifacts (preset dataset, 5-seed ablation) are
-session-scoped so the acceptance criteria and the unit tests pay for them
-once."""
+"""Shared fixtures. Heavy artifacts (the preset dataset) are session-scoped
+so the acceptance criteria and the unit tests pay for them once."""
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from microdiag.simulator import (
     scenario_preset,
     simulate,
 )
-from microdiag.train_eval import ablate, prepare_dataset
-from microdiag.types import RunConfig, Task
+from microdiag.train_eval import prepare_dataset
 
 
 TINY_SPEC = ScenarioSpec(
@@ -46,14 +44,6 @@ def local_bundle():
     """The `local` preset dataset at dataset seed 0 (acceptance scale)."""
     bundle, result, raw = prepare_dataset(scenario_preset("local"), dataset_seed=0)
     return bundle, result, raw
-
-
-@pytest.fixture(scope="session")
-def local_ablate(local_bundle):
-    """5-seed backbone ablation on the local preset (criterion 5 artifact)."""
-    bundle, _, _ = local_bundle
-    base = RunConfig(seed=0, task=Task.LOCALIZE)
-    return ablate(bundle, base, seeds=[1, 2, 3, 4, 5])
 
 
 @pytest.fixture()

@@ -16,11 +16,11 @@ from microdiag.models import (
     loss_and_grads,
     normalized_adjacency,
     trunk,
-    trunk_dims,
     windows_to_batch,
 )
 from microdiag.embed import encode_nodes
 from microdiag.prng import prng_new
+from microdiag.train_eval import SeparabilityMode, separability_report
 from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
 
 
@@ -246,7 +246,8 @@ class TestForward:
         x = encode_nodes(t, batch.metric, batch.log, batch.trace, batch.event_w)
         z = trunk(t, x, Backbone.DIAGMLP, None)
         logits = head(t, z, Task.LOCALIZE)
-        n, d, hidden = trunk_dims(params)
+        n, d = params["pos_embed"].shape
+        hidden = params["modal_fusion/w"].shape[0]
         assert (n, d, hidden) == (3, 2, 3)
         assert x.data.shape == (4 * n, 3 * d)
         assert z.data.shape == (4, 2 * hidden)
@@ -281,6 +282,20 @@ class TestForward:
             forward_graph(t, batch3, Task.LOCALIZE, Backbone.GCN, pair)
         assert forward_graph(t, batch3, Task.LOCALIZE, Backbone.GCN,
                              normalized_adjacency(STAR)).data.shape == (3, 3)
+
+    def test_separability_report_shares_the_guards(self):
+        # six 2-node windows would regroup as four 3-node rows without the
+        # node-count check, and fail later on a length mismatch
+        rng = np.random.default_rng(10)
+        two = make_windows(rng, n_windows=6, n_nodes=2)
+        with pytest.raises(ValueError, match="model fuses 3 nodes, got 2"):
+            separability_report(two, SeparabilityMode.MODEL_EMBED,
+                                tiny_params(Backbone.DIAGMLP), 4)
+        pair = ServiceGraph(n_nodes=2, node_names=("a", "b"), edges=((0, 1),))
+        three = make_windows(rng, n_windows=6)
+        with pytest.raises(ValueError, match="graph has 2 nodes, features have 3"):
+            separability_report(three, SeparabilityMode.MODEL_EMBED,
+                                tiny_params(Backbone.GCN), 4, Backbone.GCN, pair)
 
 
 class TestLossAndGrads:

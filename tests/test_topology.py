@@ -1,14 +1,14 @@
 """Topology generation and fault scheduling contracts."""
 
+import json
+
 import pytest
 
 from microdiag.prng import prng_new
 from microdiag.simulator import (
     ScenarioSpec,
     generate_topology,
-    scenario_from_json,
     scenario_preset,
-    scenario_to_json,
     schedule_faults,
 )
 from microdiag.types import FaultType
@@ -131,7 +131,8 @@ class TestScenarioSpec:
 
     def test_json_round_trip(self):
         spec = scenario_preset("propagated")
-        assert scenario_from_json(scenario_to_json(spec)) == spec
+        # the form `microdiag simulate` writes into scenario.json
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario fields"):

@@ -41,9 +41,10 @@ class TestMetrics:
         metrics = TASK_METRICS[Task.CLASSIFY][0](np.eye(4)[preds], labels)
         report = MetricsReport(Task.CLASSIFY, 1, {k: [v] for k, v in metrics.items()})
         # per-class F1 by hand: 1/2, 4/5, 1/2, 2/3
-        assert report.f1 == pytest.approx((0.5 + 0.8 + 0.5 + 2 / 3) / 4, abs=1e-15)
-        assert report.precision == pytest.approx((0.5 + 2 / 3 + 0.5 + 1.0) / 4, abs=1e-15)
-        assert report.recall == pytest.approx((0.5 + 1.0 + 0.5 + 0.5) / 4, abs=1e-15)
+        assert report.metric("f1") == pytest.approx((0.5 + 0.8 + 0.5 + 2 / 3) / 4, abs=1e-15)
+        assert report.metric("precision") == pytest.approx((0.5 + 2 / 3 + 0.5 + 1.0) / 4,
+                                                           abs=1e-15)
+        assert report.metric("recall") == pytest.approx((0.5 + 1.0 + 0.5 + 0.5) / 4, abs=1e-15)
         # the same figures in a binary report break the F1 identity
         with pytest.raises(ValueError, match="violates"):
             MetricsReport(Task.DETECT, 1, {k: [v] for k, v in metrics.items()})
@@ -61,7 +62,7 @@ class TestMetrics:
         params = train(bundle, quick_config(Task.LOCALIZE, max_epochs=1)).params
         report = evaluate(params, bundle.split.test, Task.LOCALIZE, bundle.vocab_size)
         assert sorted(report.per_run) == ["top1", "top3", "top5"]  # 5 nodes
-        assert report.topk[1] <= report.topk[3] <= report.topk[5]
+        assert report.metric("top1") <= report.metric("top3") <= report.metric("top5")
 
 
 class TestTrain:
