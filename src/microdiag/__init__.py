@@ -17,8 +17,8 @@ from .types import (
     FaultType,
     NodeSegments,
     RunConfig,
+    SPAN_DTYPE,
     ServiceGraph,
-    Span,
     Task,
     TelemetryStream,
 )
@@ -58,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlertDirection", "AlertSource", "Backbone", "DatasetSplit",
     "DiagnosisWindow", "FaultSpec", "FaultType", "NodeSegments",
-    "RunConfig", "ServiceGraph", "Span", "Task",
+    "RunConfig", "SPAN_DTYPE", "ServiceGraph", "Task",
     "TelemetryStream",
     "Prng", "prng_new",
     "ScenarioSpec", "generate_topology", "scenario_preset", "schedule_faults",

@@ -24,7 +24,7 @@ from .serialize import (
     deserialize_stream,
     faults_from_json,
     faults_to_json,
-    graph_from_json,
+    graph_from_dict,
     graph_to_json,
     load_checkpoint,
     save_checkpoint,
@@ -116,10 +116,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _load_bundle(workdir: Path) -> DatasetBundle:
-    return DatasetBundle.from_bytes(
-        (workdir / "windows.jsonl").read_bytes(),
-        graph_from_json((workdir / "graph.json").read_text("utf-8")),
-    )
+    """Windows and the train-range graph that preprocessing observed."""
+    scaler = json.loads((workdir / "scaler.json").read_text("utf-8"))
+    return DatasetBundle.from_bytes((workdir / "windows.jsonl").read_bytes(),
+                                    graph_from_dict(scaler["graph"]))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train one model on staged windows")
-    p.add_argument("--workdir", default=None, help="directory with windows.jsonl + graph.json")
+    p.add_argument("--workdir", default=None, help="directory with windows.jsonl + scaler.json")
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     common_model_flags(p)
     p.set_defaults(func=cmd_train)

@@ -14,8 +14,9 @@ vocabulary) is fitted on its train-range slice, the part before
 bucket (an alert also on the bucket before it), so each slice equals the
 series built from train-range telemetry alone. The template table is mined
 from train-range log lines and the observed graph comes from train-range
-spans. A `Transforms` value captures every fitted statistic; applying
-transforms never updates them.
+spans; its node i is the stream's node i, as in every window. A `Transforms`
+value captures every fitted statistic; applying transforms never updates
+them.
 """
 
 from __future__ import annotations
@@ -200,61 +201,56 @@ def three_sigma_alerts(
     ]
 
 
-def trace_features(
-    spans,
-    bucket_ms: int,
-    nodes: tuple[str, ...],
-    start_ms: int,
-    end_ms: int,
-) -> dict[str, np.ndarray]:
-    """Per-node span statistics per bucket.
+def trace_features(spans: np.ndarray, n_nodes: int, n_buckets: int) -> np.ndarray:
+    """Per-node span statistics per BUCKET_MS bucket from t=0.
 
-    Stats rows follow TRACE_STAT_NAMES: latency and span count come from the
-    node's outgoing spans (the client observes request latency), the error
-    rate from its incoming spans (a failed request is the server's fault).
-    Buckets with no defining spans are encoded as 0 with count 0.
+    Returns an (n_nodes, len(TRACE_STAT_NAMES), n_buckets) array. Latency
+    and span count come from the node's outgoing spans (the client observes
+    request latency), the error rate from its incoming spans (a failed
+    request is the server's fault). Buckets with no defining spans are
+    encoded as 0 with count 0.
     """
-    spans = list(spans)
-    if not spans:
+    if not len(spans):
         raise ValueError("trace_features requires at least one span")
-    if bucket_ms <= 0 or end_ms <= start_ms:
-        raise ValueError("invalid bucket or time range")
-    n_buckets = -(-(end_ms - start_ms) // bucket_ms)
-
-    by_caller: dict[str, dict[int, list]] = {}
-    by_callee: dict[str, dict[int, list]] = {}
-    for sp in spans:
-        if not (start_ms <= sp.t_ms < end_ms):
-            raise ValueError(f"span at {sp.t_ms} ms outside range [{start_ms}, {end_ms})")
-        bucket = (sp.t_ms - start_ms) // bucket_ms
-        by_caller.setdefault(sp.caller, {}).setdefault(bucket, []).append(sp)
-        by_callee.setdefault(sp.callee, {}).setdefault(bucket, []).append(sp)
-
-    out = {}
-    for node in nodes:
-        stats = np.zeros((len(TRACE_STAT_NAMES), n_buckets))
-        for bucket, group in by_caller.get(node, {}).items():
-            lats = np.array([sp.latency_ms for sp in group])
-            stats[0, bucket] = lats.mean()
-            stats[1, bucket] = np.percentile(lats, 95)
-            stats[2, bucket] = len(group)
-        for bucket, group in by_callee.get(node, {}).items():
-            stats[3, bucket] = np.mean([sp.status != "ok" for sp in group])
-        out[node] = stats
+    bucket = spans["t_ms"] // BUCKET_MS
+    outside = (spans["t_ms"] < 0) | (bucket >= n_buckets)
+    if outside.any():
+        raise ValueError(f"span at {spans['t_ms'][outside][0]} ms outside range "
+                         f"[0, {n_buckets * BUCKET_MS})")
+    out = np.zeros((n_nodes, len(TRACE_STAT_NAMES), n_buckets))
+    # outgoing spans grouped by (caller, bucket), each group in time order
+    key = spans["caller"] * n_buckets + bucket
+    order = np.argsort(key, kind="stable")
+    groups, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    latency = spans["latency_ms"][order]
+    for n in np.unique(sizes):
+        # equal-size groups stack as rows; numpy reduces each row as it
+        # would the group alone, so the statistics are bit-equal to that
+        pick = sizes == n
+        rows = latency[starts[pick, None] + np.arange(n)]
+        node, b = np.divmod(groups[pick], n_buckets)
+        out[node, 0, b] = rows.mean(axis=1)
+        out[node, 1, b] = np.percentile(rows, 95, axis=1)
+        out[node, 2, b] = n
+    incoming = spans["callee"] * n_buckets + bucket
+    served = np.bincount(incoming, minlength=n_nodes * n_buckets)
+    failed = np.bincount(incoming, weights=spans["error"], minlength=n_nodes * n_buckets)
+    out[:, 3] = (failed / np.maximum(served, 1)).reshape(n_nodes, n_buckets)
     return out
 
 
 def _observed_graph(stream: TelemetryStream, train_end_ms: int) -> ServiceGraph:
-    """The dependency graph of the spans before train_end_ms; every node of
-    the stream must appear in one of them."""
-    pairs = {(sp.caller, sp.callee) for sp in stream.spans if sp.t_ms < train_end_ms}
-    observed = tuple(sorted({name for pair in pairs for name in pair}))
-    missing = set(stream.nodes) - set(observed)
-    if missing:
-        raise ValueError(f"nodes never observed in train-range spans: {sorted(missing)}")
-    index = {name: i for i, name in enumerate(observed)}
-    edges = tuple(sorted((index[u], index[v]) for u, v in pairs))
-    return ServiceGraph(n_nodes=len(observed), node_names=observed, edges=edges)
+    """The dependency graph of the spans before train_end_ms, over the
+    stream's nodes in stream order; every node must appear in one of them."""
+    train = stream.spans[stream.spans["t_ms"] < train_end_ms]
+    n = len(stream.nodes)
+    seen = np.bincount(np.concatenate((train["caller"], train["callee"])), minlength=n) > 0
+    if not seen.all():
+        missing = sorted(stream.nodes[i] for i in np.flatnonzero(~seen))
+        raise ValueError(f"nodes never observed in train-range spans: {missing}")
+    pairs = np.unique(train["caller"] * n + train["callee"])
+    edges = tuple((int(u), int(v)) for u, v in zip(*np.divmod(pairs, n)))
+    return ServiceGraph(n_nodes=n, node_names=stream.nodes, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -395,7 +391,11 @@ def _metric_grid(stream: TelemetryStream) -> tuple[dict[tuple[str, str], np.ndar
     """Metric series as arrays on the 1 Hz grid from t=0; validates alignment."""
     arrays = {}
     lengths = set()
+    channels = set().union(*(stream.metrics.get(node, {}) for node in stream.nodes))
     for node in stream.nodes:
+        missing = channels - set(stream.metrics.get(node, {}))
+        if missing:
+            raise ValueError(f"node {node!r} has no metric records for {sorted(missing)}")
         for ch, points in stream.metrics[node].items():
             ts = [t for t, _ in points]
             if ts != [i * 1000 for i in range(len(ts))]:
@@ -425,7 +425,7 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
 
 
 def _trace_z_scores(
-    trace_raw: dict[str, np.ndarray], tf: "Transforms", nodes: tuple[str, ...]
+    trace_raw: np.ndarray, tf: "Transforms", nodes: tuple[str, ...]
 ) -> np.ndarray:
     """Z-score per-bucket trace stats under frozen train statistics.
 
@@ -434,9 +434,9 @@ def _trace_z_scores(
     encoding reads as "nothing unusual" rather than as an extreme value.
     """
     count_row = TRACE_STAT_NAMES.index("count")
-    out = np.zeros((len(nodes),) + trace_raw[nodes[0]].shape)
+    out = np.zeros(trace_raw.shape)
     for ni, node in enumerate(nodes):
-        raw = trace_raw[node]
+        raw = trace_raw[ni]
         defined = raw[count_row] > 0
         for si, stat in enumerate(TRACE_STAT_NAMES):
             mu, sigma = tf.trace_stats[f"{node}/{stat}"]
@@ -534,11 +534,11 @@ def fit_transforms(
         for tid, row in enumerate(counts[node])
     }
 
-    trace_raw = trace_features(stream.spans, BUCKET_MS, nodes, 0, duration_ms)
+    trace_raw = trace_features(stream.spans, len(nodes), duration_ms // BUCKET_MS)
     count_row = TRACE_STAT_NAMES.index("count")
     trace_stats = {}
-    for node in nodes:
-        raw = trace_raw[node][:, :train_sec]
+    for ni, node in enumerate(nodes):
+        raw = trace_raw[ni][:, :train_sec]
         defined = raw[count_row] > 0
         for si, stat in enumerate(TRACE_STAT_NAMES):
             if stat == "err_rate":
@@ -574,7 +574,7 @@ def apply_transforms(
     tf: Transforms,
     metrics: dict[tuple[str, str], np.ndarray],
     counts: dict[str, np.ndarray],
-    trace_raw: dict[str, np.ndarray],
+    trace_raw: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]]]:
     """Model inputs from full-timeline series under frozen transforms.
 

@@ -6,11 +6,12 @@ the node list; every following line is a record:
     {"kind": "metric", "t_ms": int, "node": str, "channel": str, "value": float}
     {"kind": "log",    "t_ms": int, "node": str, "text": str}
     {"kind": "span",   "t_ms": int, "node": str, "caller": str, "callee": str,
-     "latency_ms": float, "status": str}
+     "latency_ms": float, "status": "ok" | "error"}
 
-For spans, "node" is the reporting (caller) side. Serialization is canonical:
-identical streams always produce identical bytes. All CSV reports are UTF-8
-with a header row and LF line endings.
+For spans, "node" is the reporting (caller) side; in memory a span is a
+`SPAN_DTYPE` record with node indices and an `error` flag. Serialization is
+canonical: identical streams always produce identical bytes. All CSV reports
+are UTF-8 with a header row and LF line endings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import FaultSpec, FaultType, ServiceGraph, Span, TelemetryStream
+from .types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 __all__ = [
     "ParseError",
@@ -32,7 +33,6 @@ __all__ = [
     "graph_to_dict",
     "graph_from_dict",
     "graph_to_json",
-    "graph_from_json",
     "faults_to_json",
     "faults_from_json",
     "save_checkpoint",
@@ -79,11 +79,12 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
         for t_ms, text in stream.logs.get(node, []):
             obj = {"kind": "log", "t_ms": t_ms, "node": node, "text": text}
             records.append((t_ms, 1, json.dumps(obj, separators=(",", ":"))))
-    for s in stream.spans:
-        obj = {"kind": "span", "t_ms": s.t_ms, "node": s.caller, "caller": s.caller,
-               "callee": s.callee, "latency_ms": _fnum(s.latency_ms),
-               "status": s.status}
-        records.append((s.t_ms, 2, json.dumps(obj, separators=(",", ":"))))
+    names = stream.nodes
+    for t_ms, caller, callee, latency_ms, error in stream.spans.tolist():
+        obj = {"kind": "span", "t_ms": t_ms, "node": names[caller], "caller": names[caller],
+               "callee": names[callee], "latency_ms": _fnum(latency_ms),
+               "status": "error" if error else "ok"}
+        records.append((t_ms, 2, json.dumps(obj, separators=(",", ":"))))
     # Stable sort: by time, then kind; within a kind the construction order
     # above is already canonical (node, then channel, then time).
     records.sort(key=lambda r: (r[0], r[1]))
@@ -110,11 +111,11 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     if header.get("kind") != "header":
         raise ParseError(1, "kind", "first line must be the header")
     nodes = tuple(_require(header, "nodes", 1))
-    known = set(nodes)
+    known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, list[tuple[int, float]]]] = {}
     logs: dict[str, list[tuple[int, str]]] = {}
-    spans: list[Span] = []
+    spans: list[tuple] = []  # SPAN_DTYPE rows
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -144,18 +145,21 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
             series.append((t_ms, str(text_field)))
         elif kind == "span":
-            caller = _require(obj, "caller", idx)
-            callee = _require(obj, "callee", idx)
-            if caller not in known or callee not in known:
+            caller = known.get(_require(obj, "caller", idx))
+            callee = known.get(_require(obj, "callee", idx))
+            if caller is None or callee is None:
                 raise ParseError(idx, "caller", f"unknown span endpoint on line {idx}")
-            if spans and t_ms < spans[-1].t_ms:
+            if spans and t_ms < spans[-1][0]:
                 raise ParseError(idx, "t_ms", "non-monotone timestamp in spans")
-            spans.append(Span(t_ms, caller, callee,
-                              float(_require(obj, "latency_ms", idx)),
-                              str(_require(obj, "status", idx))))
+            status = _require(obj, "status", idx)
+            if status not in ("ok", "error"):
+                raise ParseError(idx, "status", f"expected 'ok' or 'error', got {status!r}")
+            spans.append((t_ms, caller, callee, float(_require(obj, "latency_ms", idx)),
+                          status == "error"))
         else:
             raise ParseError(idx, "kind", f"unknown kind {kind!r}")
-    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
+    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                             spans=np.array(spans, dtype=SPAN_DTYPE))
     stream.validate()
     return stream
 
@@ -175,10 +179,6 @@ def graph_from_dict(obj: dict) -> ServiceGraph:
 
 def graph_to_json(graph: ServiceGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> ServiceGraph:
-    return graph_from_dict(json.loads(text))
 
 
 def faults_to_json(faults: Iterable[FaultSpec]) -> str:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prng import Prng
-from .types import FAULT_TYPES, FaultSpec, FaultType, ServiceGraph, Span, TelemetryStream
+from .types import FAULT_TYPES, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 __all__ = [
     "ScenarioSpec",
@@ -302,8 +302,6 @@ def _stress_map(fault: FaultSpec, graph: ServiceGraph) -> dict[int, float]:
     out: dict[int, float] = {}
     if fault.propagation_factor > 0:
         for node, hops in sorted(graph.upstream_hops(fault.target_node).items()):
-            if node == fault.target_node:
-                continue
             out[node] = fault.severity * fault.propagation_factor ** hops
     return out
 
@@ -354,22 +352,20 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
 
     span_rng = base.child("spans")
     edge_base = {e: float(span_rng.uniform(*SPAN_BASE_RANGE)) for e in graph.edges}
-    spans: list[list] = []  # mutable [t_ms, caller, callee, latency, status]
+    blocks = [np.empty(0, SPAN_DTYPE)]
     for (u, v) in graph.edges:
         counts = span_rng.poisson(SPAN_RATE, size=T)
-        total = int(counts.sum())
-        offs = span_rng.integers(0, 1000, size=total)
-        lats = np.exp(span_rng.normal(math.log(edge_base[(u, v)]), SPAN_SIGMA_LOG, size=total))
-        errs = span_rng.uniform(size=total) < BASELINE_ERROR_RATE
-        secs = np.repeat(np.arange(T), counts)
-        for sec, off, lat, err in zip(secs, offs, lats, errs):
-            spans.append(
-                [int(sec) * 1000 + int(off), names[u], names[v], float(lat),
-                 "error" if err else "ok"]
-            )
-    spans.sort(key=lambda s: s[0])
-    span_times = np.array([s[0] for s in spans], dtype=np.int64)
-    node_idx = {name: i for i, name in enumerate(names)}
+        n = int(counts.sum())
+        block = np.empty(n, SPAN_DTYPE)
+        block["t_ms"] = np.repeat(np.arange(T) * 1000, counts) + span_rng.integers(0, 1000, size=n)
+        block["caller"], block["callee"] = u, v
+        block["latency_ms"] = np.exp(
+            span_rng.normal(math.log(edge_base[(u, v)]), SPAN_SIGMA_LOG, size=n))
+        block["error"] = span_rng.uniform(size=n) < BASELINE_ERROR_RATE
+        blocks.append(block)
+    spans = np.concatenate(blocks)
+    spans = spans[np.argsort(spans["t_ms"], kind="stable")]
+    keep = np.ones(spans.size, dtype=bool)  # fault intervals are disjoint: drop once at the end
 
     for idx, fault in enumerate(sorted(faults, key=lambda f: f.start_ms)):
         frng = prng.child(f"fault:{idx}")
@@ -394,26 +390,21 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
                 values[(victim, "latency")][sec_arr] += FAULT_SCALE * s_k
 
         # Span effects over the exact [start_ms, end_ms) interval.
-        lo = int(np.searchsorted(span_times, fault.start_ms, side="left"))
-        hi = int(np.searchsorted(span_times, fault.end_ms, side="left"))
+        lo, hi = np.searchsorted(spans["t_ms"], (fault.start_ms, fault.end_ms))
+        inside = spans[lo:hi]
         multipliers = dict(victims)
         if fault.fault_type is FaultType.NET_DELAY:
             multipliers[target] = s0
-        drop: set[int] = set()
-        for j in range(lo, hi):
-            sp = spans[j]
-            caller_idx = node_idx[sp[1]]
-            callee_idx = node_idx[sp[2]]
-            if caller_idx in multipliers:
-                sp[3] *= 1.0 + SPAN_LATENCY_FACTOR * multipliers[caller_idx]
-            if fault.fault_type is FaultType.CRASH:
-                if caller_idx == target and float(frng.uniform()) < s0:
-                    drop.add(j)
-                if callee_idx == target and float(frng.uniform()) < s0:
-                    sp[4] = "error"
-        if drop:
-            spans = [sp for j, sp in enumerate(spans) if j not in drop]
-            span_times = np.array([s[0] for s in spans], dtype=np.int64)
+        for node, stress in multipliers.items():
+            inside["latency_ms"][inside["caller"] == node] *= 1.0 + SPAN_LATENCY_FACTOR * stress
+        if fault.fault_type is FaultType.CRASH:
+            # one draw per span touching the target, in span order
+            outgoing = inside["caller"] == target
+            touched = outgoing | (inside["callee"] == target)
+            hit = np.zeros(inside.size, dtype=bool)
+            hit[touched] = frng.uniform(size=int(touched.sum())) < s0
+            inside["error"][hit & ~outgoing] = True
+            keep[lo:hi][hit & outgoing] = False
 
         # Fault log lines: target complains in its own template, victims in
         # the dependency-timeout template, at rates proportional to stress.
@@ -436,10 +427,9 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
         }
         for i, name in enumerate(names)
     }
-    span_records = [
-        Span(t_ms=s[0], caller=s[1], callee=s[2], latency_ms=round(s[3], 6), status=s[4])
-        for s in spans
-    ]
-    stream = TelemetryStream(nodes=names, metrics=metrics, logs=logs, spans=span_records)
+    spans = spans[keep]
+    # Python's round, as the telemetry file's: a re-read stream holds the same floats
+    spans["latency_ms"] = [round(x, 6) for x in spans["latency_ms"].tolist()]
+    stream = TelemetryStream(nodes=names, metrics=metrics, logs=logs, spans=spans)
     stream.validate(graph)
     return stream

@@ -91,6 +91,8 @@ class DatasetBundle:
     def from_bytes(cls, raw: bytes, graph: ServiceGraph) -> "DatasetBundle":
         """Parse serialized windows bytes; the digest is taken over them."""
         nodes, split, header = windows_from_bytes(raw)
+        if graph.node_names != nodes:
+            raise ValueError(f"graph nodes {graph.node_names} differ from the windows' {nodes}")
         return cls(
             nodes=nodes,
             split=split,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "AlertDirection",
     "ServiceGraph",
     "FaultSpec",
-    "Span",
+    "SPAN_DTYPE",
     "TelemetryStream",
     "NodeSegments",
     "DiagnosisWindow",
@@ -165,14 +165,9 @@ class FaultSpec:
         return self.start_ms <= t_ms < self.end_ms
 
 
-class Span(NamedTuple):
-    """One trace span along a caller -> callee edge."""
-
-    t_ms: int
-    caller: str
-    callee: str
-    latency_ms: float
-    status: str
+# One trace span along a caller -> callee edge; endpoints index stream.nodes.
+SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("caller", np.int64), ("callee", np.int64),
+                       ("latency_ms", np.float64), ("error", np.bool_)])
 
 
 @dataclass
@@ -181,13 +176,14 @@ class TelemetryStream:
 
     metrics: node -> channel -> [(t_ms, value)], non-decreasing timestamps.
     logs:    node -> [(t_ms, text)], non-decreasing timestamps.
-    spans:   time-ordered list of Span records.
+    spans:   time-ordered SPAN_DTYPE array; caller and callee index nodes.
+             On disk (see `serialize`) a span names them, with "ok"/"error".
     """
 
     nodes: tuple[str, ...]
     metrics: dict[str, dict[str, list[tuple[int, float]]]]
     logs: dict[str, list[tuple[int, str]]]
-    spans: list[Span]
+    spans: np.ndarray
 
     def validate(self, graph: Optional[ServiceGraph] = None) -> None:
         known = set(self.nodes)
@@ -204,20 +200,20 @@ class TelemetryStream:
                 raise ValueError(f"logs for unknown node {node!r}")
             if any(b[0] < a[0] for a, b in zip(lines, lines[1:])):
                 raise ValueError(f"non-monotone timestamps in logs of {node}")
-        if any(b.t_ms < a.t_ms for a, b in zip(self.spans, self.spans[1:])):
+        sp = self.spans
+        if np.any(sp["t_ms"][1:] < sp["t_ms"][:-1]):
             raise ValueError("non-monotone timestamps in spans")
-        for s in self.spans:
-            if s.caller not in known or s.callee not in known:
-                raise ValueError(f"span references unknown node: {s}")
+        ends = np.stack((sp["caller"], sp["callee"]))
+        unknown = ((ends < 0) | (ends >= len(self.nodes))).any(axis=0)
+        if unknown.any():
+            raise ValueError(f"span references unknown node: {sp[unknown][0]}")
         if graph is not None:
-            edge_names = {
-                (graph.node_names[u], graph.node_names[v]) for u, v in graph.edges
-            }
-            for s in self.spans:
-                if (s.caller, s.callee) not in edge_names:
-                    raise ValueError(
-                        f"span ({s.caller} -> {s.callee}) is not a graph edge"
-                    )
+            edges = {(graph.node_names[u], graph.node_names[v]) for u, v in graph.edges}
+            allowed = np.array([[(u, v) in edges for v in self.nodes] for u in self.nodes])
+            off = ~allowed[sp["caller"], sp["callee"]]
+            if off.any():
+                caller, callee = self.nodes[sp["caller"][off][0]], self.nodes[sp["callee"][off][0]]
+                raise ValueError(f"span ({caller} -> {callee}) is not a graph edge")
 
 
 @dataclass(eq=False)

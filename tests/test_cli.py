@@ -42,6 +42,25 @@ def test_chain_is_byte_identical_on_rerun(tmp_path, capsys):
     assert "f1:" in capsys.readouterr().out
 
 
+def test_chain_with_separate_preprocess_dir(tmp_path, capsys):
+    # train and evaluate read the graph preprocessing observed (scaler.json),
+    # so a windows directory apart from the telemetry one is complete
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
+    in_place = run_chain(scenario, tmp_path / "a")
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    for argv in (
+        ["simulate", "--scenario", str(scenario), "--seed", "7", "--out", str(sim)],
+        ["preprocess", "--in", str(sim), "--out", str(out)],
+        ["train", "--workdir", str(out), "--seed", "1", "--task", "detect", "--d", "4",
+         "--hidden", "8"],
+        ["evaluate", "--workdir", str(out)],
+    ):
+        assert cli.main(argv) == 0, argv
+    assert not (out / "graph.json").exists()
+    assert (out / "metrics.json").read_bytes() == in_place["metrics.json"]
+
+
 def fake_ablation(failed: bool) -> AblateResult:
     def report(f1):
         return MetricsReport(Task.DETECT, 1, {"precision": [f1], "recall": [f1], "f1": [f1]})

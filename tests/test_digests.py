@@ -1,0 +1,64 @@
+"""Bit identity of the pipeline's outputs, pinned by sha256.
+
+A change that is meant to keep every output the same (a refactor, a faster
+kernel) must leave these digests alone. They cover the simulated telemetry,
+the windows and the fitted transforms of the tiny scenario at seed 7, with
+symptoms on the target only and with propagation to upstream callers. The
+digests belong to one numpy build: a numpy or BLAS upgrade that moves the
+last bit of a sum moves them too, and then they are re-derived and the
+change says so.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from microdiag.serialize import serialize_stream
+from microdiag.train_eval import prepare_dataset, simulate_scenario
+
+from conftest import TINY_SPEC
+
+PROPAGATED_TINY_SPEC = dataclasses.replace(
+    TINY_SPEC, propagation_factor=0.6, local_symptom_only=False
+)
+
+DIGESTS = {
+    "local": {
+        "telemetry": "d1890dcf60ce73a30bd94ce26c05fe71f1f6f9a1afb61dadb2732bbc70454f4f",
+        "windows": "b04d252e8dad0d762920a2697776315f90599e434710f8342521c69774c34ad9",
+        "transforms": "fb09e91f1b4eeb04eaf943899d41c8ae8f40ea26a5a8b938cda588a80c7abafb",
+    },
+    "propagated": {
+        "telemetry": "d3acc59674722e6ea5c65183b65fd7b74edbd7051518990dea363d5672f55770",
+        "windows": "8bb151aea8492d10a738d57948265b67e34d2565c86970f23b10f9e96ca91298",
+        "transforms": "ad6281829eb290fca475027bf907710343e64c5168f3849600490dfe4673d77f",
+    },
+}
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
+
+
+def digests(stream, raw: bytes, result) -> dict[str, str]:
+    return {
+        "telemetry": sha256(serialize_stream(stream)),
+        "windows": sha256(raw),
+        "transforms": sha256(result.transforms.to_json()),
+    }
+
+
+def test_tiny_outputs_are_pinned(tiny_sim, tiny_bundle):
+    _, _, _, stream = tiny_sim
+    _, result, raw = tiny_bundle
+    assert digests(stream, raw, result) == DIGESTS["local"]
+
+
+def test_propagated_tiny_outputs_are_pinned():
+    _, faults, stream = simulate_scenario(PROPAGATED_TINY_SPEC, 7)
+    # the variant must exercise victim multipliers and the crash draws
+    assert any(f.fault_type.value == "CRASH" for f in faults)
+    assert all(f.propagation_factor == pytest.approx(0.6) for f in faults)
+    _, result, raw = prepare_dataset(PROPAGATED_TINY_SPEC, 7)
+    assert digests(stream, raw, result) == DIGESTS["propagated"]

@@ -33,7 +33,7 @@ from microdiag.types import (
     AlertSource,
     FaultSpec,
     FaultType,
-    Span,
+    SPAN_DTYPE,
     TelemetryStream,
 )
 
@@ -94,17 +94,24 @@ class TestThreeSigma:
         assert len(events) == 1 and events[0].direction is AlertDirection.LOW
 
 
-def span_stream(spans, nodes=("a", "b")) -> TelemetryStream:
-    return TelemetryStream(nodes=nodes, metrics={}, logs={}, spans=spans)
+def span_array(records, nodes=("a", "b")) -> np.ndarray:
+    """SPAN_DTYPE rows from (t_ms, caller, callee, latency_ms, error) records
+    whose endpoints are node names."""
+    return np.array([(t, nodes.index(u), nodes.index(v), lat, err)
+                     for t, u, v, lat, err in records], dtype=SPAN_DTYPE)
+
+
+def span_stream(records, nodes=("a", "b")) -> TelemetryStream:
+    return TelemetryStream(nodes=nodes, metrics={}, logs={}, spans=span_array(records, nodes))
 
 
 class TestTraceFeatures:
     def test_single_span_hand_example(self):
-        spans = [Span(500, "a", "b", 10.0, "ok")]
-        stats = trace_features(spans, 1000, ("a", "b"), 0, 3000)
+        spans = [(500, "a", "b", 10.0, False)]
+        stats = trace_features(span_array(spans), 2, 3)
         graph = _observed_graph(span_stream(spans), 3000)
         assert graph.node_names == ("a", "b") and graph.edges == ((0, 1),)
-        a, b = stats["a"], stats["b"]
+        a, b = stats
         names = list(TRACE_STAT_NAMES)
         assert a[names.index("lat_mean"), 0] == 10.0
         assert a[names.index("lat_p95"), 0] == 10.0
@@ -117,48 +124,82 @@ class TestTraceFeatures:
         assert np.all(a[:, 1:] == 0.0) and np.all(b[:, 1:] == 0.0)
 
     def test_percentile_type7_hand_value(self):
-        spans = [Span(t, "a", "b", lat, "ok")
+        spans = [(t, "a", "b", lat, False)
                  for t, lat in ((0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0))]
-        stats = trace_features(spans, 1000, ("a", "b"), 0, 1000)
+        a = trace_features(span_array(spans), 2, 1)[0]
         names = list(TRACE_STAT_NAMES)
-        assert stats["a"][names.index("lat_mean"), 0] == 25.0
+        assert a[names.index("lat_mean"), 0] == 25.0
         # linear interpolation between order statistics: 30 + 0.85 * 10
-        assert stats["a"][names.index("lat_p95"), 0] == pytest.approx(38.5)
+        assert a[names.index("lat_p95"), 0] == pytest.approx(38.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_group_statistics_bit_equal_numpy(self, seed):
+        # (caller, bucket) groups of sizes 1, 2, 19, 20 and 21 with tied
+        # latencies; each cell must equal np.mean / np.percentile of its
+        # group in time order, bit for bit
+        rng = np.random.default_rng(seed)
+        nodes = ("a", "b", "c")
+        sizes = rng.permutation(np.repeat([1, 2, 19, 20, 21], 6)).reshape(10, 3)
+        records = []
+        for bucket, row in enumerate(sizes):
+            for caller, n in enumerate(row):
+                times = np.sort(rng.integers(0, BUCKET_MS, size=n)) + bucket * BUCKET_MS
+                lats = np.round(rng.lognormal(3.0, 1.0, size=n), 1)
+                lats[: n // 3] = lats[n // 3]  # ties
+                callee = (caller + 1) % 3
+                records += [(int(t), nodes[caller], nodes[callee], float(x), False)
+                            for t, x in zip(times, rng.permutation(lats))]
+        records.sort(key=lambda r: r[0])
+        spans = span_array(records, nodes)
+        stats = trace_features(spans, 3, len(sizes))
+        for bucket, row in enumerate(sizes):
+            for caller, n in enumerate(row):
+                group = spans[(spans["caller"] == caller)
+                              & (spans["t_ms"] // BUCKET_MS == bucket)]["latency_ms"]
+                assert len(group) == n
+                assert stats[caller, 0, bucket] == np.mean(group)
+                assert stats[caller, 1, bucket] == np.percentile(group, 95)
+                assert stats[caller, 2, bucket] == n
 
     def test_error_attribution_to_callee(self):
         spans = [
-            Span(0, "a", "b", 5.0, "error"),
-            Span(1, "a", "b", 5.0, "ok"),
-            Span(2, "c", "b", 5.0, "error"),
-            Span(3, "b", "c", 5.0, "ok"),
+            (0, "a", "b", 5.0, True),
+            (1, "a", "b", 5.0, False),
+            (2, "c", "b", 5.0, True),
+            (3, "b", "c", 5.0, False),
         ]
-        stats = trace_features(spans, 1000, ("a", "b", "c"), 0, 1000)
+        a, b, c = trace_features(span_array(spans, ("a", "b", "c")), 3, 1)
         names = list(TRACE_STAT_NAMES)
         err = names.index("err_rate")
-        assert stats["b"][err, 0] == pytest.approx(2 / 3)  # b served 3, failed 2
-        assert stats["c"][err, 0] == 0.0
-        assert stats["a"][err, 0] == 0.0  # a serves nothing
-        assert stats["b"][names.index("count"), 0] == 1.0  # one outgoing span
+        assert b[err, 0] == pytest.approx(2 / 3)  # b served 3, failed 2
+        assert c[err, 0] == 0.0
+        assert a[err, 0] == 0.0  # a serves nothing
+        assert b[names.index("count"), 0] == 1.0  # one outgoing span
 
     def test_duplicate_spans_same_graph(self):
-        spans = [Span(0, "a", "b", 5.0, "ok")] * 3
+        spans = [(0, "a", "b", 5.0, False)] * 3
         g1 = _observed_graph(span_stream(spans), 1000)
         g2 = _observed_graph(span_stream(spans[:1]), 1000)
         assert g1 == g2
 
     def test_observed_graph_reads_train_range_spans_only(self):
-        spans = [Span(0, "a", "b", 5.0, "ok"), Span(500, "b", "c", 5.0, "ok"),
-                 Span(1000, "c", "a", 5.0, "ok")]
+        spans = [(0, "a", "b", 5.0, False), (500, "b", "c", 5.0, False),
+                 (1000, "c", "a", 5.0, False)]
         graph = _observed_graph(span_stream(spans, ("a", "b", "c")), 1000)
         assert graph.node_names == ("a", "b", "c") and graph.edges == ((0, 1), (1, 2))
         with pytest.raises(ValueError, match=r"never observed in train-range spans: \['c'\]"):
             _observed_graph(span_stream(spans, ("a", "b", "c")), 500)
 
+    def test_observed_graph_follows_stream_node_order(self):
+        # graph node i is window node i even when the names are not sorted
+        graph = _observed_graph(span_stream([(0, "a", "b", 5.0, False)], ("b", "a")), 1000)
+        assert graph.node_names == ("b", "a") and graph.edges == ((1, 0),)
+
     def test_guards(self):
         with pytest.raises(ValueError, match="at least one span"):
-            trace_features([], 1000, ("a",), 0, 1000)
+            trace_features(np.empty(0, SPAN_DTYPE), 1, 1)
         with pytest.raises(ValueError, match="outside range"):
-            trace_features([Span(5000, "a", "b", 1.0, "ok")], 1000, ("a", "b"), 0, 1000)
+            trace_features(span_array([(5000, "a", "b", 1.0, False)]), 2, 1)
 
 
 class TestCompressMetrics:
@@ -300,10 +341,11 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
     }
     spans = []
     for t in range(duration_s):
-        spans.append(Span(t * 1000 + 100, "a", "b", 10.0 + (t % 5), "ok"))
-        spans.append(Span(t * 1000 + 200, "b", "c", 20.0 + (t % 7), "ok"))
-        spans.append(Span(t * 1000 + 300, "c", "a", 15.0, "ok"))
-    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
+        spans.append((t * 1000 + 100, "a", "b", 10.0 + (t % 5), False))
+        spans.append((t * 1000 + 200, "b", "c", 20.0 + (t % 7), False))
+        spans.append((t * 1000 + 300, "c", "a", 15.0, False))
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                           spans=span_array(spans, nodes))
 
 
 def fit(stream, train_end_ms, prng):
@@ -326,10 +368,9 @@ class TestTransforms:
             mutated.logs[node] = [
                 rec for rec in mutated.logs[node] if rec[0] < train_end
             ] + [(train_end + 5, "totally new failure mode appeared")] * 30
-        mutated.spans = [
-            sp if sp.t_ms < train_end else sp._replace(latency_ms=999.0, status="error")
-            for sp in mutated.spans
-        ]
+        late = mutated.spans["t_ms"] >= train_end
+        mutated.spans["latency_ms"][late] = 999.0
+        mutated.spans["error"][late] = True
         tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
         assert tf1.to_json() == tf2.to_json()
         assert tf1.table.to_json() == tf2.table.to_json()
@@ -341,9 +382,9 @@ class TestTransforms:
         train_end = 120_000
         tf1, _ = fit(stream, train_end, prng_new(3).child("preprocess"))
         mutated = quiet_stream()
-        mutated.spans = sorted(
-            mutated.spans + [Span(train_end + 150, "a", "c", 12.0, "ok")], key=lambda sp: sp.t_ms
-        )
+        extra = span_array([(train_end + 150, "a", "c", 12.0, False)], mutated.nodes)
+        spans = np.concatenate((mutated.spans, extra))
+        mutated.spans = spans[np.argsort(spans["t_ms"], kind="stable")]
         assert _observed_graph(mutated, 240_000) != tf1.graph
         tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
         assert tf2.graph == tf1.graph
@@ -383,10 +424,11 @@ class TestTransforms:
         logs = {n: [(0, "boot ok")] for n in nodes}
         spans = []
         for t in range(duration_s):
-            spans.append(Span(t * 1000, "a", "b", 10.0 + (t % 5), "ok"))
+            spans.append((t * 1000, "a", "b", 10.0 + (t % 5), False))
             if t % 2 == 0:
-                spans.append(Span(t * 1000 + 1, "c", "a", 30.0 + (t % 4), "ok"))
-        stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
+                spans.append((t * 1000 + 1, "c", "a", 30.0 + (t % 4), False))
+        stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                                 spans=span_array(spans, nodes))
         _, (_, _, trace_z, _) = fit(stream, 120_000, prng_new(1).child("p"))
         ci = nodes.index("c")
         lat_rows = [TRACE_SEGMENT_STATS.index(s) for s in ("lat_mean", "lat_p95")]
@@ -479,6 +521,23 @@ class TestPreprocessStream:
         staged = deserialize_stream(serialize_stream(stream))
         assert "c" not in staged.logs
         assert windows(stream) == windows(staged)
+
+    @pytest.mark.parametrize("staged", [False, True])
+    def test_node_without_metric_records(self, staged):
+        # telemetry.jsonl has no metric record for such a node either
+        stream = quiet_stream()
+        del stream.metrics["c"]
+        if staged:
+            stream = deserialize_stream(serialize_stream(stream))
+            assert "c" not in stream.metrics
+        with pytest.raises(ValueError, match=r"node 'c' has no metric records for \['cpu', 'qps'\]"):
+            preprocess_stream(stream, [], 2000, 2000, prng_new(0).child("p"))
+
+    def test_node_missing_one_channel(self):
+        stream = quiet_stream()
+        del stream.metrics["c"]["qps"]
+        with pytest.raises(ValueError, match=r"node 'c' has no metric records for \['qps'\]"):
+            preprocess_stream(stream, [], 2000, 2000, prng_new(0).child("p"))
 
     def test_splits_meet_minimum_size(self):
         stream = quiet_stream(duration_s=240)

@@ -13,14 +13,14 @@ from microdiag.serialize import (
     deserialize_stream,
     faults_from_json,
     faults_to_json,
-    graph_from_json,
+    graph_from_dict,
     graph_to_json,
     load_checkpoint,
     save_checkpoint,
     serialize_stream,
     write_csv,
 )
-from microdiag.types import FaultSpec, FaultType, ServiceGraph, Span, TelemetryStream
+from microdiag.types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 # values stored at 6-decimal resolution survive the stream format exactly
 micro_floats = st.integers(min_value=-(10**9), max_value=10**9).map(lambda n: n / 1e6)
@@ -48,11 +48,11 @@ def streams(draw):
     span_times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n_spans, max_size=n_spans)))
     spans = []
     for t in span_times:
-        caller = draw(node_names)
-        callee = draw(node_names.filter(lambda x: x != caller))
-        spans.append(Span(t, caller, callee, abs(draw(micro_floats)),
-                          draw(st.sampled_from(("ok", "error")))))
-    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
+        caller = draw(st.integers(0, 2))
+        callee = draw(st.integers(0, 2).filter(lambda x: x != caller))
+        spans.append((t, caller, callee, abs(draw(micro_floats)), draw(st.booleans())))
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                           spans=np.array(spans, dtype=SPAN_DTYPE))
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +69,7 @@ def test_stream_round_trip_exact(stream):
     for node, lines in stream.logs.items():
         if lines:
             assert back.logs[node] == lines
-    assert back.spans == stream.spans
+    assert back.spans.dtype == SPAN_DTYPE and np.array_equal(back.spans, stream.spans)
     # canonical form: a second pass is byte-identical
     assert serialize_stream(back) == data
 
@@ -85,12 +85,14 @@ def test_stream_values_survive_at_micro_resolution():
         nodes=("a", "b"),
         metrics={"a": {"cpu": [(0, 12.625), (1000, -3.000001)]}},
         logs={"b": [(10, "hello world")]},
-        spans=[Span(5, "a", "b", 17.25, "ok")],
+        spans=np.array([(5, 0, 1, 17.25, False)], dtype=SPAN_DTYPE),
     )
-    back = deserialize_stream(serialize_stream(stream))
+    data = serialize_stream(stream)
+    assert b'"caller":"a","callee":"b","latency_ms":17.25,"status":"ok"' in data
+    back = deserialize_stream(data)
     assert back.metrics["a"]["cpu"] == [(0, 12.625), (1000, -3.000001)]
     assert back.logs["b"] == [(10, "hello world")]
-    assert back.spans == stream.spans
+    assert np.array_equal(back.spans, stream.spans)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +122,17 @@ def test_malformed_inputs_raise_parse_error(data, field):
     assert f"line {err.value.line_no}" in str(err.value)
 
 
+def test_unknown_span_status_rejected():
+    data = (
+        b'{"kind":"header","version":1,"nodes":["a","b"]}\n'
+        b'{"kind":"span","t_ms":0,"node":"a","caller":"a","callee":"b",'
+        b'"latency_ms":1.0,"status":"timeout"}'
+    )
+    with pytest.raises(ParseError, match=r"line 2, field 'status': .*'timeout'") as err:
+        deserialize_stream(data)
+    assert (err.value.line_no, err.value.field) == (2, "status")
+
+
 def test_non_monotone_metric_rejected_on_parse():
     data = (
         b'{"kind":"header","version":1,"nodes":["a"]}\n'
@@ -132,7 +145,7 @@ def test_non_monotone_metric_rejected_on_parse():
 
 def test_graph_round_trip():
     graph = ServiceGraph(3, ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
-    assert graph_from_json(graph_to_json(graph)) == graph
+    assert graph_from_dict(json.loads(graph_to_json(graph))) == graph
 
 
 def test_faults_round_trip():

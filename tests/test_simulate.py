@@ -43,6 +43,12 @@ def series(stream: TelemetryStream, node: str, channel: str) -> np.ndarray:
     return np.array([v for _, v in stream.metrics[node][channel]])
 
 
+def in_fault(stream: TelemetryStream, f: FaultSpec, column: str, node: int) -> np.ndarray:
+    """Spans inside the fault interval whose caller or callee column is node."""
+    sp = stream.spans
+    return sp[(sp[column] == node) & (f.start_ms <= sp["t_ms"]) & (sp["t_ms"] < f.end_ms)]
+
+
 def fault(ftype, target=1, start_ms=120_000, duration_ms=60_000, severity=0.9,
           factor=0.0):
     return FaultSpec(target, ftype, start_ms, duration_ms, severity, factor)
@@ -64,12 +70,13 @@ class TestBaseline:
 
     def test_span_error_rate_near_baseline(self):
         stream = run([])
-        errs = np.mean([sp.status != "ok" for sp in stream.spans])
+        errs = stream.spans["error"].mean()
         assert errs < 4 * BASELINE_ERROR_RATE
 
     def test_spans_cover_every_edge(self):
         stream = run([])
-        assert {(sp.caller, sp.callee) for sp in stream.spans} == {
+        pairs = zip(stream.spans["caller"].tolist(), stream.spans["callee"].tolist())
+        assert {(stream.nodes[u], stream.nodes[v]) for u, v in pairs} == {
             ("svc-00", "svc-01"), ("svc-01", "svc-02"), ("svc-02", "svc-03")
         }
 
@@ -97,7 +104,7 @@ class TestLocalSymptoms:
                 assert np.array_equal(series(hot, node, ch), series(base, node, ch))
             if node != "svc-01":
                 assert np.array_equal(series(hot, node, "cpu"), series(base, node, "cpu"))
-        assert base.spans == hot.spans
+        assert np.array_equal(base.spans, hot.spans)
 
     def test_mem_leak_ramps_linearly(self):
         f = fault(FaultType.MEM_LEAK, target=2, severity=1.0)
@@ -117,18 +124,17 @@ class TestLocalSymptoms:
         # span-by-span ratio: x(1 + 5s) on target's outgoing spans inside the
         # interval, untouched everywhere else (no spans are added or dropped)
         assert len(base.spans) == len(hot.spans)
+        assert np.array_equal(base.spans["t_ms"], hot.spans["t_ms"])
         ratio = 1.0 + SPAN_LATENCY_FACTOR * 0.9
-        for b, h in zip(base.spans, hot.spans):
-            inside = f.start_ms <= b.t_ms < f.end_ms
-            if inside and b.caller == "svc-01":
-                assert abs(h.latency_ms / b.latency_ms - ratio) < 1e-4
-            else:
-                assert h.latency_ms == b.latency_ms
+        b, h = base.spans["latency_ms"], hot.spans["latency_ms"]
+        inside = (f.start_ms <= base.spans["t_ms"]) & (base.spans["t_ms"] < f.end_ms)
+        slowed = inside & (base.spans["caller"] == 1)
+        assert slowed.any() and np.all(np.abs(h[slowed] / b[slowed] - ratio) < 1e-4)
+        assert np.array_equal(h[~slowed], b[~slowed])
         # incoming latency (svc-00 -> svc-01) must be unaffected: the client
         # of the slow service is not slow itself in the local regime
-        incoming = [(b, h) for b, h in zip(base.spans, hot.spans)
-                    if b.callee == "svc-01" and f.start_ms <= b.t_ms < f.end_ms]
-        assert incoming and all(b.latency_ms == h.latency_ms for b, h in incoming)
+        incoming = inside & (base.spans["callee"] == 1)
+        assert incoming.any() and np.array_equal(h[incoming], b[incoming])
 
     def test_crash_cuts_qps_drops_outgoing_flips_incoming(self):
         f = fault(FaultType.CRASH, target=1, severity=0.9)
@@ -136,23 +142,19 @@ class TestLocalSymptoms:
         qps_ratio = series(hot, "svc-01", "qps")[120:180] / series(base, "svc-01", "qps")[120:180]
         assert np.all(np.abs(qps_ratio - (1.0 - 0.9)) < 1e-4)
 
-        def window_spans(stream, pred):
-            return [sp for sp in stream.spans
-                    if pred(sp) and f.start_ms <= sp.t_ms < f.end_ms]
-
-        out_b = window_spans(base, lambda sp: sp.caller == "svc-01")
-        out_h = window_spans(hot, lambda sp: sp.caller == "svc-01")
+        out_b = in_fault(base, f, "caller", 1)
+        out_h = in_fault(hot, f, "caller", 1)
         assert len(out_b) >= 100  # 5 spans/s over 60 s
         drop_frac = 1.0 - len(out_h) / len(out_b)
         assert drop_frac > 0.6  # expectation 0.9
 
-        in_h = window_spans(hot, lambda sp: sp.callee == "svc-01")
-        err_frac = np.mean([sp.status != "ok" for sp in in_h])
+        in_h = in_fault(hot, f, "callee", 1)
+        err_frac = in_h["error"].mean()
         assert err_frac > 0.6  # expectation ~0.9 vs 0.005 baseline
         # spans outside the interval and on other edges are untouched
-        far_b = [sp for sp in base.spans if sp.caller == "svc-02"]
-        far_h = [sp for sp in hot.spans if sp.caller == "svc-02"]
-        assert far_b == far_h
+        far_b = base.spans[base.spans["caller"] == 2]
+        far_h = hot.spans[hot.spans["caller"] == 2]
+        assert np.array_equal(far_b, far_h)
 
     def test_fault_log_lines_appear_only_on_target(self):
         f = fault(FaultType.CRASH, target=1, severity=1.0)
@@ -186,17 +188,12 @@ class TestPropagation:
         base, hot = run([]), run([f])
         ratio = 1.0 + SPAN_LATENCY_FACTOR * s * factor
 
-        def victim_out(stream):
-            # the crash drops only svc-02's outgoing spans, and span sorting
-            # is stable, so svc-01's lists line up positionally
-            return [sp for sp in stream.spans
-                    if sp.caller == "svc-01" and f.start_ms <= sp.t_ms < f.end_ms]
-
-        out_b, out_h = victim_out(base), victim_out(hot)
+        # the crash drops only svc-02's outgoing spans, and span sorting is
+        # stable, so svc-01's spans line up positionally
+        out_b, out_h = in_fault(base, f, "caller", 1), in_fault(hot, f, "caller", 1)
         assert len(out_b) == len(out_h) >= 50
-        for b, h in zip(out_b, out_h):
-            assert h.t_ms == b.t_ms
-            assert abs(h.latency_ms / b.latency_ms - ratio) < 1e-4
+        assert np.array_equal(out_h["t_ms"], out_b["t_ms"])
+        assert np.all(np.abs(out_h["latency_ms"] / out_b["latency_ms"] - ratio) < 1e-4)
 
     def test_zero_factor_keeps_victims_silent(self):
         f = fault(FaultType.NET_DELAY, target=2, severity=0.9, factor=0.0)

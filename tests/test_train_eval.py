@@ -11,6 +11,7 @@ from microdiag.prng import prng_new
 from microdiag.train_eval import (
     TASK_METRICS,
     AblateResult,
+    DatasetBundle,
     MetricsReport,
     ablate,
     evaluate,
@@ -18,12 +19,20 @@ from microdiag.train_eval import (
     topk_accuracy,
     train,
 )
-from microdiag.types import Backbone, RunConfig, Task
+from microdiag.types import Backbone, RunConfig, ServiceGraph, Task
 
 
 def quick_config(task=Task.DETECT, backbone=Backbone.DIAGMLP, **kw):
     kw = {"max_epochs": 3, "patience": 3, **kw}
     return RunConfig(seed=1, task=task, backbone=backbone, d=4, hidden=8, **kw)
+
+
+def test_bundle_graph_must_follow_window_nodes(tiny_bundle):
+    bundle, _, raw = tiny_bundle
+    assert DatasetBundle.from_bytes(raw, bundle.graph).graph.node_names == bundle.nodes
+    reordered = ServiceGraph(bundle.n_nodes, bundle.nodes[::-1], ())
+    with pytest.raises(ValueError, match="differ from the windows'"):
+        DatasetBundle.from_bytes(raw, reordered)
 
 
 class TestMetrics:

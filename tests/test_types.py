@@ -1,9 +1,11 @@
 """Construction-time invariants of the domain types."""
 
+import json
+
 import numpy as np
 import pytest
 
-from microdiag.serialize import graph_from_json, graph_to_json
+from microdiag.serialize import graph_from_dict, graph_to_json
 from microdiag.types import (
     Backbone,
     DatasetSplit,
@@ -12,10 +14,13 @@ from microdiag.types import (
     FaultType,
     NodeSegments,
     RunConfig,
+    SPAN_DTYPE,
     ServiceGraph,
     Task,
     TelemetryStream,
 )
+
+NO_SPANS = np.empty(0, SPAN_DTYPE)
 
 
 def g(n, edges):
@@ -60,7 +65,7 @@ class TestServiceGraph:
 
     def test_edgeless_graph_json_round_trip(self):
         graph = g(3, [])
-        assert graph_from_json(graph_to_json(graph)) == graph
+        assert graph_from_dict(json.loads(graph_to_json(graph))) == graph
 
     def test_single_node_graph_allowed(self):
         assert g(1, []).n_nodes == 1
@@ -99,28 +104,45 @@ class TestTelemetryStream:
             nodes=("a",),
             metrics={"a": {"cpu": [(5, 1.0), (3, 1.0)]}},
             logs={},
-            spans=[],
+            spans=NO_SPANS,
         )
         with pytest.raises(ValueError, match="non-monotone"):
             stream.validate()
 
     def test_unknown_node_rejected(self):
-        stream = TelemetryStream(nodes=("a",), metrics={"b": {}}, logs={}, spans=[])
+        stream = TelemetryStream(nodes=("a",), metrics={"b": {}}, logs={}, spans=NO_SPANS)
         with pytest.raises(ValueError, match="unknown node"):
             stream.validate()
 
     def test_span_must_follow_graph_edges(self):
-        from microdiag.types import Span
-
         graph = g(2, [(0, 1)])
         stream = TelemetryStream(
             nodes=graph.node_names,
             metrics={},
             logs={},
-            spans=[Span(0, "svc-1", "svc-0", 10.0, "ok")],
+            spans=np.array([(0, 1, 0, 10.0, False)], dtype=SPAN_DTYPE),
         )
-        with pytest.raises(ValueError, match="not a graph edge"):
+        with pytest.raises(ValueError, match=r"span \(svc-1 -> svc-0\) is not a graph edge"):
             stream.validate(graph)
+        stream.spans = np.array([(0, 0, 1, 10.0, False)], dtype=SPAN_DTYPE)
+        stream.validate(graph)
+
+    @pytest.mark.parametrize("caller, callee", [(0, 2), (-1, 0)])
+    def test_span_node_index_out_of_range_rejected(self, caller, callee):
+        stream = TelemetryStream(
+            nodes=("a", "b"), metrics={}, logs={},
+            spans=np.array([(0, caller, callee, 1.0, False)], dtype=SPAN_DTYPE),
+        )
+        with pytest.raises(ValueError, match="span references unknown node"):
+            stream.validate()
+
+    def test_non_monotone_span_times_rejected(self):
+        stream = TelemetryStream(
+            nodes=("a", "b"), metrics={}, logs={},
+            spans=np.array([(5, 0, 1, 1.0, False), (3, 0, 1, 1.0, False)], dtype=SPAN_DTYPE),
+        )
+        with pytest.raises(ValueError, match="non-monotone timestamps in spans"):
+            stream.validate()
 
 
 class TestDiagnosisWindow:
