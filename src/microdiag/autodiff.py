@@ -6,6 +6,11 @@ layer normalization, and a numerically stable softmax cross-entropy. All
 tensors are float64. Gradients are accumulated by walking the tape in reverse
 topological order.
 
+`mul`, `matmul` and `conv1d_valid` decide when built which inputs get a
+gradient, and return `None` for an input that requires none (a dropout mask,
+the adjacency, event-weight rows, raw segments). `backward` frees the tape as
+it consumes it: only leaves keep gradients, and a graph is walked once.
+
 `finite_difference` provides the independent oracle used by the tests: it
 never touches the tape, only re-evaluates a closure under central
 perturbations.
@@ -103,11 +108,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if need_a else None,
+            _unbroadcast(g * a.data, b.shape) if need_b else None,
         )
 
     return Tensor(out_data, (a, b), grad_fn)
@@ -116,11 +122,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with broadcasting over leading axes."""
     out_data = a.data @ b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if need_a else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if need_b else None
+        return ga, gb
 
     return Tensor(out_data, (a, b), grad_fn)
 
@@ -208,12 +215,14 @@ def mulc(a: Tensor, c: float) -> Tensor:
 
 
 def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Causal valid convolution: out[.., f, o] = sum_{c,k} w[f,c,k] x[.., c, o+k].
+    """Causal valid convolution: out[f, .., o] = sum_{c,k} w[f,c,k] x[c, .., o+k].
 
-    x: (B, C, T), w: (F, C, K), b: (F,). Output (B, F, T-K+1); position o sees
-    only inputs at times <= o+K-1, so no future leakage and no padding.
+    Channel-major: x: (C, B, T), w: (F, C, K), b: (F,). Output (F, B, T-K+1),
+    so two convolutions chain with no transpose between them; position o sees
+    only inputs at times <= o+K-1, so no future leakage and no padding. The
+    input gradient is built only when x requires one.
     """
-    B, C, T = x.data.shape
+    C, B, T = x.data.shape
     F, Cw, K = w.data.shape
     if Cw != C:
         raise ValueError(f"conv channel mismatch: input {C}, kernel {Cw}")
@@ -223,28 +232,31 @@ def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # channel-major layout turns each kernel tap into one contiguous GEMM
     # instead of B tiny broadcast matmuls; strided kernel slices would push
     # numpy off the BLAS path, so copy each tap once
-    xt = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # (C, B, T)
+    xs = np.ascontiguousarray(x.data)
     wk = [np.ascontiguousarray(w.data[:, :, k]) for k in range(K)]
-    full = (wk[0] @ xt.reshape(C, B * T)).reshape(F, B, T)
+    full = (wk[0] @ xs.reshape(C, B * T)).reshape(F, B, T)
     acc = full[:, :, 0:O].copy()
     for k in range(1, K):
-        full = (wk[k] @ xt.reshape(C, B * T)).reshape(F, B, T)
+        full = (wk[k] @ xs.reshape(C, B * T)).reshape(F, B, T)
         acc += full[:, :, k : k + O]
-    out_data = np.ascontiguousarray(acc.transpose(1, 0, 2)) + b.data[:, None]
+    acc += b.data[:, None, None]
+    need_x = x.requires_grad
 
     def grad_fn(g):
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(F, B * O)  # (F, B*O)
+        gt = np.ascontiguousarray(g).reshape(F, B * O)
         gw = np.empty_like(w.data)
-        gxt = np.zeros((C, B, T))
+        gx = np.zeros((C, B, T)) if need_x else None
         for k in range(K):
-            xk = np.ascontiguousarray(xt[:, :, k : k + O]).reshape(C, B * O)
+            xk = np.ascontiguousarray(xs[:, :, k : k + O]).reshape(C, B * O)
             gw[:, :, k] = gt @ xk.T
-            gxt[:, :, k : k + O] += (wk[k].T @ gt).reshape(C, B, O)
-        gx = np.ascontiguousarray(gxt.transpose(1, 0, 2))
-        gb = g.sum(axis=(0, 2))
+            if need_x:
+                gx[:, :, k : k + O] += (wk[k].T @ gt).reshape(C, B, O)
+        # summed over a (B, F, O) copy, whose summation order the pinned
+        # training digests depend on
+        gb = np.ascontiguousarray(g.transpose(1, 0, 2)).sum(axis=(0, 2))
         return gx, gw, gb
 
-    return Tensor(out_data, (x, w, b), grad_fn)
+    return Tensor(acc, (x, w, b), grad_fn)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -286,7 +298,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def backward(out: Tensor) -> None:
-    """Accumulate gradients of `out` (a scalar) into every reachable tensor."""
+    """Accumulate gradients of `out` (a scalar) into every reachable leaf,
+    releasing each interior node once consumed; a second walk raises."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
@@ -297,6 +310,8 @@ def backward(out: Tensor) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node.parents and node.grad_fn is None:
+            raise RuntimeError("graph already consumed by backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -310,8 +325,12 @@ def backward(out: Tensor) -> None:
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                # a copy: `add` hands both parents the one array
+                parent.grad = np.empty_like(parent.data)
+                parent.grad[...] = g
+            else:
+                parent.grad += g
+        node.grad = node.grad_fn = None
 
 
 def finite_difference(f: Callable[[], float], arrays: dict[str, np.ndarray],

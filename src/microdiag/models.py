@@ -127,8 +127,9 @@ def _fusion_block(
 
 
 class WindowBatch:
-    """Dense arrays for a list of windows: per-node segments flattened to
-    (B*N, C, T) plus event-weight rows and any labels present."""
+    """Dense arrays for a list of windows: per-node segments stacked
+    channel-major as (C, B*N, T), row b*N + n for node n of window b, plus
+    event-weight rows and any labels present."""
 
     def __init__(self, windows, vocab_size: int):
         if not windows:
@@ -139,9 +140,9 @@ class WindowBatch:
                 raise ValueError("windows disagree on node count")
         self.n_nodes = n
         self.size = len(windows)
-        self.metric = np.stack([seg.metric for w in windows for seg in w.segments])
-        self.log = np.stack([seg.log for w in windows for seg in w.segments])
-        self.trace = np.stack([seg.trace for w in windows for seg in w.segments])
+        self.metric = np.stack([seg.metric for w in windows for seg in w.segments], axis=1)
+        self.log = np.stack([seg.log for w in windows for seg in w.segments], axis=1)
+        self.trace = np.stack([seg.trace for w in windows for seg in w.segments], axis=1)
         self.event_w = embed.event_weights(
             [seg.alerts for w in windows for seg in w.segments], vocab_size
         )
@@ -165,9 +166,9 @@ class WindowBatch:
         out.n_nodes = self.n_nodes
         out.size = len(rows)
         node_rows = (rows[:, None] * self.n_nodes + np.arange(self.n_nodes)).ravel()
-        out.metric = self.metric[node_rows]
-        out.log = self.log[node_rows]
-        out.trace = self.trace[node_rows]
+        out.metric = self.metric[:, node_rows]
+        out.log = self.log[:, node_rows]
+        out.trace = self.trace[:, node_rows]
         out.event_w = self.event_w[node_rows]
         out.anomalous = self.anomalous[rows]
         out.root_cause = self.root_cause[rows]

@@ -254,12 +254,15 @@ def train(
             step += 1
             bc1 = 1.0 - ADAM_BETA1 ** step
             bc2 = 1.0 - ADAM_BETA2 ** step
+            # in place, in the textbook expression's operation order (same bits)
             for k, g in grads.items():
                 if k in fixed:
                     continue
-                m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
-                v2[k] = ADAM_BETA2 * v2[k] + (1.0 - ADAM_BETA2) * g * g
-                params[k] = params[k] - config.learning_rate * (m[k] / bc1) / (
+                m[k] *= ADAM_BETA1
+                m[k] += (1.0 - ADAM_BETA1) * g
+                v2[k] *= ADAM_BETA2
+                v2[k] += (1.0 - ADAM_BETA2) * g * g
+                params[k] -= config.learning_rate * (m[k] / bc1) / (
                     np.sqrt(v2[k] / bc2) + ADAM_EPS
                 )
 

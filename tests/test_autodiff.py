@@ -164,7 +164,7 @@ class TestReductions:
 
 class TestConv1d:
     def test_hand_values(self):
-        x = constant(np.array([[[1.0, 2.0, 3.0]]]))       # (B=1, C=1, T=3)
+        x = constant(np.array([[[1.0, 2.0, 3.0]]]))       # (C=1, B=1, T=3)
         w = constant(np.array([[[1.0, 2.0]]]))            # (F=1, C=1, K=2)
         b = constant(np.array([10.0]))
         out = conv1d_valid(x, w, b)
@@ -173,9 +173,10 @@ class TestConv1d:
 
     def test_causality_no_future_leakage(self):
         rng = np.random.default_rng(19)
-        x = rng.normal(size=(1, 2, 8))
+        x = rng.normal(size=(2, 1, 8))  # (C, B, T)
         w, b = rng.normal(size=(3, 2, 3)), rng.normal(size=(3,))
         base = conv1d_valid(constant(x), constant(w), constant(b)).data
+        assert base.shape == (3, 1, 6)  # (F, B, T-K+1)
         bumped = x.copy()
         bumped[:, :, 5] += 100.0  # position o=5 first visible at output o-K+1=3
         out = conv1d_valid(constant(bumped), constant(w), constant(b)).data
@@ -185,7 +186,7 @@ class TestConv1d:
     def test_fd(self):
         rng = np.random.default_rng(20)
         arrays = {
-            "x": rng.normal(size=(2, 3, 7)),
+            "x": rng.normal(size=(3, 2, 7)),  # (C, B, T)
             "w": rng.normal(size=(2, 3, 3)) * 0.5,
             "b": rng.normal(size=(2,)),
         }
@@ -196,8 +197,36 @@ class TestConv1d:
 
         check_grads(make_loss, arrays, rtol=1e-5, atol=1e-6)
 
+    def test_batch_rows_are_independent(self):
+        # row b of the output is the convolution of row b of the input alone
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(3, 4, 9))
+        w, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(2,))
+        out = conv1d_valid(constant(x), constant(w), constant(b)).data
+        for row in range(4):
+            alone = conv1d_valid(constant(x[:, row : row + 1]), constant(w), constant(b)).data
+            np.testing.assert_allclose(out[:, row : row + 1], alone, rtol=0, atol=1e-12)
+
+    def test_constant_input_gets_no_gradient(self):
+        # the input gradient is skipped, and skipping it leaves the weight
+        # and bias gradients bit-identical to a parameter input's
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(3, 5, 7))
+        w0, b0 = rng.normal(size=(4, 3, 3)), rng.normal(size=(4,))
+        readout = rng.normal(size=(4, 5, 5))
+        grads = {}
+        for make_x in (constant, parameter):
+            xt, w, b = make_x(x), parameter(w0), parameter(b0)
+            out = conv1d_valid(xt, w, b)
+            assert (out.grad_fn(readout)[0] is None) == (make_x is constant)
+            backward(tsum(mul(out, constant(readout))))
+            assert (xt.grad is None) == (make_x is constant)
+            grads[make_x] = (w.grad, b.grad)
+        for a, b in zip(grads[constant], grads[parameter]):
+            assert a.tobytes() == b.tobytes()
+
     def test_shape_errors(self):
-        x = constant(np.zeros((1, 2, 4)))
+        x = constant(np.zeros((2, 1, 4)))  # (C, B, T)
         with pytest.raises(ValueError, match="channel mismatch"):
             conv1d_valid(x, constant(np.zeros((1, 3, 2))), constant(np.zeros(1)))
         with pytest.raises(ValueError, match="shorter than kernel"):
@@ -273,6 +302,40 @@ class TestBackwardSemantics:
         x = parameter(np.ones(3))
         backward(tsum(mul(x, c)))
         assert c.grad is None and x.grad is not None
+
+    def test_add_gives_each_parent_its_own_gradient(self):
+        # `add` hands both parents one array; the first gradient is a copy,
+        # so accumulating into one parent leaves the other alone
+        x, y = parameter(np.ones(3)), parameter(np.ones(3))
+        backward(tsum(add(x, y)))
+        assert x.grad is not y.grad
+        x.grad += 5.0
+        assert y.grad.tolist() == [1.0, 1.0, 1.0]
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_gradients(self):
+        x, w = parameter(np.array([[1.0, 2.0]])), parameter(np.array([[0.5], [3.0]]))
+        h = matmul(x, w)
+        r = relu(h)
+        loss = tsum(r)
+        backward(loss)
+        for node in (h, r, loss):
+            assert node.grad is None and node.grad_fn is None
+        assert x.grad.tolist() == [[0.5, 3.0]]
+        assert w.grad.tolist() == [[1.0], [2.0]]
+        assert loss.data == 6.5  # forward values stay readable
+
+    def test_second_backward_over_a_consumed_graph_raises(self):
+        x = parameter(np.array([2.0]))
+        loss = tsum(mul(x, x))
+        backward(loss)
+        with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+            backward(loss)
+        # a new loss over a consumed interior node raises too
+        h = mul(x, x)
+        backward(tsum(h))
+        with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+            backward(tsum(addc(h, 1.0)))
+        assert x.grad.tolist() == [8.0]
 
     def test_repeated_backward_requires_fresh_graph(self):
         x = parameter(np.array([2.0]))

@@ -3,10 +3,12 @@
 A change that is meant to keep every output the same (a refactor, a faster
 kernel) must leave these digests alone. They cover the simulated telemetry,
 the windows and the fitted transforms of the tiny scenario at seed 7, with
-symptoms on the target only and with propagation to upstream callers. The
-digests belong to one numpy build: a numpy or BLAS upgrade that moves the
-last bit of a sum moves them too, and then they are re-derived and the
-change says so.
+symptoms on the target only and with propagation to upstream callers, and
+a short ablation trained on the former: every checkpoint, loss history and
+results row, so the training step is pinned to the bit too. The digests
+belong to one numpy build: a numpy or BLAS upgrade that moves the last bit
+of a sum moves them too, and then they are re-derived and the change says
+so.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ import hashlib
 import pytest
 
 from microdiag.serialize import serialize_stream
-from microdiag.train_eval import prepare_dataset, simulate_scenario
+from microdiag.train_eval import ablate, prepare_dataset, results_csv_rows, simulate_scenario
+from microdiag.types import RunConfig, Task
 
 from conftest import TINY_SPEC
 
@@ -62,3 +65,38 @@ def test_propagated_tiny_outputs_are_pinned():
     assert all(f.propagation_factor == pytest.approx(0.6) for f in faults)
     _, result, raw = prepare_dataset(PROPAGATED_TINY_SPEC, 7)
     assert digests(stream, raw, result) == DIGESTS["propagated"]
+
+
+# sha256 over `training_digest` of a short ablation on the tiny dataset:
+# DETECT, LOCALIZE, CLASSIFY and the DETECT no-message-passing control,
+# both backbones, run seeds 1 and 2, four epochs each with early stopping
+# out of reach and dropout on
+TRAINING_DIGEST = "054b12af06f5744a4e3d4b797c14f29a004f5167aa8420fe7fa67a3c2a92d125"
+
+
+def training_digest(results) -> str:
+    """Checkpoints, histories and `results_csv_rows`, byte for byte."""
+    h = hashlib.sha256()
+    for result in results:
+        for key in sorted(result.checkpoints):
+            h.update(repr(key).encode())
+            for name, value in sorted(result.checkpoints[key].items()):
+                h.update(f"{name}{value.shape}".encode())
+                h.update(value.tobytes())
+            h.update(repr(result.histories[key]).encode())
+        h.update(repr(results_csv_rows(result)).encode())
+    return h.hexdigest()
+
+
+def test_tiny_training_is_pinned(tiny_bundle):
+    bundle, _, _ = tiny_bundle
+    base = RunConfig(seed=0, task=Task.DETECT, d=8, hidden=16, max_epochs=4, patience=4)
+    results = [
+        ablate(bundle, dataclasses.replace(base, task=task), [1, 2])
+        for task in (Task.DETECT, Task.LOCALIZE, Task.CLASSIFY)
+    ]
+    results.append(ablate(bundle, base, [1, 2], disable_message_passing=True))
+    for result in results:
+        assert not result.failures, result.failures
+        assert all(len(h) == 2 * base.max_epochs for h in result.histories.values())
+    assert training_digest(results) == TRAINING_DIGEST

@@ -150,7 +150,11 @@ class TestWindowBatch:
         windows = make_windows(rng, n_windows=4, anomalous_from=2)
         batch = windows_to_batch(windows, vocab_size=4)
         assert batch.size == 4 and batch.n_nodes == 3
-        assert batch.metric.shape == (12, 2, 8)
+        assert batch.metric.shape == (2, 12, 8)  # (channels, windows x nodes, T)
+        assert batch.trace.shape == (3, 12, 8)
+        # row b*N + n holds node n of window b
+        assert np.array_equal(batch.metric[:, 1 * 3 + 2], windows[1].segments[2].metric)
+        assert np.array_equal(batch.trace[:, 3 * 3 + 0], windows[3].segments[0].trace)
         assert batch.event_w.shape == (12, 4)
         assert batch.labels(Task.DETECT).tolist() == [0, 0, 1, 1]
         assert batch.labels(Task.LOCALIZE).tolist() == [-1, -1, 2, 0]
