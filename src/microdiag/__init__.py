@@ -8,8 +8,6 @@ slot so the two can be compared fairly.
 """
 
 from .types import (
-    AlertDirection,
-    AlertSource,
     Backbone,
     DatasetSplit,
     DiagnosisWindow,
@@ -26,7 +24,6 @@ from .prng import Prng, prng_new
 from .simulator import ScenarioSpec, generate_topology, scenario_preset, schedule_faults, simulate
 from .templates import TemplateTable, mine_templates, template_series
 from .preprocess import (
-    AlertEvent,
     Transforms,
     apply_transforms,
     fit_transforms,
@@ -56,15 +53,14 @@ from .train_eval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlertDirection", "AlertSource", "Backbone", "DatasetSplit",
-    "DiagnosisWindow", "FaultSpec", "FaultType", "NodeSegments",
-    "RunConfig", "SPAN_DTYPE", "ServiceGraph", "Task",
+    "Backbone", "DatasetSplit", "DiagnosisWindow", "FaultSpec", "FaultType",
+    "NodeSegments", "RunConfig", "SPAN_DTYPE", "ServiceGraph", "Task",
     "TelemetryStream",
     "Prng", "prng_new",
     "ScenarioSpec", "generate_topology", "scenario_preset", "schedule_faults",
     "simulate",
     "TemplateTable", "mine_templates", "template_series",
-    "AlertEvent", "Transforms", "apply_transforms", "fit_transforms",
+    "Transforms", "apply_transforms", "fit_transforms",
     "plan_windows", "preprocess_stream", "three_sigma_alerts", "window_label",
     "windows_from_bytes", "windows_to_bytes",
     "init_encoder_params",

@@ -6,6 +6,15 @@ are z-scored and optionally compressed by correlation clustering; 3-sigma
 thresholds over every series produce alert event sequences; spans yield
 per-node latency statistics and the observed dependency graph.
 
+Array layout: every series is an (N, rows, T) float64 array whose axis 0
+follows the stream's node order and whose last axis is the 1 s bucket
+(BUCKET_MS). The metric grid has one row per channel name in sorted order,
+the template counts one row per template id plus the UNK row, the trace
+statistics one row per TRACE_STAT_NAMES entry. Fitted statistics keep the
+same leading axes with a last axis of (mu, sigma); see `Transforms`. A
+node's alerts are an int64 time array and a token array of equal length,
+ordered by time and then by series identifier as a string.
+
 Leakage discipline: each full-timeline series (the metric grid, template
 counts, trace statistics and alerts) is built once, and every statistic
 that transforms data (z-scalers, channel selection, alert thresholds, alert
@@ -25,17 +34,22 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .prng import Prng
-from .serialize import atomic_write_bytes, atomic_write_text, graph_to_dict
+from .serialize import (
+    ParseError,
+    atomic_write_bytes,
+    atomic_write_text,
+    graph_to_dict,
+    header_line,
+    json_line,
+)
 from .templates import TemplateTable, mine_templates, template_series
 from .types import (
     FAULT_TYPES,
-    AlertDirection,
-    AlertSource,
     DatasetSplit,
     DiagnosisWindow,
     FaultSpec,
@@ -45,7 +59,6 @@ from .types import (
 )
 
 __all__ = [
-    "AlertEvent",
     "Transforms",
     "WindowPlan",
     "standardize_metrics",
@@ -74,6 +87,9 @@ TRACE_STAT_NAMES = ("lat_mean", "lat_p95", "count", "err_rate")
 # and marks which buckets actually observed outgoing spans
 TRACE_SEGMENT_STATS = ("lat_mean", "lat_p95", "err_rate")
 _TRACE_SEGMENT_ROWS = tuple(TRACE_STAT_NAMES.index(s) for s in TRACE_SEGMENT_STATS)
+_TRACE_LATENCY_ROWS = [i for i, s in enumerate(TRACE_STAT_NAMES) if s.startswith("lat_")]
+_TRACE_COUNT_ROW = TRACE_STAT_NAMES.index("count")
+_TRACE_ERR_ROW = TRACE_STAT_NAMES.index("err_rate")
 # error rates are already on an absolute [0, 1] scale; a fixed sigma puts
 # them on z-score footing without estimating statistics of a rare event
 TRACE_ERR_SIGMA = 0.1
@@ -84,44 +100,33 @@ KMEANS_ITERS = 20
 MIN_WINDOWS_PER_SPLIT = 10
 
 
-class AlertEvent(NamedTuple):
-    """One threshold crossing on a monitored series."""
-
-    t_ms: int
-    node: str
-    source: AlertSource
-    identifier: str
-    direction: AlertDirection
-
-    @property
-    def token(self) -> str:
-        """Vocabulary token; shared across nodes so alerts generalize."""
-        return f"{self.identifier}:{self.direction.value}"
+def _mean_std(values: np.ndarray) -> np.ndarray:
+    """(mu, population sigma) of each row along the last axis, as (..., 2)."""
+    return np.stack((values.mean(axis=-1), values.std(axis=-1)), axis=-1)
 
 
-def standardize_metrics(
-    series: dict[str, np.ndarray], train_len: int
-) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, float]]]:
-    """Z-score each channel with mean/population-sigma from its first
-    train_len samples; sigma=0 channels map to all-zeros."""
+def _zscore(values: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    """(values - mu) / sigma row by row under (..., 2) stats; rows with
+    sigma <= 0 map to all-zeros."""
+    mu, sigma = stats[..., :1], stats[..., 1:]
+    return np.divide(values - mu, sigma, out=np.zeros(values.shape), where=sigma > 0)
+
+
+def standardize_metrics(series: np.ndarray, train_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score each row of a (..., T) array with mean/population-sigma from
+    its first train_len samples; returns (z, stats), stats as (..., 2).
+    Rows with sigma=0 map to all-zeros."""
     if train_len <= 0:
         raise ValueError("train_len must be positive")
-    z, stats = {}, {}
-    for key in sorted(series):
-        arr = np.asarray(series[key], dtype=np.float64)
-        train = arr[:train_len]
-        if train.size == 0:
-            raise ValueError(f"channel '{key}' has no training samples")
-        mu = float(train.mean())
-        sigma = float(train.std())
-        stats[key] = (mu, sigma)
-        z[key] = np.zeros_like(arr) if sigma == 0.0 else (arr - mu) / sigma
-    return z, stats
+    series = np.asarray(series, dtype=np.float64)
+    if series.shape[-1] == 0:
+        raise ValueError("series have no training samples")
+    stats = _mean_std(series[..., :train_len])
+    return _zscore(series, stats), stats
 
 
-def _correlation_embedding(series: dict[str, np.ndarray], train_len: int) -> tuple[list[str], np.ndarray]:
-    keys = sorted(series)
-    rows = np.stack([np.asarray(series[k], dtype=np.float64)[:train_len] for k in keys])
+def _correlation_embedding(rows: np.ndarray) -> np.ndarray:
+    """Pairwise population correlation of the rows of a (C, L) array."""
     sigma = rows.std(axis=1)
     centered = rows - rows.mean(axis=1, keepdims=True)
     live = sigma > 0
@@ -130,23 +135,22 @@ def _correlation_embedding(series: dict[str, np.ndarray], train_len: int) -> tup
     # constant channels are uncorrelated with everything by convention
     corr = np.where(live[:, None] & live[None, :], cov / np.outer(scale, scale), 0.0)
     np.fill_diagonal(corr, 1.0)
-    return keys, corr
+    return corr
 
 
-def compress_metrics(
-    series: dict[str, np.ndarray], k: int, train_len: int, prng: Prng
-) -> list[str]:
-    """Cluster channels by their pairwise-correlation embedding (Lloyd
-    k-means, fixed iterations, seeded init) and keep one medoid per cluster:
-    the member with the highest mean correlation to its cluster."""
+def compress_metrics(rows: np.ndarray, k: int, prng: Prng) -> list[int]:
+    """Cluster the channels of a (C, L) array by their pairwise-correlation
+    embedding (Lloyd k-means, fixed iterations, seeded init) and keep one
+    medoid per cluster: the member with the highest mean correlation to its
+    cluster. Returns the kept row indices in ascending order."""
+    n = len(rows)
     if k <= 0:
         raise ValueError("k must be positive")
-    if k > len(series):
-        raise ValueError(f"k={k} exceeds channel count {len(series)}")
-    if k == len(series):
-        return sorted(series)
-    keys, corr = _correlation_embedding(series, train_len)
-    n = len(keys)
+    if k > n:
+        raise ValueError(f"k={k} exceeds channel count {n}")
+    if k == n:
+        return list(range(n))
+    corr = _correlation_embedding(rows)
 
     rng = prng.child("compress")
     centers = corr[np.sort(rng.permutation(n)[:k])].copy()
@@ -169,36 +173,24 @@ def compress_metrics(
         members = np.nonzero(assign == c)[0]
         mean_corr = corr[np.ix_(members, members)].mean(axis=1)
         selected.append(int(members[mean_corr.argmax()]))
-    return [keys[i] for i in sorted(selected)]
+    return sorted(selected)
 
 
 def three_sigma_alerts(
-    values: np.ndarray,
-    mu: float,
-    sigma: float,
-    t0_ms: int,
-    bucket_ms: int,
-    node: str,
-    source: AlertSource,
-    identifier: str,
-) -> list[AlertEvent]:
-    """HIGH where value > mu+3*sigma, LOW where value < mu-3*sigma; a run of
-    consecutive same-direction points collapses to one event at its first
-    timestamp."""
-    values = np.asarray(values, dtype=np.float64)
+    values: np.ndarray, stats: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run starts of 3-sigma crossings in the rows of an (S, T) array, row s
+    thresholded at mu +- 3*sigma from its (mu, sigma) in the (S, 2) stats.
+
+    A value above mu+3*sigma is HIGH, below mu-3*sigma LOW; a run of
+    consecutive same-direction points collapses to its first bucket.
+    Returns (row, bucket, high) arrays in row-major order.
+    """
+    mu, sigma = stats[:, :1], stats[:, 1:]
     state = np.where(values > mu + 3.0 * sigma, 1, np.where(values < mu - 3.0 * sigma, -1, 0))
-    prev = np.concatenate(([0], state[:-1]))
-    starts = np.nonzero((state != 0) & (state != prev))[0]
-    return [
-        AlertEvent(
-            t_ms=t0_ms + int(i) * bucket_ms,
-            node=node,
-            source=source,
-            identifier=identifier,
-            direction=AlertDirection.HIGH if state[i] == 1 else AlertDirection.LOW,
-        )
-        for i in starts
-    ]
+    prev = np.pad(state[:, :-1], ((0, 0), (1, 0)))
+    rows, cols = np.nonzero((state != 0) & (state != prev))
+    return rows, cols, state[rows, cols] > 0
 
 
 def trace_features(spans: np.ndarray, n_nodes: int, n_buckets: int) -> np.ndarray:
@@ -355,15 +347,28 @@ def window_label(
     return hits[0] if hits else None
 
 
-@dataclass
+@dataclass(eq=False)
 class Transforms:
-    """Train-derived state needed to turn telemetry into model inputs."""
+    """Train-derived state needed to turn telemetry into model inputs.
+
+    Statistics are float64 arrays in the stream's node order (the order of
+    `graph.node_names`) whose last axis is (mu, sigma):
+
+    - metric_stats (N, C, 2), row c for channel `channels[c]`;
+    - template_stats (N, K+1, 2), row k for template id k, row K for UNK;
+    - trace_stats (N, len(TRACE_STAT_NAMES), 2), rows in TRACE_STAT_NAMES order.
+
+    `to_json` writes each as a map from "node/key" to [mu, sigma], where the
+    key is the channel name, the template id or the trace statistic name;
+    that map is the scaler.json layout.
+    """
 
     table: TemplateTable
-    metric_stats: dict[str, tuple[float, float]]  # "node/channel" -> (mu, sigma)
+    channels: list[str]  # metric channel names, sorted
+    metric_stats: np.ndarray
     selected_channels: list[str]
-    template_stats: dict[str, tuple[float, float]]  # "node/tid" -> (mu, sigma)
-    trace_stats: dict[str, tuple[float, float]]  # "node/stat" -> (mu, sigma)
+    template_stats: np.ndarray
+    trace_stats: np.ndarray
     alert_vocab: dict[str, int]
     graph: ServiceGraph  # observed in train-range spans
     train_end_ms: int
@@ -374,39 +379,44 @@ class Transforms:
         return len(self.alert_vocab)
 
     def to_json(self) -> str:
+        nodes = self.graph.node_names
+
+        def keyed(keys, stats: np.ndarray) -> dict[str, list[float]]:
+            return {f"{node}/{key}": pair
+                    for node, rows in zip(nodes, stats.tolist())
+                    for key, pair in zip(keys, rows)}
+
         payload = {
             "bucket_ms": self.bucket_ms,
             "train_end_ms": self.train_end_ms,
             "selected_channels": list(self.selected_channels),
-            "metric_stats": {k: list(v) for k, v in sorted(self.metric_stats.items())},
-            "template_stats": {k: list(v) for k, v in sorted(self.template_stats.items())},
-            "trace_stats": {k: list(v) for k, v in sorted(self.trace_stats.items())},
+            "metric_stats": keyed(self.channels, self.metric_stats),
+            "template_stats": keyed(range(self.table.n_templates + 1), self.template_stats),
+            "trace_stats": keyed(TRACE_STAT_NAMES, self.trace_stats),
             "alert_vocab": dict(sorted(self.alert_vocab.items(), key=lambda kv: kv[1])),
             "graph": graph_to_dict(self.graph),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _metric_grid(stream: TelemetryStream) -> tuple[dict[tuple[str, str], np.ndarray], int]:
-    """Metric series as arrays on the 1 Hz grid from t=0; validates alignment."""
-    arrays = {}
-    lengths = set()
-    channels = set().union(*(stream.metrics.get(node, {}) for node in stream.nodes))
+def _metric_grid(stream: TelemetryStream) -> tuple[np.ndarray, list[str]]:
+    """The (N, C, T) metric grid on the 1 Hz grid from t=0, channels in
+    sorted order, and the channel names; validates alignment."""
+    channels = sorted(set().union(*(stream.metrics.get(node, {}) for node in stream.nodes)))
+    rows = []
     for node in stream.nodes:
-        missing = channels - set(stream.metrics.get(node, {}))
+        missing = set(channels) - set(stream.metrics.get(node, {}))
         if missing:
             raise ValueError(f"node {node!r} has no metric records for {sorted(missing)}")
-        for ch, points in stream.metrics[node].items():
-            ts = [t for t, _ in points]
-            if ts != [i * 1000 for i in range(len(ts))]:
-                raise ValueError(
-                    f"metric series {node}/{ch} is not sampled at 1 Hz from t=0"
-                )
-            arrays[(node, ch)] = np.array([v for _, v in points])
-            lengths.add(len(ts))
-    if len(lengths) != 1:
+        for ch in channels:
+            points = stream.metrics[node][ch]
+            if [t for t, _ in points] != list(range(0, 1000 * len(points), 1000)):
+                raise ValueError(f"metric series {node}/{ch} is not sampled at 1 Hz from t=0")
+            rows.append([v for _, v in points])
+    if not rows or len({len(r) for r in rows}) != 1:
         raise ValueError("metric series have inconsistent lengths")
-    return arrays, lengths.pop() * 1000
+    grid = np.array(rows, dtype=np.float64)
+    return grid.reshape(len(stream.nodes), len(channels), -1), channels
 
 
 def _train_log_lines(stream: TelemetryStream, train_end_ms: int) -> list[str]:
@@ -420,88 +430,83 @@ def _train_log_lines(stream: TelemetryStream, train_end_ms: int) -> list[str]:
     return [text for _, text in merged]
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std())
+def _trace_stats(trace_train: np.ndarray) -> np.ndarray:
+    """(N, len(TRACE_STAT_NAMES), 2) statistics of the train-range trace
+    series. Latency is only defined where the bucket saw outgoing spans; a
+    node that saw none keeps (0, 0)."""
+    stats = np.zeros(trace_train.shape[:2] + (2,))
+    stats[:, _TRACE_COUNT_ROW] = _mean_std(trace_train[:, _TRACE_COUNT_ROW])
+    stats[:, _TRACE_ERR_ROW] = (0.0, TRACE_ERR_SIGMA)
+    for node_stats, raw in zip(stats, trace_train):
+        defined = raw[_TRACE_COUNT_ROW] > 0
+        if defined.any():
+            # compress keeps each row contiguous, so it reduces bit for bit
+            # as the 1-D row would; a boolean index would not
+            latency = raw[_TRACE_LATENCY_ROWS].compress(defined, axis=1)
+            node_stats[_TRACE_LATENCY_ROWS] = _mean_std(latency)
+    return stats
 
 
-def _trace_z_scores(
-    trace_raw: np.ndarray, tf: "Transforms", nodes: tuple[str, ...]
-) -> np.ndarray:
+def _trace_z_scores(trace_raw: np.ndarray, tf: Transforms) -> np.ndarray:
     """Z-score per-bucket trace stats under frozen train statistics.
 
     Latency rows are only defined where the bucket saw outgoing spans; in
     count-0 buckets they are held at the train mean (z = 0) so the zero
     encoding reads as "nothing unusual" rather than as an extreme value.
     """
-    count_row = TRACE_STAT_NAMES.index("count")
-    out = np.zeros(trace_raw.shape)
-    for ni, node in enumerate(nodes):
-        raw = trace_raw[ni]
-        defined = raw[count_row] > 0
-        for si, stat in enumerate(TRACE_STAT_NAMES):
-            mu, sigma = tf.trace_stats[f"{node}/{stat}"]
-            if sigma <= 0:
-                continue
-            z = (raw[si] - mu) / sigma
-            if stat.startswith("lat_"):
-                z = np.where(defined, z, 0.0)
-            out[ni, si] = z
-    return out
+    z = _zscore(trace_raw, tf.trace_stats)
+    defined = trace_raw[:, _TRACE_COUNT_ROW:_TRACE_COUNT_ROW + 1] > 0
+    z[:, _TRACE_LATENCY_ROWS] = np.where(defined, z[:, _TRACE_LATENCY_ROWS], 0.0)
+    return z
 
 
-def _assemble_alerts(
-    nodes: tuple[str, ...],
-    metric_z: np.ndarray,
-    log_counts: np.ndarray,
-    trace_z: np.ndarray,
-    tf: "Transforms",
-) -> dict[str, list[AlertEvent]]:
-    """3-sigma alert sequences over every monitored series, train thresholds.
+def _alerts(
+    metric_z: np.ndarray, log_counts: np.ndarray, trace_z: np.ndarray, tf: Transforms
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per node, the (t_ms, token) arrays of 3-sigma alerts over every
+    monitored series under train thresholds.
 
     metric_z and trace_z rows are already z-scored (trace latency held at 0
     in span-free buckets), so thresholds are (0, 1) there; log series are
-    raw counts and use the stored train statistics.
+    raw counts and use the stored train statistics. A token is the series
+    identifier plus the direction, shared across nodes so alerts generalize.
     """
-    alerts: dict[str, list[AlertEvent]] = {}
-    for ni, node in enumerate(nodes):
-        # (values, mu, sigma, source, identifier) per monitored series
-        series = [
-            (metric_z[ni, ci], 0.0, 1.0, AlertSource.METRIC_CHANNEL, f"metric:{ch}")
-            for ci, ch in enumerate(tf.selected_channels)
-        ]
-        series += [
-            (row, *tf.template_stats[f"{node}/{tid}"], AlertSource.TEMPLATE_RATE,
-             f"template:{tid}")
-            for tid, row in enumerate(log_counts[ni])
-        ]
-        series += [
-            (trace_z[ni, si], 0.0, 1.0, AlertSource.TRACE_LATENCY, f"trace:{stat}")
-            for si, stat in enumerate(TRACE_STAT_NAMES)
-        ]
-        events = [
-            ev
-            for values, mu, sigma, source, name in series
-            for ev in three_sigma_alerts(values, mu, sigma, 0, tf.bucket_ms, node, source, name)
-        ]
-        events.sort(key=lambda ev: (ev.t_ms, ev.source.value, ev.identifier))
-        alerts[node] = events
+    idents = ([f"metric:{ch}" for ch in tf.selected_channels]
+              + [f"template:{tid}" for tid in range(log_counts.shape[1])]
+              + [f"trace:{stat}" for stat in TRACE_STAT_NAMES])
+    tokens = np.array([(f"{i}:LOW", f"{i}:HIGH") for i in idents])
+    rank = np.argsort(np.argsort(idents))  # each row's place in identifier order
+
+    def unit(rows: int) -> np.ndarray:
+        return np.broadcast_to((0.0, 1.0), (len(metric_z), rows, 2))
+
+    thresholds = np.concatenate(
+        (unit(metric_z.shape[1]), tf.template_stats, unit(trace_z.shape[1])), axis=1)
+    alerts = []
+    for ni, stats in enumerate(thresholds):
+        values = np.concatenate((metric_z[ni], log_counts[ni], trace_z[ni]))
+        rows, buckets, high = three_sigma_alerts(values, stats)
+        order = np.lexsort((rank[rows], buckets))
+        rows, high = rows[order], high[order].astype(np.intp)
+        alerts.append((buckets[order] * tf.bucket_ms, tokens[rows, high]))
     return alerts
 
 
 def fit_transforms(
     stream: TelemetryStream,
-    metrics: dict[tuple[str, str], np.ndarray],
+    grid: np.ndarray,
+    channels: list[str],
     train_end_ms: int,
     prng: Prng,
     metric_k: Optional[int] = None,
-) -> tuple[Transforms, tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]]]]:
+) -> tuple[Transforms, tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
     """Fit every train-derived transform, and return it with the model
     inputs that `apply_transforms` makes of the whole timeline.
 
-    `metrics` is the stream's metric grid from `_metric_grid`. The template
-    counts and trace statistics are built here, once, over the whole
-    timeline; every statistic comes from the first train_end_ms of a series
-    (see the module docstring).
+    `grid` and `channels` are the stream's metric grid from `_metric_grid`.
+    The template counts and trace statistics are built here, once, over the
+    whole timeline; every statistic comes from the first train_end_ms of a
+    series (see the module docstring).
     """
     if train_end_ms % BUCKET_MS != 0:
         raise ValueError("train_end_ms must align to the bucket grid")
@@ -509,112 +514,78 @@ def fit_transforms(
     if train_sec <= 0:
         raise ValueError("empty training range")
     nodes = stream.nodes
-    duration_ms = len(next(iter(metrics.values()))) * BUCKET_MS
+    duration_ms = grid.shape[-1] * BUCKET_MS
 
-    channels = sorted({ch for (_, ch) in metrics})
-    train_z, metric_stats = standardize_metrics(
-        {f"{node}/{ch}": arr[:train_sec] for (node, ch), arr in metrics.items()}, train_sec
-    )
+    train_z, metric_stats = standardize_metrics(grid[..., :train_sec], train_sec)
     # Channel selection is shared across nodes: correlate each channel name
     # using its z-scored train segments concatenated over nodes.
     k = len(channels) if metric_k is None else metric_k
-    pooled = {
-        ch: np.concatenate([train_z[f"{node}/{ch}"] for node in nodes])
-        for ch in channels
-    }
-    selected = compress_metrics(pooled, k, train_sec * len(nodes), prng)
+    pooled = train_z.transpose(1, 0, 2).reshape(len(channels), -1)
+    selected = [channels[c] for c in compress_metrics(pooled, k, prng)]
 
     table = mine_templates(_train_log_lines(stream, train_end_ms))
     counts = template_series(
-        table, {node: stream.logs.get(node, []) for node in nodes}, BUCKET_MS, 0, duration_ms
+        table, [stream.logs.get(node, []) for node in nodes], BUCKET_MS, 0, duration_ms
     )
-    template_stats = {
-        f"{node}/{tid}": _mean_std(row[:train_sec])
-        for node in nodes
-        for tid, row in enumerate(counts[node])
-    }
-
     trace_raw = trace_features(stream.spans, len(nodes), duration_ms // BUCKET_MS)
-    count_row = TRACE_STAT_NAMES.index("count")
-    trace_stats = {}
-    for ni, node in enumerate(nodes):
-        raw = trace_raw[ni][:, :train_sec]
-        defined = raw[count_row] > 0
-        for si, stat in enumerate(TRACE_STAT_NAMES):
-            if stat == "err_rate":
-                trace_stats[f"{node}/{stat}"] = (0.0, TRACE_ERR_SIGMA)
-            elif stat.startswith("lat_"):
-                # latency is only defined where the bucket saw outgoing spans
-                vals = raw[si][defined]
-                trace_stats[f"{node}/{stat}"] = _mean_std(vals) if vals.size else (0.0, 0.0)
-            else:
-                trace_stats[f"{node}/{stat}"] = _mean_std(raw[si])
-
     tf = Transforms(
         table=table,
+        channels=channels,
         metric_stats=metric_stats,
         selected_channels=selected,
-        template_stats=template_stats,
-        trace_stats=trace_stats,
+        template_stats=_mean_std(counts[..., :train_sec]),
+        trace_stats=_trace_stats(trace_raw[..., :train_sec]),
         alert_vocab={},
         graph=_observed_graph(stream, train_end_ms),
         train_end_ms=train_end_ms,
     )
-    inputs = apply_transforms(nodes, tf, metrics, counts, trace_raw)
+    inputs = apply_transforms(tf, grid, counts, trace_raw)
     # Vocabulary: tokens raised on the train range, plus EMPTY/UNK reserves.
-    tokens = sorted(
-        {ev.token for events in inputs[3].values() for ev in events if ev.t_ms < train_end_ms}
-    )
+    tokens = sorted({tok for times, node_tokens in inputs[3]
+                     for tok in node_tokens[times < train_end_ms].tolist()})
     tf.alert_vocab = {tok: i for i, tok in enumerate((EMPTY_TOKEN, UNK_TOKEN, *tokens))}
     return tf, inputs
 
 
 def apply_transforms(
-    nodes: tuple[str, ...],
     tf: Transforms,
-    metrics: dict[tuple[str, str], np.ndarray],
-    counts: dict[str, np.ndarray],
+    grid: np.ndarray,
+    counts: np.ndarray,
     trace_raw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, list[AlertEvent]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Model inputs from full-timeline series under frozen transforms.
 
     Takes the metric grid, the template counts under tf.table and the trace
-    statistics; returns (metric_z, log_counts, trace_z, alerts), where the
-    three arrays have shape (N, channels, seconds). Trace channels follow
-    TRACE_SEGMENT_STATS; the count row informs alerting but is not a model
-    input (span volume already reaches the model through the qps metric).
+    statistics, each (N, rows, seconds); returns (metric_z, log_counts,
+    trace_z, alerts), where the three arrays keep that layout and alerts
+    holds each node's (t_ms, token) arrays. metric_z has the selected
+    channels; trace channels follow TRACE_SEGMENT_STATS, as the count row
+    informs alerting but is not a model input (span volume already reaches
+    the model through the qps metric).
     """
-    metric_z = np.zeros((len(nodes), len(tf.selected_channels), len(next(iter(metrics.values())))))
-    for ni, node in enumerate(nodes):
-        for ci, ch in enumerate(tf.selected_channels):
-            mu, sigma = tf.metric_stats[f"{node}/{ch}"]
-            if sigma > 0:
-                metric_z[ni, ci] = (metrics[(node, ch)] - mu) / sigma
-    log_counts = np.stack([counts[node] for node in nodes])
-    trace_z = _trace_z_scores(trace_raw, tf, nodes)
-    alerts = _assemble_alerts(nodes, metric_z, log_counts, trace_z, tf)
+    picked = [tf.channels.index(ch) for ch in tf.selected_channels]
+    metric_z = _zscore(grid[:, picked], tf.metric_stats[:, picked])
+    trace_z = _trace_z_scores(trace_raw, tf)
+    alerts = _alerts(metric_z, counts, trace_z, tf)
     # windows carry only the latency/error rows; alerting above saw all stats
-    return metric_z, log_counts, trace_z[:, _TRACE_SEGMENT_ROWS, :], alerts
+    return metric_z, counts, trace_z[:, _TRACE_SEGMENT_ROWS], alerts
 
 
 def build_windows(
     plan: WindowPlan,
-    nodes: tuple[str, ...],
     metric_z: np.ndarray,
     log_counts: np.ndarray,
     trace_z: np.ndarray,
-    alerts: dict[str, list[AlertEvent]],
+    alerts: list[tuple[np.ndarray, np.ndarray]],
     vocab: dict[str, int],
     faults: list[FaultSpec],
 ) -> DatasetSplit:
     """Cut full-timeline arrays into labeled windows under a split plan."""
     if plan.window_ms % BUCKET_MS or plan.stride_ms % BUCKET_MS:
         raise ValueError("window and stride must align to the bucket grid")
-    alert_times = {
-        node: np.array([ev.t_ms for ev in events], dtype=np.int64)
-        for node, events in alerts.items()
-    }
     unk = vocab[UNK_TOKEN]
+    alert_ids = [(times, [vocab.get(tok, unk) for tok in tokens.tolist()])
+                 for times, tokens in alerts]
 
     def cut(indices) -> list[DiagnosisWindow]:
         out = []
@@ -623,16 +594,14 @@ def build_windows(
             en = st + plan.window_ms
             s0, s1 = st // BUCKET_MS, en // BUCKET_MS
             segments = []
-            for ni, node in enumerate(nodes):
-                times = alert_times[node]
+            for ni, (times, ids) in enumerate(alert_ids):
                 lo, hi = np.searchsorted(times, (st, en))
-                ids = tuple(vocab.get(ev.token, unk) for ev in alerts[node][lo:hi])
                 segments.append(
                     NodeSegments(
                         metric=metric_z[ni, :, s0:s1].copy(),
                         log=log_counts[ni, :, s0:s1].copy(),
                         trace=trace_z[ni, :, s0:s1].copy(),
-                        alerts=ids,
+                        alerts=tuple(ids[lo:hi]),
                     )
                 )
             fault = window_label(st, en, faults)
@@ -673,11 +642,11 @@ def preprocess_stream(
 ) -> PreprocessResult:
     """Full preprocessing pipeline: plan windows, fit transforms on the
     train range, apply them to the whole timeline, cut labeled windows."""
-    metrics, duration_ms = _metric_grid(stream)
-    plan = plan_windows(duration_ms, window_ms, stride_ms)
-    tf, inputs = fit_transforms(stream, metrics, plan.train_end_ms, prng, metric_k)
-    del metrics  # the full-timeline grid is not needed to cut windows
-    split = build_windows(plan, stream.nodes, *inputs, tf.alert_vocab, faults)
+    grid, channels = _metric_grid(stream)
+    plan = plan_windows(grid.shape[-1] * BUCKET_MS, window_ms, stride_ms)
+    tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng, metric_k)
+    del grid  # the full-timeline grid is not needed to cut windows
+    split = build_windows(plan, *inputs, tf.alert_vocab, faults)
     return PreprocessResult(split=split, transforms=tf, plan=plan, nodes=stream.nodes)
 
 
@@ -723,34 +692,33 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
 
 
 def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict]:
-    """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header)."""
+    """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header).
+
+    Malformed input raises `ParseError`, which names the line and field."""
     lines = data.decode("utf-8").splitlines()
-    if not lines:
-        raise ValueError("empty windows file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("windows file missing header line")
+    header = header_line(lines)
     nodes = tuple(header["nodes"])
     parts: dict[str, list[DiagnosisWindow]] = {"train": [], "valid": [], "test": []}
     for line_no, line in enumerate(lines[1:], start=2):
-        rec = json.loads(line)
-        segments = [
-            NodeSegments(
-                metric=np.array(nd["metric"], dtype=np.float64).reshape(
-                    len(nd["metric"]), -1
-                ),
-                log=np.array(nd["log"], dtype=np.float64).reshape(len(nd["log"]), -1),
-                trace=np.array(nd["trace"], dtype=np.float64).reshape(
-                    len(nd["trace"]), -1
-                ),
-                alerts=tuple(nd["alerts"]),
-            )
-            for nd in rec["nodes"]
-        ]
-        if len(segments) != len(nodes):
-            raise ValueError(f"line {line_no}: window has {len(segments)} nodes, expected {len(nodes)}")
-        parts[rec["split"]].append(
-            DiagnosisWindow(
+        rec = json_line(line, line_no, "record")
+        split = rec.get("split")
+        if split not in ("train", "valid", "test"):
+            raise ParseError(line_no, "split", f"unknown split {split!r}")
+        try:
+            segments = [
+                NodeSegments(
+                    metric=np.array(nd["metric"], dtype=np.float64).reshape(
+                        len(nd["metric"]), -1
+                    ),
+                    log=np.array(nd["log"], dtype=np.float64).reshape(len(nd["log"]), -1),
+                    trace=np.array(nd["trace"], dtype=np.float64).reshape(
+                        len(nd["trace"]), -1
+                    ),
+                    alerts=tuple(nd["alerts"]),
+                )
+                for nd in rec["nodes"]
+            ]
+            window = DiagnosisWindow(
                 start_ms=rec["start_ms"],
                 end_ms=rec["end_ms"],
                 segments=segments,
@@ -758,7 +726,14 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
                 label_root_cause=rec["root_cause"],
                 label_fault_type=rec["fault_type"],
             )
-        )
+        except KeyError as exc:
+            raise ParseError(line_no, exc.args[0], "missing") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(line_no, "record", str(exc)) from exc
+        if len(segments) != len(nodes):
+            raise ParseError(line_no, "nodes",
+                             f"window has {len(segments)} nodes, expected {len(nodes)}")
+        parts[split].append(window)
     return nodes, DatasetSplit(**parts), header
 
 

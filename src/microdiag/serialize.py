@@ -28,6 +28,8 @@ from .types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStre
 
 __all__ = [
     "ParseError",
+    "json_line",
+    "header_line",
     "serialize_stream",
     "deserialize_stream",
     "graph_to_dict",
@@ -98,19 +100,34 @@ def _require(obj: dict, field: str, line_no: int):
     return obj[field]
 
 
+def json_line(line: str, line_no: int, field: str) -> dict:
+    """One line of a JSONL file as an object; `field` names the line's
+    role in the ParseError otherwise."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, field, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, field, "expected a JSON object")
+    return obj
+
+
+def header_line(lines: list[str]) -> dict:
+    """The header object that opens a JSONL file; it carries the node list."""
+    if not lines:
+        raise ParseError(1, "kind", "empty input, expected a header line")
+    header = json_line(lines[0], 1, "header")
+    if header.get("kind") != "header":
+        raise ParseError(1, "kind", "first line must be the header")
+    _require(header, "nodes", 1)
+    return header
+
+
 def deserialize_stream(data: bytes) -> TelemetryStream:
     """Decode JSONL bytes back into a validated TelemetryStream."""
     text = data.decode("utf-8")
     lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "kind", "empty input, expected a header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(1, "header", f"invalid JSON: {exc.msg}") from exc
-    if header.get("kind") != "header":
-        raise ParseError(1, "kind", "first line must be the header")
-    nodes = tuple(_require(header, "nodes", 1))
+    nodes = tuple(header_line(lines)["nodes"])
     known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, list[tuple[int, float]]]] = {}
@@ -119,10 +136,7 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(idx, "record", f"invalid JSON: {exc.msg}") from exc
+        obj = json_line(raw, idx, "record")
         kind = _require(obj, "kind", idx)
         t_ms = _require(obj, "t_ms", idx)
         if not isinstance(t_ms, int):

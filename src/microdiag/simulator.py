@@ -25,6 +25,7 @@ s * f**k: latency channel shift, outgoing span multiplier, and timeout logs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,23 +272,18 @@ def schedule_faults(spec: ScenarioSpec, graph: ServiceGraph, prng: Prng) -> list
     return faults
 
 
+# a value drawn for each kind of template slot
+_SLOT_DRAWS = {
+    "num": lambda rng: str(int(rng.integers(1, 100000))),
+    "id": lambda rng: f"{int(rng.integers(0, 16**8)):08x}",
+    "ip": lambda rng: f"10.0.{int(rng.integers(0, 256))}.{int(rng.integers(1, 255))}",
+}
+_SLOT = re.compile(r"\{(num|id|ip)\}")
+
+
 def _fill_template(template: str, rng: Prng) -> str:
-    out = []
-    i = 0
-    while i < len(template):
-        if template.startswith("{num}", i):
-            out.append(str(int(rng.integers(1, 100000))))
-            i += 5
-        elif template.startswith("{id}", i):
-            out.append(f"{int(rng.integers(0, 16**8)):08x}")
-            i += 4
-        elif template.startswith("{ip}", i):
-            out.append(f"10.0.{int(rng.integers(0, 256))}.{int(rng.integers(1, 255))}")
-            i += 4
-        else:
-            out.append(template[i])
-            i += 1
-    return "".join(out)
+    """The template with each slot replaced by a fresh draw, left to right."""
+    return _SLOT.sub(lambda m: _SLOT_DRAWS[m.group(1)](rng), template)
 
 
 def _fault_seconds(fault: FaultSpec, duration_s: int) -> range:

@@ -3,8 +3,8 @@
 A fixed-depth routing scheme in the style of online log parsers: lines are
 tokenized on whitespace, tokens containing digits (numbers, ids, IPs) are
 masked to the wildcard, and lines are routed by token count plus the first
-`depth` masked tokens. Within a routing group, a line joins the most similar
-existing template when positional similarity reaches `sim_threshold`
+DEPTH masked tokens. Within a routing group, a line joins the most similar
+existing template when positional similarity reaches SIM_THRESHOLD
 (wildcard positions compare by plain string equality); differing positions
 become wildcards. Otherwise the line founds a new template.
 
@@ -23,6 +23,8 @@ import numpy as np
 __all__ = ["TemplateTable", "mine_templates", "template_series", "WILDCARD"]
 
 WILDCARD = "<*>"
+DEPTH = 3
+SIM_THRESHOLD = 0.5
 
 
 def _tokenize(line: str) -> tuple[str, ...]:
@@ -30,31 +32,21 @@ def _tokenize(line: str) -> tuple[str, ...]:
     return tuple(WILDCARD if any(c.isdigit() for c in tok) else tok for tok in tokens)
 
 
-def _similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-    # pre: equal length (guaranteed by routing on token count)
-    return sum(x == y for x, y in zip(a, b)) / len(a)
+def _route_key(tokens: tuple[str, ...]) -> tuple:
+    return (len(tokens), tokens[:DEPTH])
 
 
 @dataclass
 class TemplateTable:
-    """Mined templates plus the routing parameters used to build them."""
+    """Mined templates, routed by `_route_key`."""
 
     templates: list[tuple[str, ...]]
-    depth: int = 3
-    sim_threshold: float = 0.5
     _routes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.sim_threshold < 1.0):
-            raise ValueError("sim_threshold must be in (0, 1)")
-        if self.depth < 2:
-            raise ValueError("depth must be >= 2")
         self._routes = {}
         for tid, tpl in enumerate(self.templates):
-            self._routes.setdefault(self._route_key(tpl), []).append(tid)
-
-    def _route_key(self, tokens: tuple[str, ...]) -> tuple:
-        return (len(tokens), tokens[: self.depth])
+            self._routes.setdefault(_route_key(tpl), []).append(tid)
 
     @property
     def n_templates(self) -> int:
@@ -65,64 +57,62 @@ class TemplateTable:
         """Reserved id for lines matching no mined template."""
         return len(self.templates)
 
+    def _closest(self, tokens: tuple[str, ...]) -> int:
+        """The most similar template of the line's route group (the first
+        among equals) if its similarity reaches SIM_THRESHOLD, else -1."""
+        best_id, best_sim = -1, -1.0
+        for tid in self._routes.get(_route_key(tokens), ()):
+            # equal length, guaranteed by routing on token count
+            tpl = self.templates[tid]
+            sim = sum(x == y for x, y in zip(tpl, tokens)) / len(tokens)
+            if sim > best_sim:
+                best_id, best_sim = tid, sim
+        return best_id if best_sim >= SIM_THRESHOLD else -1
+
     def match(self, line: str) -> int:
         """Template id for a line, or unk_id when nothing clears the threshold."""
         tokens = _tokenize(line)
-        if not tokens:
-            return self.unk_id
-        best_id, best_sim = self.unk_id, -1.0
-        for tid in self._routes.get(self._route_key(tokens), ()):
-            sim = _similarity(self.templates[tid], tokens)
-            if sim > best_sim:
-                best_id, best_sim = tid, sim
-        if best_sim >= self.sim_threshold:
-            return best_id
-        return self.unk_id
+        tid = self._closest(tokens) if tokens else -1
+        return self.unk_id if tid < 0 else tid
 
     def to_json(self) -> str:
         payload = {
-            "depth": self.depth,
-            "sim_threshold": self.sim_threshold,
+            "depth": DEPTH,
+            "sim_threshold": SIM_THRESHOLD,
             "templates": [list(t) for t in self.templates],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def mine_templates(lines, depth: int = 3, sim_threshold: float = 0.5) -> TemplateTable:
+def mine_templates(lines) -> TemplateTable:
     """Build a template table from raw lines in input order."""
-    table = TemplateTable(templates=[], depth=depth, sim_threshold=sim_threshold)
+    table = TemplateTable(templates=[])
     for line in lines:
         tokens = _tokenize(line)
         if not tokens:
             continue
-        key = table._route_key(tokens)
-        group = table._routes.get(key)
-        best_id, best_sim = -1, -1.0
-        if group:
-            for tid in group:
-                sim = _similarity(table.templates[tid], tokens)
-                if sim > best_sim:
-                    best_id, best_sim = tid, sim
-        if best_sim >= sim_threshold:
-            tpl = table.templates[best_id]
+        tid = table._closest(tokens)
+        if tid >= 0:
+            tpl = table.templates[tid]
             if tpl != tokens:
-                table.templates[best_id] = tuple(
+                table.templates[tid] = tuple(
                     a if a == b else WILDCARD for a, b in zip(tpl, tokens)
                 )
         else:
             table.templates.append(tokens)
-            table._routes.setdefault(key, []).append(len(table.templates) - 1)
+            table._routes.setdefault(_route_key(tokens), []).append(len(table.templates) - 1)
     return table
 
 
 def template_series(
     table: TemplateTable,
-    logs: dict[str, list[tuple[int, str]]],
+    logs: list[list[tuple[int, str]]],
     bucket_ms: int,
     start_ms: int,
     end_ms: int,
-) -> dict[str, np.ndarray]:
-    """Per-node count series of shape (n_templates + 1, n_buckets).
+) -> np.ndarray:
+    """Count series of shape (len(logs), n_templates + 1, n_buckets), one
+    block per node's (t_ms, text) lines.
 
     Row table.unk_id counts unmatched lines; empty buckets are explicit
     zeros. Total counts equal the number of lines, which must all fall in
@@ -133,14 +123,16 @@ def template_series(
     if end_ms <= start_ms:
         raise ValueError("end_ms must exceed start_ms")
     n_buckets = -(-(end_ms - start_ms) // bucket_ms)
-    out = {}
-    for node, lines in logs.items():
-        counts = np.zeros((table.n_templates + 1, n_buckets))
-        for t_ms, text in lines:
-            if not (start_ms <= t_ms < end_ms):
-                raise ValueError(
-                    f"log line at {t_ms} ms outside series range [{start_ms}, {end_ms})"
-                )
-            counts[table.match(text), (t_ms - start_ms) // bucket_ms] += 1.0
-        out[node] = counts
-    return out
+    n_rows = table.n_templates + 1
+    out = np.zeros((len(logs), n_rows * n_buckets))
+    for counts, lines in zip(out, logs):
+        times = np.array([t for t, _ in lines], dtype=np.int64)
+        outside = (times < start_ms) | (times >= end_ms)
+        if outside.any():
+            raise ValueError(
+                f"log line at {times[outside][0]} ms outside series range [{start_ms}, {end_ms})"
+            )
+        tids = np.array([table.match(text) for _, text in lines], dtype=np.int64)
+        counts += np.bincount(tids * n_buckets + (times - start_ms) // bucket_ms,
+                              minlength=n_rows * n_buckets)
+    return out.reshape(len(logs), n_rows, n_buckets)

@@ -2,8 +2,11 @@
 
 Conventions: timestamps are integer milliseconds everywhere inside the
 package; seconds only appear at API boundaries (scenario durations, CLI
-flags). All types validate their invariants on construction and are treated
-as immutable afterwards.
+flags). Every type is treated as immutable once built. `ServiceGraph`,
+`FaultSpec`, `DiagnosisWindow`, `DatasetSplit` and `RunConfig` validate
+their invariants on construction; `TelemetryStream` checks its own only in
+an explicit `validate()`, which the simulator and serialization call, and
+`NodeSegments` checks none.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ __all__ = [
     "FaultType",
     "Task",
     "Backbone",
-    "AlertSource",
-    "AlertDirection",
     "ServiceGraph",
     "FaultSpec",
     "SPAN_DTYPE",
@@ -50,17 +51,6 @@ class Task(str, Enum):
 class Backbone(str, Enum):
     DIAGMLP = "DIAGMLP"
     GCN = "GCN"
-
-
-class AlertSource(str, Enum):
-    METRIC_CHANNEL = "METRIC_CHANNEL"
-    TEMPLATE_RATE = "TEMPLATE_RATE"
-    TRACE_LATENCY = "TRACE_LATENCY"
-
-
-class AlertDirection(str, Enum):
-    HIGH = "HIGH"
-    LOW = "LOW"
 
 
 @dataclass(frozen=True)

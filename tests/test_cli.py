@@ -1,6 +1,8 @@
-"""The command-line chain end to end on the tiny scenario, and the exit
-status of an ablation with failed cells."""
+"""The command-line chain end to end on the tiny scenario, the separability
+report, and the exit status of an ablation with failed cells."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -59,6 +61,34 @@ def test_chain_with_separate_preprocess_dir(tmp_path, capsys):
         assert cli.main(argv) == 0, argv
     assert not (out / "graph.json").exists()
     assert (out / "metrics.json").read_bytes() == in_place["metrics.json"]
+
+
+def test_report_tables(tmp_path, capsys, tiny_bundle):
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
+
+    def report(out):
+        argv = ["report", "--scenario", str(scenario), "--seed", "7", "--workdir", str(out),
+                "--d", "4", "--hidden", "8"]
+        assert cli.main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = report(tmp_path / "a")
+    printed = capsys.readouterr().out.splitlines()
+    assert report(tmp_path / "b") == first
+    variants = ("raw", "mlp_trunk", "gcn_trunk")
+    scores = list(csv.reader(io.StringIO(first["separability_scores.csv"].decode())))
+    assert scores[0] == ["variant", "silhouette"] and [r[0] for r in scores[1:]] == list(variants)
+    assert all(-1.0 <= float(r[1]) <= 1.0 for r in scores[1:])
+    for name, (_, value) in zip(variants, scores[1:]):
+        assert f"{name} silhouette: {float(value):.6f}" in printed
+    # one 2D point per anomalous test window and variant
+    # (tiny_bundle is the dataset of TINY_SPEC at seed 7, as the report builds it)
+    n_anomalous = sum(w.label_anomalous for w in tiny_bundle[0].split.test)
+    points = list(csv.reader(io.StringIO(first["separability.csv"].decode())))
+    assert points[0] == ["variant", "x", "y", "label"]
+    assert len(points) - 1 == 3 * n_anomalous > 0
+    assert {r[0] for r in points[1:]} == set(variants)
 
 
 def fake_ablation(failed: bool) -> AblateResult:

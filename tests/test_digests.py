@@ -2,9 +2,9 @@
 
 A change that is meant to keep every output the same (a refactor, a faster
 kernel) must leave these digests alone. They cover the simulated telemetry,
-the windows and the fitted transforms of the tiny scenario at seed 7, with
-symptoms on the target only and with propagation to upstream callers, and
-a short ablation trained on the former: every checkpoint, loss history and
+the windows, the fitted transforms and the mined template table of the tiny
+scenario at seed 7, with symptoms on the target only and with propagation
+to upstream callers, and a short ablation trained on the former: every checkpoint, loss history and
 results row, so the training step is pinned to the bit too. The digests
 belong to one numpy build: a numpy or BLAS upgrade that moves the last bit
 of a sum moves them too, and then they are re-derived and the change says
@@ -31,11 +31,13 @@ DIGESTS = {
         "telemetry": "d1890dcf60ce73a30bd94ce26c05fe71f1f6f9a1afb61dadb2732bbc70454f4f",
         "windows": "b04d252e8dad0d762920a2697776315f90599e434710f8342521c69774c34ad9",
         "transforms": "fb09e91f1b4eeb04eaf943899d41c8ae8f40ea26a5a8b938cda588a80c7abafb",
+        "templates": "f86db7a116672ed5754e20e4cf23fa24c73e4941f92e41e72c61725fe1c2a36f",
     },
     "propagated": {
         "telemetry": "d3acc59674722e6ea5c65183b65fd7b74edbd7051518990dea363d5672f55770",
         "windows": "8bb151aea8492d10a738d57948265b67e34d2565c86970f23b10f9e96ca91298",
         "transforms": "ad6281829eb290fca475027bf907710343e64c5168f3849600490dfe4673d77f",
+        "templates": "f86db7a116672ed5754e20e4cf23fa24c73e4941f92e41e72c61725fe1c2a36f",
     },
 }
 
@@ -49,6 +51,7 @@ def digests(stream, raw: bytes, result) -> dict[str, str]:
         "telemetry": sha256(serialize_stream(stream)),
         "windows": sha256(raw),
         "transforms": sha256(result.transforms.to_json()),
+        "templates": sha256(result.transforms.table.to_json()),
     }
 
 

@@ -1,12 +1,15 @@
 """Preprocessing oracles: scaling, percentiles, alerts, tiling, leakage."""
 
+import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from microdiag import preprocess
 from microdiag.preprocess import (
+    _alerts,
     _correlation_embedding,
     _metric_grid,
     _observed_graph,
@@ -27,10 +30,8 @@ from microdiag.preprocess import (
     windows_to_bytes,
 )
 from microdiag.prng import prng_new
-from microdiag.serialize import deserialize_stream, serialize_stream
+from microdiag.serialize import ParseError, deserialize_stream, serialize_stream
 from microdiag.types import (
-    AlertDirection,
-    AlertSource,
     FaultSpec,
     FaultType,
     SPAN_DTYPE,
@@ -41,57 +42,78 @@ from microdiag.types import (
 class TestStandardize:
     def test_hand_values(self):
         # train {0, 2}: mu=1, population sigma=1; the value 3 scores z=2.0
-        z, stats = standardize_metrics({"cpu": np.array([0.0, 2.0, 3.0])}, train_len=2)
-        assert stats["cpu"] == (1.0, 1.0)
-        assert z["cpu"].tolist() == [-1.0, 1.0, 2.0]
+        z, stats = standardize_metrics(np.array([[0.0, 2.0, 3.0]]), train_len=2)
+        assert stats.tolist() == [[1.0, 1.0]]
+        assert z.tolist() == [[-1.0, 1.0, 2.0]]
 
     def test_constant_channel_maps_to_zeros(self):
-        z, stats = standardize_metrics({"mem": np.array([5.0, 5.0, 9.0])}, train_len=2)
-        assert stats["mem"] == (5.0, 0.0)
-        assert z["mem"].tolist() == [0.0, 0.0, 0.0]
+        # rows are z-scored one by one: the constant row beside a live one
+        z, stats = standardize_metrics(np.array([[5.0, 5.0, 9.0], [0.0, 2.0, 3.0]]), train_len=2)
+        assert stats.tolist() == [[5.0, 0.0], [1.0, 1.0]]
+        assert z.tolist() == [[0.0, 0.0, 0.0], [-1.0, 1.0, 2.0]]
 
     def test_population_sigma_convention(self):
-        z, stats = standardize_metrics({"x": np.array([1.0, 2.0, 3.0, 4.0])}, train_len=4)
-        assert stats["x"][1] == pytest.approx(np.sqrt(1.25))  # /n, not /(n-1)
+        z, stats = standardize_metrics(np.array([1.0, 2.0, 3.0, 4.0]), train_len=4)
+        assert stats[1] == pytest.approx(np.sqrt(1.25))  # /n, not /(n-1)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="train_len"):
-            standardize_metrics({"x": np.zeros(3)}, train_len=0)
+            standardize_metrics(np.zeros((1, 3)), train_len=0)
         with pytest.raises(ValueError, match="no training samples"):
-            standardize_metrics({"x": np.array([])}, train_len=2)
+            standardize_metrics(np.zeros((1, 0)), train_len=2)
+
+
+def run_starts(values, mu=0.0, sigma=1.0) -> list[tuple[int, str]]:
+    """(bucket, direction) of each alert on one series."""
+    rows, buckets, high = three_sigma_alerts(np.array([values]), np.array([[mu, sigma]]))
+    assert not rows.any()
+    return [(int(b), "HIGH" if h else "LOW") for b, h in zip(buckets, high)]
 
 
 class TestThreeSigma:
     def test_single_high_alert(self):
-        events = three_sigma_alerts(np.array([0.0, 3.5, 0.0]), 0.0, 1.0, 0, 1000,
-                                    "a", AlertSource.METRIC_CHANNEL, "metric:cpu")
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.t_ms == 1000 and ev.direction is AlertDirection.HIGH
-        assert ev.token == "metric:cpu:HIGH"
+        assert run_starts([0.0, 3.5, 0.0]) == [(1, "HIGH")]
 
     def test_within_band_is_silent(self):
-        vals = np.array([2.9, -2.9, 3.0, -3.0])  # exactly 3 sigma is not an alert
-        assert three_sigma_alerts(vals, 0.0, 1.0, 0, 1000, "a",
-                                  AlertSource.METRIC_CHANNEL, "m") == []
+        # exactly 3 sigma is not an alert
+        assert run_starts([2.9, -2.9, 3.0, -3.0]) == []
 
     def test_run_collapses_to_one_event(self):
-        vals = np.array([0.0, 4.0, 4.0, 4.0, 4.0, 4.0, 0.0])
-        events = three_sigma_alerts(vals, 0.0, 1.0, 0, 1000, "a",
-                                    AlertSource.METRIC_CHANNEL, "m")
-        assert len(events) == 1 and events[0].t_ms == 1000
+        assert run_starts([0.0, 4.0, 4.0, 4.0, 4.0, 4.0, 0.0]) == [(1, "HIGH")]
 
     def test_direction_change_restarts_run(self):
-        vals = np.array([4.0, -4.0, 4.0])
-        events = three_sigma_alerts(vals, 0.0, 1.0, 0, 500, "a",
-                                    AlertSource.METRIC_CHANNEL, "m")
-        assert [e.direction.value for e in events] == ["HIGH", "LOW", "HIGH"]
-        assert [e.t_ms for e in events] == [0, 500, 1000]
+        assert run_starts([4.0, -4.0, 4.0]) == [(0, "HIGH"), (1, "LOW"), (2, "HIGH")]
 
     def test_low_alert_and_custom_stats(self):
-        events = three_sigma_alerts(np.array([10.0, 1.0]), 10.0, 2.0, 0, 1000, "a",
-                                    AlertSource.TEMPLATE_RATE, "template:3")
-        assert len(events) == 1 and events[0].direction is AlertDirection.LOW
+        assert run_starts([10.0, 1.0], mu=10.0, sigma=2.0) == [(1, "LOW")]
+
+    def test_rows_use_their_own_thresholds(self):
+        # row-major run starts: row 0 at (0, 1), row 1 at (10, 2)
+        values = np.array([[4.0, 4.0, 0.0], [10.0, 17.0, 3.0]])
+        rows, buckets, high = three_sigma_alerts(values, np.array([[0.0, 1.0], [10.0, 2.0]]))
+        assert rows.tolist() == [0, 1, 1] and buckets.tolist() == [0, 1, 2]
+        assert high.tolist() == [True, True, False]
+
+
+class TestNodeAlerts:
+    def test_tokens_times_and_identifier_order(self):
+        # one node, one metric channel, templates 0..11 (11 is UNK) and the
+        # trace rows; alerts in one bucket sort by identifier as a string,
+        # so template:10 precedes template:2, and metric < template < trace
+        T = 4
+        metric_z = np.zeros((1, 1, T))
+        metric_z[0, 0, 2] = 5.0
+        log_counts = np.zeros((1, 12, T))
+        log_counts[0, [2, 10], 2] = 9.0
+        log_counts[0, 3, 1] = -9.0
+        trace_z = np.zeros((1, len(TRACE_STAT_NAMES), T))
+        trace_z[0, 0, 2] = 4.0
+        tf = SimpleNamespace(selected_channels=["cpu"], bucket_ms=500,
+                             template_stats=np.tile([0.0, 1.0], (1, 12, 1)))
+        [(times, tokens)] = _alerts(metric_z, log_counts, trace_z, tf)
+        assert times.tolist() == [500, 1000, 1000, 1000, 1000]
+        assert tokens.tolist() == ["template:3:LOW", "metric:cpu:HIGH", "template:10:HIGH",
+                                   "template:2:HIGH", "trace:lat_mean:HIGH"]
 
 
 def span_array(records, nodes=("a", "b")) -> np.ndarray:
@@ -204,34 +226,32 @@ class TestTraceFeatures:
 
 class TestCompressMetrics:
     def test_k_equals_all_is_identity(self):
-        series = {ch: np.random.default_rng(0).normal(size=50) for ch in ("a", "b", "c")}
-        assert compress_metrics(series, 3, 50, prng_new(0)) == ["a", "b", "c"]
+        rows = np.random.default_rng(0).normal(size=(3, 50))
+        assert compress_metrics(rows, 3, prng_new(0)) == [0, 1, 2]
 
     def test_selects_k_representatives_deterministically(self):
         rng = np.random.default_rng(1)
         base1, base2 = rng.normal(size=200), rng.normal(size=200)
-        series = {
-            "a1": base1, "a2": base1 + 0.01 * rng.normal(size=200),
-            "b1": base2, "b2": base2 + 0.01 * rng.normal(size=200),
-        }
-        picked = compress_metrics(series, 2, 200, prng_new(5))
+        names = ["a1", "a2", "b1", "b2"]
+        rows = np.stack([base1, base1 + 0.01 * rng.normal(size=200),
+                         base2, base2 + 0.01 * rng.normal(size=200)])
+        picked = compress_metrics(rows, 2, prng_new(5))
         assert len(picked) == 2
-        assert picked == compress_metrics(series, 2, 200, prng_new(5))
+        assert picked == compress_metrics(rows, 2, prng_new(5))
         # one representative per correlated family
-        assert {ch[0] for ch in picked} == {"a", "b"}
+        assert {names[i][0] for i in picked} == {"a", "b"}
 
 
 class TestCorrelationEmbedding:
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=40)
-        series = {"a": base, "b": 2 * base + rng.normal(size=40), "c": np.full(40, 4.0),
-                  "d": rng.normal(size=40), "e": -base}
-        keys, corr = _correlation_embedding(series, 30)
-        assert keys == ["a", "b", "c", "d", "e"]
-        # reference: population correlation pair by pair over the first 30
+        keys = ["a", "b", "c", "d", "e"]
+        rows = np.stack([base, 2 * base + rng.normal(size=40), np.full(40, 4.0),
+                         rng.normal(size=40), -base])[:, :30]
+        corr = _correlation_embedding(rows)
+        # reference: population correlation pair by pair over the 30
         # samples; constant channels are uncorrelated with everything
-        rows = np.stack([series[k][:30] for k in keys])
         sigma = rows.std(axis=1)
         centered = rows - rows.mean(axis=1, keepdims=True)
         want = np.eye(len(keys))
@@ -350,7 +370,7 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
 
 def fit(stream, train_end_ms, prng):
     """fit_transforms on the stream's own metric grid: (tf, model inputs)."""
-    return fit_transforms(stream, _metric_grid(stream)[0], train_end_ms, prng)
+    return fit_transforms(stream, *_metric_grid(stream), train_end_ms, prng)
 
 
 class TestTransforms:
@@ -399,15 +419,19 @@ class TestTransforms:
 
     def test_apply_shapes_and_trace_segment(self):
         stream = quiet_stream()
-        metrics, duration_ms = _metric_grid(stream)
-        tf, inputs = fit_transforms(stream, metrics, 120_000, prng_new(1).child("p"))
+        grid, channels = _metric_grid(stream)
+        assert channels == ["cpu", "qps"]
+        tf, inputs = fit_transforms(stream, grid, channels, 120_000, prng_new(1).child("p"))
         metric_z, log_counts, trace_z, alerts = inputs
-        n, T = len(stream.nodes), duration_ms // BUCKET_MS
+        n, T = len(stream.nodes), 240
         assert metric_z.shape == (n, len(tf.selected_channels), T)
         assert log_counts.shape == (n, tf.table.n_templates + 1, T)
         # model windows carry latency + error rows only; count informs alerts
         assert trace_z.shape == (n, len(TRACE_SEGMENT_STATS), T)
-        assert set(alerts) == set(stream.nodes)
+        assert grid.shape == (n, len(channels), T)
+        assert len(alerts) == n
+        for times, tokens in alerts:
+            assert times.shape == tokens.shape and np.all(np.diff(times) >= 0)
         assert {EMPTY_TOKEN: 0, UNK_TOKEN: 1}.items() <= tf.alert_vocab.items()
         ids = sorted(tf.alert_vocab.values())
         assert ids == list(range(len(ids)))
@@ -441,9 +465,22 @@ class TestTransforms:
     def test_error_rate_uses_fixed_scale(self):
         stream = quiet_stream()
         tf, _ = fit(stream, 120_000, prng_new(1).child("p"))
-        for node in stream.nodes:
-            mu, sigma = tf.trace_stats[f"{node}/err_rate"]
-            assert (mu, sigma) == (0.0, 0.1)
+        err = tf.trace_stats[:, TRACE_STAT_NAMES.index("err_rate")]
+        assert err.tolist() == [[0.0, 0.1]] * len(stream.nodes)
+
+    def test_to_json_keys_follow_the_array_layout(self):
+        stream = quiet_stream()
+        tf, _ = fit(stream, 120_000, prng_new(1).child("p"))
+        scaler = json.loads(tf.to_json())
+        nodes, K = stream.nodes, tf.table.n_templates
+        assert tf.metric_stats.shape == (3, 2, 2)
+        assert set(scaler["metric_stats"]) == {f"{n}/{c}" for n in nodes for c in ("cpu", "qps")}
+        assert scaler["metric_stats"]["b/qps"] == tf.metric_stats[1, 1].tolist()
+        assert tf.template_stats.shape == (3, K + 1, 2)
+        assert set(scaler["template_stats"]) == {f"{n}/{k}" for n in nodes for k in range(K + 1)}
+        assert scaler["template_stats"][f"c/{K}"] == tf.template_stats[2, K].tolist()
+        assert tf.trace_stats.shape == (3, len(TRACE_STAT_NAMES), 2)
+        assert scaler["trace_stats"]["a/count"] == tf.trace_stats[0, 2].tolist()
 
 
 class TestPreprocessStream:
@@ -484,7 +521,7 @@ class TestPreprocessStream:
     def test_one_pass_over_the_timeline(self, monkeypatch):
         calls = Counter()
         names = ("_metric_grid", "mine_templates", "template_series", "trace_features",
-                 "_assemble_alerts")
+                 "apply_transforms")
         for name in names:
             def counted(*args, _fn=getattr(preprocess, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -544,6 +581,40 @@ class TestPreprocessStream:
         faults = []
         with pytest.raises(ValueError, match="windows after guards|too few"):
             preprocess_stream(stream, faults, 30_000, 30_000, prng_new(0).child("p"))
+
+
+class TestWindowsFromBytes:
+    @staticmethod
+    def parse_error(raw: bytes) -> ParseError:
+        with pytest.raises(ParseError) as info:
+            windows_from_bytes(raw)
+        return info.value
+
+    def test_truncated_line(self, tiny_bundle):
+        lines = tiny_bundle[2].split(b"\n")
+        lines[5] = lines[5][:100]
+        err = self.parse_error(b"\n".join(lines))
+        assert (err.line_no, err.field) == (6, "record")
+        assert str(err).startswith("line 6, field 'record': invalid JSON")
+
+    def test_unknown_split(self, tiny_bundle):
+        lines = tiny_bundle[2].split(b"\n")
+        assert b'"split":"train"' in lines[1]
+        lines[1] = lines[1].replace(b'"split":"train"', b'"split":"dev"')
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == "line 2, field 'split': unknown split 'dev'"
+
+    def test_missing_header(self, tiny_bundle):
+        err = self.parse_error(tiny_bundle[2].split(b"\n", 1)[1])
+        assert str(err) == "line 1, field 'kind': first line must be the header"
+
+    def test_missing_field(self, tiny_bundle):
+        lines = tiny_bundle[2].split(b"\n")
+        rec = json.loads(lines[3])
+        del rec["end_ms"]
+        lines[3] = json.dumps(rec).encode()
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == "line 4, field 'end_ms': missing"
 
 
 class TestDatasetPremise:

@@ -102,6 +102,8 @@ def test_stream_values_survive_at_micro_resolution():
         (b'{"kind":"metric","t_ms":0}', "kind"),
         (b'{"kind":"header","version":1,"nodes":["a"]}\n{"kind":"metric"}', "t_ms"),
         (b'{"kind":"header","version":1,"nodes":["a"]}\nnot json', "record"),
+        (b'{"kind":"header","version":1,"nodes":["a"]}\n[1]', "record"),
+        (b'{"kind":"header","version":1}', "nodes"),
         (
             b'{"kind":"header","version":1,"nodes":["a"]}\n'
             b'{"kind":"wat","t_ms":0,"node":"a"}',

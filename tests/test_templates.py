@@ -96,8 +96,9 @@ def test_json_round_trip_preserves_matching():
         "job 7 done",
     ])
     d = json.loads(table.to_json())
-    back = TemplateTable(templates=[tuple(t) for t in d["templates"]], depth=d["depth"],
-                         sim_threshold=d["sim_threshold"])
+    # the routing parameters are fixed, and recorded beside the templates
+    assert (d["depth"], d["sim_threshold"]) == (3, 0.5)
+    back = TemplateTable(templates=[tuple(t) for t in d["templates"]])
     assert back.n_templates == table.n_templates
     for line in ("connect to 10.0.0.3 failed", "user 9 logged in", "job 1 done", "???"):
         assert back.match(line) == table.match(line)
@@ -105,24 +106,26 @@ def test_json_round_trip_preserves_matching():
 
 def test_template_series_counts_and_conservation():
     table = mine_templates(["tick 1", "boom happened now"])
-    logs = {
-        "a": [(0, "tick 5"), (500, "tick 6"), (1500, "boom happened now")],
-        "b": [(2500, "tick 7")],
-    }
+    logs = [
+        [(0, "tick 5"), (500, "tick 6"), (1500, "boom happened now")],
+        [(2500, "tick 7")],
+        [],
+    ]
     series = template_series(table, logs, bucket_ms=1000, start_ms=0, end_ms=3000)
-    # rows: one per template plus the UNK row; columns: 3 buckets
-    assert series["a"].shape == (table.n_templates + 1, 3)
+    # one block per node; rows: one per template plus the UNK row; columns: 3 buckets
+    assert series.shape == (3, table.n_templates + 1, 3)
+    a, b, c = series
     tick, boom = table.match("tick 9"), table.match("boom happened now")
-    assert series["a"][tick].tolist() == [2, 0, 0]
-    assert series["a"][boom].tolist() == [0, 1, 0]
-    assert series["b"][tick].tolist() == [0, 0, 1]
+    assert a[tick].tolist() == [2, 0, 0]
+    assert a[boom].tolist() == [0, 1, 0]
+    assert b[tick].tolist() == [0, 0, 1]
     # conservation: every line lands in exactly one cell
-    assert series["a"].sum() == 3 and series["b"].sum() == 1
+    assert a.sum() == 3 and b.sum() == 1 and c.sum() == 0
 
 
 def test_template_series_rejects_lines_outside_range():
     table = mine_templates(["tick 1"])
-    logs = {"a": [(0, "tick 1"), (5000, "tick 1")]}
+    logs = [[(0, "tick 1"), (5000, "tick 1")]]
     with pytest.raises(ValueError, match="outside series range"):
         template_series(table, logs, bucket_ms=1000, start_ms=0, end_ms=3000)
 
