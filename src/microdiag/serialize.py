@@ -12,11 +12,25 @@ For spans, "node" is the reporting (caller) side; in memory a span is a
 `SPAN_DTYPE` record with node indices and an `error` flag. Serialization is
 canonical: identical streams always produce identical bytes. All CSV reports
 are UTF-8 with a header row and LF line endings.
+
+The writer emits, for each record, the bytes `json.dumps(record_dict,
+separators=(",", ":"))` would: one string template per record kind, with
+names and log text quoted by `json.dumps` (so non-ASCII is escaped) and each
+float written as `json.dumps` writes `round(float(x), 6)` (`float.__repr__`,
+or NaN / Infinity / -Infinity). Records are ordered by one stable sort on
+(t_ms, kind), kinds in the order metric, log, span.
+
+The reader splits lines at b"\\n", b"\\r\\n" and b"\\r" only
+(`bytes.splitlines`), so a raw U+2028, U+0085 or form feed inside a line is
+part of that line. It parses `_BLOCK_LINES` lines per `json.loads` call and
+reads a block line by line when that parse cannot vouch for one object per
+line; a malformed file raises the ParseError of its first bad line either way.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -45,6 +59,8 @@ __all__ = [
 ]
 
 _HEADER_VERSION = 1
+# Lines parsed by one `json.loads` call when reading telemetry.
+_BLOCK_LINES = 4096
 
 
 class ParseError(ValueError):
@@ -56,42 +72,67 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}, field {field!r}: {detail}")
 
 
-def _fnum(x: float) -> float:
-    """Round floats for emission; keeps files compact and reruns byte-stable."""
-    return round(float(x), 6)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values) -> list[str]:
+    """Each value as `json.dumps` writes `round(float(v), 6)`: the rounding
+    keeps files compact and reruns byte-stable."""
+    rounded = [round(v, 6) for v in map(float, values)]
+    texts = list(map(float.__repr__, rounded))
+    if not math.isfinite(sum(rounded)):  # a NaN or an infinity, or a sum past the float range
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
 
 
 def serialize_stream(stream: TelemetryStream) -> bytes:
     """Encode a telemetry stream as canonical JSONL bytes."""
     stream.validate()
-    lines = [
-        json.dumps(
-            {"kind": "header", "version": _HEADER_VERSION, "nodes": list(stream.nodes)},
-            separators=(",", ":"),
-        )
-    ]
-    records: list[tuple[int, int, str]] = []  # (t_ms, tiebreak, json) per record
-    for node in stream.nodes:
-        for channel in sorted(stream.metrics.get(node, {})):
-            for t_ms, value in stream.metrics[node][channel]:
-                obj = {"kind": "metric", "t_ms": t_ms, "node": node,
-                       "channel": channel, "value": _fnum(value)}
-                records.append((t_ms, 0, json.dumps(obj, separators=(",", ":"))))
-    for node in stream.nodes:
-        for t_ms, text in stream.logs.get(node, []):
-            obj = {"kind": "log", "t_ms": t_ms, "node": node, "text": text}
-            records.append((t_ms, 1, json.dumps(obj, separators=(",", ":"))))
-    names = stream.nodes
-    for t_ms, caller, callee, latency_ms, error in stream.spans.tolist():
-        obj = {"kind": "span", "t_ms": t_ms, "node": names[caller], "caller": names[caller],
-               "callee": names[callee], "latency_ms": _fnum(latency_ms),
-               "status": "error" if error else "ok"}
-        records.append((t_ms, 2, json.dumps(obj, separators=(",", ":"))))
-    # Stable sort: by time, then kind; within a kind the construction order
-    # above is already canonical (node, then channel, then time).
-    records.sort(key=lambda r: (r[0], r[1]))
-    lines.extend(r[2] for r in records)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    header = json.dumps(
+        {"kind": "header", "version": _HEADER_VERSION, "nodes": list(stream.nodes)},
+        separators=(",", ":"),
+    )
+    quoted = [json.dumps(node) for node in stream.nodes]
+    # Records in construction order: metrics by node, channel, time; logs by
+    # node, time; spans in array order. One stable sort by (t_ms, kind) then
+    # gives the file order.
+    records: list[str] = []
+    times: list[int] = []
+    for node, q in zip(stream.nodes, quoted):
+        channels = stream.metrics.get(node, {})
+        for channel in sorted(channels):
+            if not channels[channel]:
+                continue
+            ts, values = zip(*channels[channel])
+            mid = f',"node":{q},"channel":{json.dumps(channel)},"value":'
+            records += [f'{{"kind":"metric","t_ms":{t}{mid}{v}}}'
+                        for t, v in zip(ts, _float_texts(values))]
+            times += ts
+    n_metric = len(records)
+    for node, q in zip(stream.nodes, quoted):
+        if not stream.logs.get(node):
+            continue
+        ts, texts = zip(*stream.logs[node])
+        records += [f'{{"kind":"log","t_ms":{t},"node":{q},"text":{json.dumps(text)}}}'
+                    for t, text in zip(ts, texts)]
+        times += ts
+    n_log = len(records) - n_metric
+    sp = stream.spans
+    # one text per (caller, callee) pair that occurs
+    pairs, pair_of = np.unique(sp["caller"] * len(quoted) + sp["callee"], return_inverse=True)
+    callers, callees = np.divmod(pairs, len(quoted))
+    mids = [f',"node":{quoted[a]},"caller":{quoted[a]},"callee":{quoted[b]},"latency_ms":'
+            for a, b in zip(callers.tolist(), callees.tolist())]
+    status = (',"status":"ok"}', ',"status":"error"}')
+    records += [f'{{"kind":"span","t_ms":{t}{mids[p]}{lat}{status[e]}'
+                for t, p, lat, e in zip(sp["t_ms"].tolist(), pair_of.tolist(),
+                                        _float_texts(sp["latency_ms"].tolist()),
+                                        sp["error"].tolist())]
+    kind = np.repeat(np.arange(3, dtype=np.int8), (n_metric, n_log, len(sp)))
+    order = np.lexsort((kind, np.concatenate((np.array(times, dtype=np.int64), sp["t_ms"]))))
+    text = "\n".join([header, *[records[i] for i in order.tolist()], ""])
+    del records  # freed before the text is copied to bytes, the writer's peak
+    return text.encode("utf-8")
 
 
 def _require(obj: dict, field: str, line_no: int):
@@ -123,57 +164,98 @@ def header_line(lines: list[str]) -> dict:
     return header
 
 
+def _block_records(block: list[bytes]) -> list | None:
+    """The block's records from one `json.loads`, or None when that parse
+    cannot vouch for one JSON object per line (the block is then read line by
+    line). The lines are joined with "\\n," inside brackets. A JSON string
+    cannot hold a raw newline, so no string spans two lines; every line opens
+    with "{", so no separator falls inside an object, where a key must follow
+    a comma; and with no "[" in the block the only array is the outer one.
+    Each line then holds at least one value, and len(block) values means
+    exactly one each."""
+    body = b"\n,".join(block)
+    if b"[" in body or body[:1] != b"{" or body.count(b"\n,{") != len(block) - 1:
+        return None
+    try:
+        objs = json.loads(b"[" + body + b"]")
+    except (ValueError, RecursionError):
+        return None
+    return objs if len(objs) == len(block) else None
+
+
+def _records(lines: list[bytes]):
+    """(line number, object) for each non-blank line after the header, in
+    file order; a line that is not a JSON object raises its ParseError when
+    reached."""
+    for start in range(1, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        objs = _block_records(block)
+        if objs is not None:
+            yield from enumerate(objs, start + 1)
+            continue
+        for idx, raw in enumerate(block, start + 1):
+            text = raw.decode("utf-8")
+            if text.strip():
+                yield idx, json_line(text, idx, "record")
+
+
 def deserialize_stream(data: bytes) -> TelemetryStream:
     """Decode JSONL bytes back into a validated TelemetryStream."""
-    text = data.decode("utf-8")
-    lines = text.splitlines()
-    nodes = tuple(header_line(lines)["nodes"])
+    if not data.isascii():
+        data.decode("utf-8")  # invalid UTF-8 fails before any line is read
+    lines = data.splitlines()
+    nodes = tuple(header_line([line.decode("utf-8") for line in lines[:1]])["nodes"])
     known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, list[tuple[int, float]]]] = {}
     logs: dict[str, list[tuple[int, str]]] = {}
-    spans: list[tuple] = []  # SPAN_DTYPE rows
-    for idx, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        obj = json_line(raw, idx, "record")
-        kind = _require(obj, "kind", idx)
-        t_ms = _require(obj, "t_ms", idx)
-        if not isinstance(t_ms, int):
-            raise ParseError(idx, "t_ms", f"expected integer, got {t_ms!r}")
-        node = _require(obj, "node", idx)
-        if node not in known:
-            raise ParseError(idx, "node", f"unknown node {node!r}")
-        if kind == "metric":
-            channel = _require(obj, "channel", idx)
-            value = _require(obj, "value", idx)
-            series = metrics.setdefault(node, {}).setdefault(channel, [])
-            if series and t_ms < series[-1][0]:
-                raise ParseError(idx, "t_ms",
-                                 f"non-monotone timestamp in metric {node}/{channel}")
-            series.append((t_ms, float(value)))
-        elif kind == "log":
-            text_field = _require(obj, "text", idx)
-            series = logs.setdefault(node, [])
-            if series and t_ms < series[-1][0]:
-                raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
-            series.append((t_ms, str(text_field)))
-        elif kind == "span":
-            caller = known.get(_require(obj, "caller", idx))
-            callee = known.get(_require(obj, "callee", idx))
-            if caller is None or callee is None:
-                raise ParseError(idx, "caller", f"unknown span endpoint on line {idx}")
-            if spans and t_ms < spans[-1][0]:
-                raise ParseError(idx, "t_ms", "non-monotone timestamp in spans")
-            status = _require(obj, "status", idx)
-            if status not in ("ok", "error"):
-                raise ParseError(idx, "status", f"expected 'ok' or 'error', got {status!r}")
-            spans.append((t_ms, caller, callee, float(_require(obj, "latency_ms", idx)),
-                          status == "error"))
-        else:
-            raise ParseError(idx, "kind", f"unknown kind {kind!r}")
-    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
-                             spans=np.array(spans, dtype=SPAN_DTYPE))
+    span_cols = span_t, span_caller, span_callee, span_latency, span_error = [], [], [], [], []
+    for idx, obj in _records(lines):
+        try:
+            kind, t_ms = obj["kind"], obj["t_ms"]
+            if not isinstance(t_ms, int):
+                raise ParseError(idx, "t_ms", f"expected integer, got {t_ms!r}")
+            node = obj["node"]
+            if node not in known:
+                raise ParseError(idx, "node", f"unknown node {node!r}")
+            if kind == "metric":
+                channel, value = obj["channel"], obj["value"]
+                series = metrics.setdefault(node, {}).get(channel)
+                if series is None:
+                    series = metrics[node][channel] = []
+                elif t_ms < series[-1][0]:
+                    raise ParseError(idx, "t_ms",
+                                     f"non-monotone timestamp in metric {node}/{channel}")
+                series.append((t_ms, float(value)))
+            elif kind == "log":
+                text_field = obj["text"]
+                series = logs.setdefault(node, [])
+                if series and t_ms < series[-1][0]:
+                    raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
+                series.append((t_ms, str(text_field)))
+            elif kind == "span":
+                caller, callee = known.get(obj["caller"]), known.get(obj["callee"])
+                if caller is None or callee is None:
+                    raise ParseError(idx, "caller", f"unknown span endpoint on line {idx}")
+                if span_t and t_ms < span_t[-1]:
+                    raise ParseError(idx, "t_ms", "non-monotone timestamp in spans")
+                status = obj["status"]
+                if status not in ("ok", "error"):
+                    raise ParseError(idx, "status",
+                                     f"expected 'ok' or 'error', got {status!r}")
+                span_t.append(t_ms)
+                span_caller.append(caller)
+                span_callee.append(callee)
+                span_latency.append(float(obj["latency_ms"]))
+                span_error.append(status == "error")
+            else:
+                raise ParseError(idx, "kind", f"unknown kind {kind!r}")
+        except KeyError as exc:  # only a field lookup on `obj` raises it
+            raise ParseError(idx, exc.args[0], "missing") from None
+    spans = np.empty(len(span_t), dtype=SPAN_DTYPE)
+    for name, col in zip(SPAN_DTYPE.names, span_cols):
+        spans[name] = col
+    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
     stream.validate()
     return stream
 
@@ -216,7 +298,7 @@ def faults_from_json(text: str) -> list[FaultSpec]:
 def save_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
     """Write named f64 tensors as a single JSON file (name -> shape + row-major values)."""
     payload = {
-        name: {"shape": list(arr.shape), "values": [float(v) for v in arr.ravel()]}
+        name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
         for name, arr in params.items()
     }
     atomic_write_text(path, json.dumps(payload) + "\n")

@@ -1,4 +1,5 @@
-"""Round-trip and canonicality properties of the file formats."""
+"""Round-trip and canonicality properties of the file formats, and the
+telemetry codec against the one-`json`-call-per-record codec it replaced."""
 
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from microdiag.serialize import (
     ParseError,
+    _BLOCK_LINES,
     atomic_write_text,
     deserialize_stream,
     faults_from_json,
@@ -20,39 +22,185 @@ from microdiag.serialize import (
     serialize_stream,
     write_csv,
 )
+from microdiag.simulator import PRESET_FAULT_MIX, ScenarioSpec
+from microdiag.train_eval import simulate_scenario
 from microdiag.types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 # values stored at 6-decimal resolution survive the stream format exactly
 micro_floats = st.integers(min_value=-(10**9), max_value=10**9).map(lambda n: n / 1e6)
-node_names = st.sampled_from(("a", "b", "c"))
+# floats whose text is not a plain decimal: exponent reprs, signed zeros,
+# values that round to -0.0, non-finite values, and any double at all
+wide_floats = st.one_of(
+    micro_floats,
+    st.sampled_from((1e-06, 1.5e+16, -0.0, -1e-09, -4e-07, 1e300, 5e-324,
+                     float("nan"), float("inf"), float("-inf"))),
+    st.floats(),
+)
+# names and log text that JSON must escape: quotes, backslashes, non-ASCII,
+# line and paragraph separators, control characters
+wide_names = st.one_of(st.sampled_from(('q"uote', "back\\slash", "n\u00e9\u00fc", "\u2603")),
+                       st.text(min_size=1, max_size=5))
+wide_texts = st.one_of(
+    st.sampled_from(("start", "caf\u00e9 \u65e5\u672c", "a\u2028b\u2029c", "\x00\x1f\x7f\x85\r\n\t",
+                     'say "hi" \\ bye')),
+    st.text(max_size=12),
+)
 
 
 @st.composite
-def streams(draw):
+def streams(draw, wide=False):
+    names = st.sampled_from(("a", "b", "c"))
     nodes = ("a", "b", "c")
+    if wide:
+        nodes = tuple(draw(st.lists(wide_names, min_size=3, max_size=3, unique=True)))
+        names = st.sampled_from(nodes)
+    channel_names = wide_names if wide else st.sampled_from(("cpu", "mem"))
+    floats = wide_floats if wide else micro_floats
+    texts = wide_texts if wide else st.sampled_from(("start", "stop req=1", "oom"))
     metrics = {}
-    for node in draw(st.sets(node_names, max_size=3)):
+    for node in draw(st.sets(names, max_size=3)):
         channels = {}
-        for ch in draw(st.sets(st.sampled_from(("cpu", "mem")), max_size=2)):
+        for ch in draw(st.sets(channel_names, max_size=2)):
             n = draw(st.integers(0, 5))
             times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)))
-            channels[ch] = [(t, draw(micro_floats)) for t in times]
+            channels[ch] = [(t, draw(floats)) for t in times]
         metrics[node] = channels
     logs = {}
-    for node in draw(st.sets(node_names, max_size=3)):
+    for node in draw(st.sets(names, max_size=3)):
         n = draw(st.integers(0, 4))
         times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)))
-        logs[node] = [(t, draw(st.sampled_from(("start", "stop req=1", "oom"))))
-                      for t in times]
+        logs[node] = [(t, draw(texts)) for t in times]
     n_spans = draw(st.integers(0, 5))
     span_times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n_spans, max_size=n_spans)))
     spans = []
     for t in span_times:
         caller = draw(st.integers(0, 2))
         callee = draw(st.integers(0, 2).filter(lambda x: x != caller))
-        spans.append((t, caller, callee, abs(draw(micro_floats)), draw(st.booleans())))
+        latency = draw(floats) if wide else abs(draw(floats))
+        spans.append((t, caller, callee, latency, draw(st.booleans())))
     return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
                            spans=np.array(spans, dtype=SPAN_DTYPE))
+
+
+def reference_serialize(stream: TelemetryStream) -> bytes:
+    """The encoder the template writer replaced: one dict and one
+    `json.dumps` per record."""
+    def fnum(x):
+        return round(float(x), 6)
+
+    stream.validate()
+    lines = [json.dumps({"kind": "header", "version": 1, "nodes": list(stream.nodes)},
+                        separators=(",", ":"))]
+    records = []
+    for node in stream.nodes:
+        for channel in sorted(stream.metrics.get(node, {})):
+            for t_ms, value in stream.metrics[node][channel]:
+                obj = {"kind": "metric", "t_ms": t_ms, "node": node,
+                       "channel": channel, "value": fnum(value)}
+                records.append((t_ms, 0, json.dumps(obj, separators=(",", ":"))))
+    for node in stream.nodes:
+        for t_ms, text in stream.logs.get(node, []):
+            obj = {"kind": "log", "t_ms": t_ms, "node": node, "text": text}
+            records.append((t_ms, 1, json.dumps(obj, separators=(",", ":"))))
+    names = stream.nodes
+    for t_ms, caller, callee, latency_ms, error in stream.spans.tolist():
+        obj = {"kind": "span", "t_ms": t_ms, "node": names[caller], "caller": names[caller],
+               "callee": names[callee], "latency_ms": fnum(latency_ms),
+               "status": "error" if error else "ok"}
+        records.append((t_ms, 2, json.dumps(obj, separators=(",", ":"))))
+    records.sort(key=lambda r: (r[0], r[1]))
+    lines.extend(r[2] for r in records)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_deserialize(data: bytes) -> TelemetryStream:
+    """The decoder the block reader replaced: the text decoded whole, split
+    with `str.splitlines`, one `json.loads` per line."""
+    def require(obj, field, line_no):
+        if field not in obj:
+            raise ParseError(line_no, field, "missing")
+        return obj[field]
+
+    def json_line(line, line_no, field):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, field, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, field, "expected a JSON object")
+        return obj
+
+    lines = data.decode("utf-8").splitlines()
+    if not lines:
+        raise ParseError(1, "kind", "empty input, expected a header line")
+    header = json_line(lines[0], 1, "header")
+    if header.get("kind") != "header":
+        raise ParseError(1, "kind", "first line must be the header")
+    nodes = tuple(require(header, "nodes", 1))
+    known = {name: i for i, name in enumerate(nodes)}
+    metrics, logs, spans = {}, {}, []
+    for idx, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        obj = json_line(raw, idx, "record")
+        kind = require(obj, "kind", idx)
+        t_ms = require(obj, "t_ms", idx)
+        if not isinstance(t_ms, int):
+            raise ParseError(idx, "t_ms", f"expected integer, got {t_ms!r}")
+        node = require(obj, "node", idx)
+        if node not in known:
+            raise ParseError(idx, "node", f"unknown node {node!r}")
+        if kind == "metric":
+            channel = require(obj, "channel", idx)
+            value = require(obj, "value", idx)
+            series = metrics.setdefault(node, {}).setdefault(channel, [])
+            if series and t_ms < series[-1][0]:
+                raise ParseError(idx, "t_ms", f"non-monotone timestamp in metric {node}/{channel}")
+            series.append((t_ms, float(value)))
+        elif kind == "log":
+            text_field = require(obj, "text", idx)
+            series = logs.setdefault(node, [])
+            if series and t_ms < series[-1][0]:
+                raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
+            series.append((t_ms, str(text_field)))
+        elif kind == "span":
+            caller = known.get(require(obj, "caller", idx))
+            callee = known.get(require(obj, "callee", idx))
+            if caller is None or callee is None:
+                raise ParseError(idx, "caller", f"unknown span endpoint on line {idx}")
+            if spans and t_ms < spans[-1][0]:
+                raise ParseError(idx, "t_ms", "non-monotone timestamp in spans")
+            status = require(obj, "status", idx)
+            if status not in ("ok", "error"):
+                raise ParseError(idx, "status", f"expected 'ok' or 'error', got {status!r}")
+            spans.append((t_ms, caller, callee, float(require(obj, "latency_ms", idx)),
+                          status == "error"))
+        else:
+            raise ParseError(idx, "kind", f"unknown kind {kind!r}")
+    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                             spans=np.array(spans, dtype=SPAN_DTYPE))
+    stream.validate()
+    return stream
+
+
+def typed(series):
+    """A series with each field's type and exact bits (NaN and -0.0 included)."""
+    return [tuple((type(x), x.hex() if isinstance(x, float) else x) for x in rec)
+            for rec in series]
+
+
+def assert_field_equal(got: TelemetryStream, want: TelemetryStream):
+    assert got.nodes == want.nodes
+    assert list(got.metrics) == list(want.metrics)
+    for node, channels in want.metrics.items():
+        assert list(got.metrics[node]) == list(channels)
+        for ch, series in channels.items():
+            assert typed(got.metrics[node][ch]) == typed(series)
+    assert list(got.logs) == list(want.logs)
+    for node, lines in want.logs.items():
+        assert typed(got.logs[node]) == typed(lines)
+    assert got.spans.dtype == SPAN_DTYPE and got.spans.shape == want.spans.shape
+    assert got.spans.tobytes() == want.spans.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,6 +226,129 @@ def test_stream_round_trip_exact(stream):
 @given(streams())
 def test_stream_serialization_canonical(stream):
     assert serialize_stream(stream) == serialize_stream(stream)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(streams(), streams(wide=True)))
+def test_writer_matches_reference_encoder(stream):
+    assert serialize_stream(stream) == reference_serialize(stream)
+
+
+def test_writer_matches_reference_encoder_on_benchmark_scenario():
+    # the benchmark's staged scenario: 12 nodes, 1800 s, 12 faults, seed 0
+    spec = ScenarioSpec(n_nodes=12, edge_density=2.0, duration_s=1800, n_faults=12,
+                        fault_mix=dict(PRESET_FAULT_MIX))
+    _, _, stream = simulate_scenario(spec, 0)
+    assert serialize_stream(stream) == reference_serialize(stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(streams(), streams(wide=True)))
+def test_reader_matches_reference_decoder(stream):
+    data = serialize_stream(stream)
+    assert_field_equal(deserialize_stream(data), reference_deserialize(data))
+
+
+def test_reader_matches_reference_decoder_over_many_blocks(tiny_sim):
+    data = serialize_stream(tiny_sim[3])
+    assert data.count(b"\n") > 3 * _BLOCK_LINES
+    assert_field_equal(deserialize_stream(data), reference_deserialize(data))
+
+
+HEADER = b'{"kind":"header","version":1,"nodes":["a","b"]}'
+
+
+def metric_line(t: int, node: str = "a") -> bytes:
+    return b'{"kind":"metric","t_ms":%d,"node":"%s","channel":"cpu","value":0.5}' % (
+        t, node.encode())
+
+
+def file_with(bad: dict[int, bytes], n_lines: int = 2 * _BLOCK_LINES + 100,
+              sep: bytes = b"\n") -> bytes:
+    """A valid metric file of `n_lines` lines with lines replaced by number."""
+    lines = [HEADER] + [metric_line(t) for t in range(n_lines - 1)]
+    for line_no, text in bad.items():
+        lines[line_no - 1] = text
+    return sep.join(lines) + sep
+
+
+PAST_FIRST_BLOCK = _BLOCK_LINES + 500
+TWO_ON_ONE_LINE = metric_line(11) + b"," + metric_line(12)
+
+
+@pytest.mark.parametrize(
+    "bad, sep",
+    [
+        pytest.param({PAST_FIRST_BLOCK: b"not json"}, b"\n", id="json-past-first-block"),
+        pytest.param({PAST_FIRST_BLOCK: b"[1, 2]"}, b"\n", id="array-past-first-block"),
+        pytest.param({PAST_FIRST_BLOCK: b'{"kind":"metric","t_ms":1.5,"node":"a"}'}, b"\n",
+                     id="float-t_ms-past-first-block"),
+        pytest.param({PAST_FIRST_BLOCK: metric_line(0)}, b"\n", id="non-monotone-past-first-block"),
+        pytest.param({PAST_FIRST_BLOCK: metric_line(PAST_FIRST_BLOCK, "zz")}, b"\n",
+                     id="unknown-node-past-first-block"),
+        pytest.param({PAST_FIRST_BLOCK: metric_line(PAST_FIRST_BLOCK, "zz"),
+                      PAST_FIRST_BLOCK + 10: b'{"kind":'}, b"\n",
+                     id="unknown-node-then-json-error-in-one-block"),
+        pytest.param({PAST_FIRST_BLOCK: b'{"kind":',
+                      PAST_FIRST_BLOCK + 10: metric_line(PAST_FIRST_BLOCK, "zz")}, b"\n",
+                     id="json-error-then-unknown-node-in-one-block"),
+        pytest.param({3: b"", 7: b"   ", PAST_FIRST_BLOCK: b"", PAST_FIRST_BLOCK + 1: b"oops"},
+                     b"\r\n", id="blank-lines-crlf"),
+        pytest.param({2: b"\t", PAST_FIRST_BLOCK: b'{"kind":"log","t_ms":1}'}, b"\r",
+                     id="blank-lines-cr"),
+        # lines that are not one object each, though the joined block can
+        # still hold one value per line
+        pytest.param({12: TWO_ON_ONE_LINE}, b"\n", id="two-objects-on-one-line"),
+        pytest.param({10: b'{"kind":"log","t_ms":9,"node":"a","text":[{}', 11: b'{}]}',
+                      12: TWO_ON_ONE_LINE}, b"\n", id="object-split-inside-an-array"),
+        pytest.param({10: b'{"kind":"log","t_ms":9,"node":"a","text":"x', 11: b'{","q":1}',
+                      12: TWO_ON_ONE_LINE}, b"\n", id="object-split-inside-a-string"),
+        pytest.param({10: b'{"kind":"log","t_ms":9', 11: b'"node":"a","text":"x"}',
+                      12: TWO_ON_ONE_LINE}, b"\n", id="object-split-between-members"),
+        pytest.param({PAST_FIRST_BLOCK: b"  " + metric_line(0)}, b"\n",
+                     id="leading-space-non-monotone"),
+        pytest.param({5: b'{"kind":"span","t_ms":9,"node":"a","caller":"a","callee":"b",'
+                         b'"latency_ms":1.0}'}, b"\n", id="span-without-status"),
+    ],
+)
+def test_malformed_inputs_match_reference_decoder(bad, sep):
+    data = file_with(bad, sep=sep)
+    with pytest.raises(ParseError) as want:
+        reference_deserialize(data)
+    with pytest.raises(ParseError) as got:
+        deserialize_stream(data)
+    assert (got.value.line_no, got.value.field, str(got.value)) == (
+        want.value.line_no, want.value.field, str(want.value))
+
+
+@pytest.mark.parametrize(
+    "bad, sep",
+    [
+        pytest.param({}, b"\n", id="plain"),
+        pytest.param({3: b"", 9: b" \t ", _BLOCK_LINES + 1: b""}, b"\r\n", id="blank-lines-crlf"),
+        pytest.param({PAST_FIRST_BLOCK: b"  " + metric_line(PAST_FIRST_BLOCK - 2) + b" "}, b"\n",
+                     id="surrounding-spaces"),
+        pytest.param({5: b'{"t_ms":4,"value":1,"node":"b","kind":"metric","channel":"[x]"}'},
+                     b"\n", id="reordered-fields-and-bracket"),
+    ],
+)
+def test_valid_files_match_reference_decoder(bad, sep):
+    data = file_with(bad, sep=sep)
+    assert_field_equal(deserialize_stream(data), reference_deserialize(data))
+
+
+def test_raw_line_separator_inside_a_string_is_read():
+    # lines end at \n, \r\n and \r only; str.splitlines also split at U+2028
+    data = HEADER + b'\n{"kind":"log","t_ms":0,"node":"a","text":"x\xe2\x80\xa8y\xc2\x85z"}\n'
+    with pytest.raises(ParseError):
+        reference_deserialize(data)
+    assert deserialize_stream(data).logs == {"a": [(0, "x\u2028y\x85z")]}
+
+
+def test_invalid_utf8_fails_before_any_line():
+    data = file_with({3: b"oops"}) + b'{"kind":"log","t_ms":0,"node":"a","text":"\xff"}\n'
+    with pytest.raises(UnicodeDecodeError):
+        deserialize_stream(data)
 
 
 def test_stream_values_survive_at_micro_resolution():
@@ -173,6 +444,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, shapes, seed):
     params = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     save_checkpoint(params, path)
+    # the bytes of one float(v) per element
+    assert path.read_text("utf-8") == json.dumps(
+        {k: {"shape": list(v.shape), "values": [float(x) for x in v.ravel()]}
+         for k, v in params.items()}) + "\n"
     back = load_checkpoint(path)
     assert set(back) == set(params)
     for k in params:
