@@ -10,10 +10,6 @@ topological order.
 gradient, and return `None` for an input that requires none (a dropout mask,
 the adjacency, event-weight rows, raw segments). `backward` frees the tape as
 it consumes it: only leaves keep gradients, and a graph is walked once.
-
-`finite_difference` provides the independent oracle used by the tests: it
-never touches the tape, only re-evaluates a closure under central
-perturbations.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = [
     "apply_dropout",
     "cross_entropy",
     "backward",
-    "finite_difference",
 ]
 
 
@@ -331,27 +326,3 @@ def backward(out: Tensor) -> None:
             else:
                 parent.grad += g
         node.grad = node.grad_fn = None
-
-
-def finite_difference(f: Callable[[], float], arrays: dict[str, np.ndarray],
-                      step: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradients of f() w.r.t. every entry of every array.
-
-    Mutates each array in place around its original value, re-evaluating f;
-    independent of the tape machinery by construction.
-    """
-    grads = {}
-    for name, arr in arrays.items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f()
-            flat[i] = orig - step
-            lo = f()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
-        grads[name] = g
-    return grads

@@ -5,6 +5,10 @@ telemetry, `preprocess` turns it into windows, `train` fits a model,
 `evaluate` scores it, `ablate` runs the backbone comparison, and `report`
 emits the separability tables. Every command is deterministic given its
 flags and overwrites outputs atomically, so reruns are byte-identical.
+
+Window length and stride come from the scenario, never from a flag:
+`preprocess` reads them from the scenario.json that `simulate` wrote, and
+`ablate` and `report` from --scenario.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import sys
 from pathlib import Path
 
 from . import train_eval
-from .preprocess import preprocess_stream, write_preprocess_outputs
-from .prng import prng_new
+from .preprocess import write_preprocess_outputs
 from .serialize import (
     atomic_write_bytes,
     atomic_write_text,
@@ -32,18 +35,17 @@ from .serialize import (
     write_csv,
 )
 # `simulate` is imported for callers that reach it through this module
-from .simulator import ScenarioSpec, scenario_preset, simulate  # noqa: F401
+from .simulator import PRESETS, ScenarioSpec, scenario_preset, simulate  # noqa: F401
 from .train_eval import (
     DatasetBundle,
     SeparabilityMode,
     ablate,
     prepare_dataset,
+    preprocess_scenario,
     simulate_scenario,
     train,
 )
 from .types import Backbone, RunConfig, Task
-
-PRESETS = ("local", "propagated")
 
 
 def _default_workdir(args: argparse.Namespace) -> Path:
@@ -57,7 +59,8 @@ def _load_scenario(value: str) -> ScenarioSpec:
         return scenario_preset(value)
     path = Path(value)
     if not path.is_file():
-        raise FileNotFoundError(f"scenario '{value}' is neither a preset {PRESETS} nor a file")
+        raise FileNotFoundError(
+            f"scenario '{value}' is neither a preset {sorted(PRESETS)} nor a file")
     return ScenarioSpec.from_dict(json.loads(path.read_text("utf-8")))
 
 
@@ -91,22 +94,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
     out = Path(args.out) if args.out else indir
+    meta_path = indir / "scenario.json"
+    if not meta_path.is_file():
+        raise FileNotFoundError(f"{meta_path} not found: preprocess takes the window "
+                                "length, stride and seed from the scenario.json of simulate")
+    meta = json.loads(meta_path.read_text("utf-8"))
     stream = deserialize_stream((indir / "telemetry.jsonl").read_bytes())
     faults = faults_from_json((indir / "faults.json").read_text("utf-8"))
-    meta_path = indir / "scenario.json"
-    spec, seed = ScenarioSpec(), 0
-    if meta_path.is_file():
-        meta = json.loads(meta_path.read_text("utf-8"))
-        seed = int(meta.get("seed", 0))
-        spec = ScenarioSpec.from_dict(meta["scenario"])
-    window_s = spec.window_len_s if args.window is None else args.window
-    stride_s = spec.stride_s if args.stride is None else args.stride
-    result = preprocess_stream(
-        stream, faults,
-        int(round(window_s * 1000)), int(round(stride_s * 1000)),
-        prng_new(seed).child("preprocess"),
+    result, raw = preprocess_scenario(
+        stream, faults, ScenarioSpec.from_dict(meta["scenario"]), int(meta["seed"])
     )
-    write_preprocess_outputs(result, out)
+    write_preprocess_outputs(result, raw, out)
     split = result.split
     print(
         f"windows: {len(split.train)} train / {len(split.valid)} valid / "
@@ -168,9 +166,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     scenario = _load_scenario(args.scenario)
     workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
-    bundle, _, _ = prepare_dataset(
-        scenario, args.seed, window_s=args.window, stride_s=args.stride
-    )
+    bundle, _, _ = prepare_dataset(scenario, args.seed)
     base = _run_config(args)
     result = ablate(bundle, base, seeds)
     header, rows = train_eval.results_csv_rows(result)
@@ -187,37 +183,30 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+# (variant, features, trained backbone) of each separability row
+REPORT_VARIANTS = (
+    ("raw", SeparabilityMode.RAW_CONCAT, Backbone.DIAGMLP),
+    ("mlp_trunk", SeparabilityMode.MODEL_EMBED, Backbone.DIAGMLP),
+    ("gcn_trunk", SeparabilityMode.MODEL_EMBED, Backbone.GCN),
+)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
-    bundle, _, _ = prepare_dataset(
-        scenario, args.seed, window_s=args.window, stride_s=args.stride
-    )
+    bundle, _, _ = prepare_dataset(scenario, args.seed)
     base = _run_config(args)
-    variants = []
-    checkpoints = {}
-    for backbone in (Backbone.DIAGMLP, Backbone.GCN):
-        cfg = dataclasses.replace(base, backbone=backbone)
-        checkpoints[backbone] = train(bundle, cfg).params
-    test = bundle.split.test
-    variants.append(
-        ("raw", *train_eval.separability_report(
-            test, SeparabilityMode.RAW_CONCAT, checkpoints[Backbone.DIAGMLP],
-            bundle.vocab_size, backbone=Backbone.DIAGMLP, graph=bundle.graph,
+    checkpoints = {
+        backbone: train(bundle, dataclasses.replace(base, backbone=backbone)).params
+        for backbone in (Backbone.DIAGMLP, Backbone.GCN)
+    }
+    variants = [
+        (name, *train_eval.separability_report(
+            bundle.split.test, mode, checkpoints[backbone], bundle.vocab_size,
+            backbone=backbone, graph=bundle.graph,
         ))
-    )
-    variants.append(
-        ("mlp_trunk", *train_eval.separability_report(
-            test, SeparabilityMode.MODEL_EMBED, checkpoints[Backbone.DIAGMLP],
-            bundle.vocab_size, backbone=Backbone.DIAGMLP, graph=bundle.graph,
-        ))
-    )
-    variants.append(
-        ("gcn_trunk", *train_eval.separability_report(
-            test, SeparabilityMode.MODEL_EMBED, checkpoints[Backbone.GCN],
-            bundle.vocab_size, backbone=Backbone.GCN, graph=bundle.graph,
-        ))
-    )
+        for name, mode, backbone in REPORT_VARIANTS
+    ]
     point_rows = []
     score_rows = []
     for name, points, labels, score in variants:
@@ -250,22 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dropout", type=float, default=0.1,
                        help="dropout rate (default 0.1)")
 
-    def window_flags(p):
-        p.add_argument("--window", type=float, default=None,
-                       help="window length in seconds (default: the scenario's)")
-        p.add_argument("--stride", type=float, default=None,
-                       help="window stride in seconds (default: the scenario's)")
-
     p = sub.add_parser("simulate", help="generate telemetry for a scenario")
     p.add_argument("--scenario", default="local",
-                   help="preset name (local, propagated) or scenario JSON file")
+                   help=f"preset name ({', '.join(PRESETS)}) or scenario JSON file")
     p.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("preprocess", help="turn staged telemetry into windows")
-    p.add_argument("--in", dest="indir", required=True, help="directory from simulate")
-    window_flags(p)
+    p.add_argument("--in", dest="indir", required=True,
+                   help="directory from simulate; its scenario.json sets window length and stride")
     p.add_argument("--out", default=None, help="output directory (default: --in)")
     p.set_defaults(func=cmd_preprocess)
 
@@ -281,22 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the backbone comparison over seeds")
     p.add_argument("--scenario", default="local",
-                   help="preset name or scenario JSON file (default local)")
+                   help="preset name or scenario JSON file, which also sets window length "
+                   "and stride (default local)")
     p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
     p.add_argument("--seeds", default="1,2,3,4,5",
                    help="comma-separated run seeds (default 1,2,3,4,5)")
     p.add_argument("--workdir", default=None, help="output directory")
     common_model_flags(p)
-    window_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="emit 2D separability tables for raw and trunk features")
     p.add_argument("--scenario", default="local",
-                   help="preset name or scenario JSON file (default local)")
+                   help="preset name or scenario JSON file, which also sets window length "
+                   "and stride (default local)")
     p.add_argument("--seed", type=int, default=1, help="run + dataset seed (default 1)")
     p.add_argument("--workdir", default=None, help="output directory")
     common_model_flags(p)
-    window_flags(p)
     p.set_defaults(func=cmd_report)
 
     return parser

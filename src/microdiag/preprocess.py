@@ -628,7 +628,6 @@ def build_windows(
 class PreprocessResult:
     split: DatasetSplit
     transforms: Transforms
-    plan: WindowPlan
     nodes: tuple[str, ...]
 
 
@@ -647,7 +646,7 @@ def preprocess_stream(
     tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng, metric_k)
     del grid  # the full-timeline grid is not needed to cut windows
     split = build_windows(plan, *inputs, tf.alert_vocab, faults)
-    return PreprocessResult(split=split, transforms=tf, plan=plan, nodes=stream.nodes)
+    return PreprocessResult(split=split, transforms=tf, nodes=stream.nodes)
 
 
 def _num(x: float) -> float:
@@ -737,15 +736,9 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
     return nodes, DatasetSplit(**parts), header
 
 
-def write_preprocess_outputs(result: PreprocessResult, out_dir) -> None:
-    """Write windows.jsonl, templates.json, scaler.json atomically."""
-    data = windows_to_bytes(
-        result.nodes,
-        result.split,
-        result.plan.window_ms,
-        result.plan.stride_ms,
-        result.transforms.vocab_size,
-    )
-    atomic_write_bytes(os.path.join(out_dir, "windows.jsonl"), data)
+def write_preprocess_outputs(result: PreprocessResult, windows: bytes, out_dir) -> None:
+    """Write the serialized windows as windows.jsonl, and templates.json and
+    scaler.json, atomically."""
+    atomic_write_bytes(os.path.join(out_dir, "windows.jsonl"), windows)
     atomic_write_text(os.path.join(out_dir, "templates.json"), result.transforms.table.to_json())
     atomic_write_text(os.path.join(out_dir, "scaler.json"), result.transforms.to_json())

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .types import FAULT_TYPES, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, 
 __all__ = [
     "ScenarioSpec",
     "scenario_preset",
+    "PRESETS",
     "generate_topology",
     "schedule_faults",
     "simulate",
@@ -98,7 +99,10 @@ VICTIM_LOG_TEMPLATE = FAULT_LOG_TEMPLATES[FaultType.NET_DELAY]
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to regenerate a dataset from a seed."""
+    """Everything needed to regenerate a dataset from a seed, and the one
+    source of its window length and stride (`window_ms`, `stride_ms`), which
+    also space and size its faults. `propagation_factor` 0 means symptoms on
+    the fault target only."""
 
     n_nodes: int = 12
     edge_density: float = 2.0
@@ -106,7 +110,6 @@ class ScenarioSpec:
     n_faults: int = 70
     fault_mix: dict = field(default_factory=lambda: {t: 1.0 for t in FAULT_TYPES})
     propagation_factor: float = 0.0
-    local_symptom_only: bool = True
     window_len_s: int = 30
     stride_s: int = 30
 
@@ -131,6 +134,14 @@ class ScenarioSpec:
             raise ValueError("fault_mix weights must be non-negative with a positive sum")
         object.__setattr__(self, "fault_mix", mix)
 
+    @property
+    def window_ms(self) -> int:
+        return int(round(self.window_len_s * 1000))
+
+    @property
+    def stride_ms(self) -> int:
+        return int(round(self.stride_s * 1000))
+
     def to_dict(self) -> dict:
         return {
             "n_nodes": self.n_nodes,
@@ -139,7 +150,6 @@ class ScenarioSpec:
             "n_faults": self.n_faults,
             "fault_mix": {t.value: w for t, w in sorted(self.fault_mix.items(), key=lambda kv: kv[0].value)},
             "propagation_factor": self.propagation_factor,
-            "local_symptom_only": self.local_symptom_only,
             "window_len_s": self.window_len_s,
             "stride_s": self.stride_s,
         }
@@ -163,22 +173,20 @@ PRESET_FAULT_MIX = {
 }
 
 
-def scenario_preset(name: str) -> ScenarioSpec:
-    """Named scenario presets.
+# Named scenarios: `local` keeps every symptom on the fault target;
+# `propagated` spreads attenuated latency/error symptoms to upstream callers,
+# so the root cause is only identifiable via call direction.
+PRESETS = {
+    "local": ScenarioSpec(fault_mix=dict(PRESET_FAULT_MIX)),
+    "propagated": ScenarioSpec(fault_mix=dict(PRESET_FAULT_MIX), propagation_factor=0.6),
+}
 
-    `local` keeps every symptom on the fault target (propagation off);
-    `propagated` spreads attenuated latency/error symptoms to upstream
-    callers so the root cause is only identifiable via call direction.
-    """
-    if name == "local":
-        return ScenarioSpec(fault_mix=dict(PRESET_FAULT_MIX))
-    if name == "propagated":
-        return ScenarioSpec(
-            fault_mix=dict(PRESET_FAULT_MIX),
-            propagation_factor=0.6,
-            local_symptom_only=False,
-        )
-    raise ValueError(f"unknown scenario preset '{name}' (expected 'local' or 'propagated')")
+
+def scenario_preset(name: str) -> ScenarioSpec:
+    """A fresh copy of the named entry of `PRESETS`."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown scenario preset '{name}' (expected one of {sorted(PRESETS)})")
+    return replace(PRESETS[name])
 
 
 def generate_topology(n_nodes: int, edge_density: float, prng: Prng) -> ServiceGraph:
@@ -227,7 +235,7 @@ def schedule_faults(spec: ScenarioSpec, graph: ServiceGraph, prng: Prng) -> list
     """Place n_faults non-overlapping intervals with >= window_len_s of
     fault-free slack before, between, and after them."""
     rng = prng.child("faults")
-    gap_ms = spec.window_len_s * 1000
+    gap_ms = spec.window_ms
     dur_s = rng.uniform(1.5 * spec.window_len_s, 3 * spec.window_len_s, size=spec.n_faults)
     durations = [int(round(v * 1000)) for v in dur_s]
 
@@ -257,7 +265,6 @@ def schedule_faults(spec: ScenarioSpec, graph: ServiceGraph, prng: Prng) -> list
         target = int(rng.integers(0, graph.n_nodes))
         ftype = types[int(rng.choice(len(types), p=weights))]
         severity = float(rng.uniform(0.7, 1.0))
-        factor = 0.0 if spec.local_symptom_only else spec.propagation_factor
         faults.append(
             FaultSpec(
                 target_node=target,
@@ -265,7 +272,7 @@ def schedule_faults(spec: ScenarioSpec, graph: ServiceGraph, prng: Prng) -> list
                 start_ms=start,
                 duration_ms=durations[i],
                 severity=severity,
-                propagation_factor=factor,
+                propagation_factor=float(spec.propagation_factor),
             )
         )
         cursor = start + durations[i]

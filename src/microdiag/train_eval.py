@@ -44,6 +44,7 @@ from .types import (
 __all__ = [
     "DatasetBundle",
     "prepare_dataset",
+    "preprocess_scenario",
     "simulate_scenario",
     "TrainResult",
     "train",
@@ -112,11 +113,27 @@ def simulate_scenario(
     return graph, faults, simulate(graph, faults, scenario, root.child("simulate"))
 
 
+def preprocess_scenario(
+    stream: TelemetryStream,
+    faults: list[FaultSpec],
+    scenario: ScenarioSpec,
+    dataset_seed: int,
+    metric_k: Optional[int] = None,
+) -> tuple[PreprocessResult, bytes]:
+    """Preprocess a scenario's telemetry into windows, with the window length
+    and stride the scenario's faults were scheduled for, and serialize them."""
+    result = preprocess_stream(
+        stream, faults, scenario.window_ms, scenario.stride_ms,
+        prng_new(dataset_seed).child("preprocess"), metric_k=metric_k,
+    )
+    raw = windows_to_bytes(result.nodes, result.split, scenario.window_ms,
+                           scenario.stride_ms, result.transforms.vocab_size)
+    return result, raw
+
+
 def prepare_dataset(
     scenario: ScenarioSpec,
     dataset_seed: int,
-    window_s: Optional[float] = None,
-    stride_s: Optional[float] = None,
     metric_k: Optional[int] = None,
 ) -> tuple[DatasetBundle, PreprocessResult, bytes]:
     """Simulate a scenario and preprocess it into a canonical dataset.
@@ -125,15 +142,7 @@ def prepare_dataset(
     in-memory runs and file-staged CLI runs consume identical inputs.
     """
     _, faults, stream = simulate_scenario(scenario, dataset_seed)
-    window_ms = int(round((scenario.window_len_s if window_s is None else window_s) * 1000))
-    stride_ms = int(round((scenario.stride_s if stride_s is None else stride_s) * 1000))
-    result = preprocess_stream(
-        stream, faults, window_ms, stride_ms, prng_new(dataset_seed).child("preprocess"),
-        metric_k=metric_k,
-    )
-    raw = windows_to_bytes(
-        result.nodes, result.split, window_ms, stride_ms, result.transforms.vocab_size
-    )
+    result, raw = preprocess_scenario(stream, faults, scenario, dataset_seed, metric_k)
     return DatasetBundle.from_bytes(raw, result.transforms.graph), result, raw
 
 

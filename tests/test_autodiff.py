@@ -13,7 +13,6 @@ from microdiag.autodiff import (
     conv1d_valid,
     cross_entropy,
     dropout_mask,
-    finite_difference,
     layer_norm,
     matmul,
     mul,
@@ -27,6 +26,8 @@ from microdiag.autodiff import (
     tsum,
 )
 from microdiag.prng import prng_new
+
+from conftest import finite_difference
 
 
 def check_grads(make_loss, arrays, rtol=1e-5, atol=1e-7):

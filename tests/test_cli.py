@@ -2,12 +2,14 @@
 report, and the exit status of an ablation with failed cells."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from microdiag import cli
+from microdiag.serialize import faults_to_json, serialize_stream
 from microdiag.train_eval import AblateResult, MetricsReport
 from microdiag.types import Task
 
@@ -32,13 +34,16 @@ def run_chain(scenario_path, out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def test_chain_is_byte_identical_on_rerun(tmp_path, capsys):
+def test_chain_is_byte_identical_on_rerun(tmp_path, capsys, tiny_bundle):
     scenario = tmp_path / "tiny.json"
     scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
     first = run_chain(scenario, tmp_path / "a")
     second = run_chain(scenario, tmp_path / "b")
     assert set(CHAIN_FILES) <= set(first)
     assert first == second
+    # `preprocess` and `prepare_dataset` share one preparation path
+    # (tiny_bundle is the dataset of TINY_SPEC at seed 7)
+    assert first["windows.jsonl"] == tiny_bundle[2]
     metrics = json.loads(first["metrics.json"])
     assert metrics["task"] == "DETECT" and sorted(metrics["metrics"]) == ["f1", "precision", "recall"]
     assert "f1:" in capsys.readouterr().out
@@ -61,6 +66,13 @@ def test_chain_with_separate_preprocess_dir(tmp_path, capsys):
         assert cli.main(argv) == 0, argv
     assert not (out / "graph.json").exists()
     assert (out / "metrics.json").read_bytes() == in_place["metrics.json"]
+
+
+# sha256 of the two tables `report` writes for TINY_SPEC at seed 7
+REPORT_DIGESTS = {
+    "separability.csv": "a6637c0b920479e479dbc269f700a2e7030b3907f2c28306a9ef4d90bc390a52",
+    "separability_scores.csv": "6a262f882452f6fbe8db4f66b8e6239ff4d48f6bf45608f658bc61f667ebf6ba",
+}
 
 
 def test_report_tables(tmp_path, capsys, tiny_bundle):
@@ -89,6 +101,26 @@ def test_report_tables(tmp_path, capsys, tiny_bundle):
     assert points[0] == ["variant", "x", "y", "label"]
     assert len(points) - 1 == 3 * n_anomalous > 0
     assert {r[0] for r in points[1:]} == set(variants)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in first.items()} == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("command", [["preprocess", "--in", "sim"], ["ablate"], ["report"]])
+@pytest.mark.parametrize("flag", ["--window", "--stride"])
+def test_window_flags_are_rejected(command, flag, capsys):
+    # window length and stride come from the scenario only
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(command + [flag, "60"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 60" in capsys.readouterr().err
+
+
+def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
+    _, _, faults, stream = tiny_sim
+    (tmp_path / "telemetry.jsonl").write_bytes(serialize_stream(stream))
+    (tmp_path / "faults.json").write_text(faults_to_json(faults), "utf-8")
+    assert cli.main(["preprocess", "--in", str(tmp_path)]) == 1
+    assert str(tmp_path / "scenario.json") in capsys.readouterr().err
+    assert not (tmp_path / "windows.jsonl").exists()
 
 
 def fake_ablation(failed: bool) -> AblateResult:

@@ -22,9 +22,7 @@ from microdiag.types import RunConfig, Task
 
 from conftest import TINY_SPEC
 
-PROPAGATED_TINY_SPEC = dataclasses.replace(
-    TINY_SPEC, propagation_factor=0.6, local_symptom_only=False
-)
+PROPAGATED_TINY_SPEC = dataclasses.replace(TINY_SPEC, propagation_factor=0.6)
 
 DIGESTS = {
     "local": {

@@ -18,6 +18,8 @@ from microdiag.embed import (
 from microdiag.prng import prng_new
 from microdiag.types import NodeSegments
 
+from conftest import finite_difference
+
 
 D, VOCAB = 3, 6
 
@@ -102,7 +104,7 @@ class TestTimeseriesEncoder:
         tensors = {k: ad.parameter(v) for k, v in arrays.items()}
         out = encoder_graph(ad.constant(x[:, None]), tensors, "enc_metric")
         ad.backward(ad.tsum(ad.mul(out, ad.constant(weights))))
-        fd = ad.finite_difference(lambda: float(make_loss().data), arrays)
+        fd = finite_difference(lambda: float(make_loss().data), arrays)
         for k in arrays:
             err = np.abs(tensors[k].grad - fd[k]).max()
             scale = np.abs(fd[k]).max() + 1e-8
@@ -145,7 +147,7 @@ class TestEventEncoder:
             p = {k: ad.parameter(v) for k, v in arrays.items()}
             return float(ad.tsum(ad.mul(events_graph(weights, p), ad.constant(readout))).data)
 
-        fd = ad.finite_difference(loss, arrays)
+        fd = finite_difference(loss, arrays)
         for k in arrays:
             np.testing.assert_allclose(tensors[k].grad, fd[k], rtol=1e-5, atol=1e-7,
                                        err_msg=k)

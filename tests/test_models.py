@@ -23,6 +23,8 @@ from microdiag.prng import prng_new
 from microdiag.train_eval import SeparabilityMode, separability_report
 from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
 
+from conftest import finite_difference
+
 
 def make_windows(rng, n_windows=4, n_nodes=3, T=8, anomalous_from=0):
     out = []
@@ -334,7 +336,7 @@ class TestLossAndGrads:
         adj = adjacency(STAR, backbone)
         _, grads = loss_and_grads(params, batch, Task.LOCALIZE, backbone,
                                   adj, training=False)
-        fd = ad.finite_difference(
+        fd = finite_difference(
             lambda: loss_and_grads(params, batch, Task.LOCALIZE, backbone,
                                    adj, training=False)[0],
             params,

@@ -31,6 +31,7 @@ from microdiag.preprocess import (
 )
 from microdiag.prng import prng_new
 from microdiag.serialize import ParseError, deserialize_stream, serialize_stream
+from microdiag.train_eval import preprocess_scenario
 from microdiag.types import (
     FaultSpec,
     FaultType,
@@ -536,10 +537,7 @@ class TestPreprocessStream:
         spec, _, faults, stream = tiny_sim
         _, _, raw = tiny_bundle
         staged = deserialize_stream(serialize_stream(stream))
-        result = preprocess_stream(staged, faults, spec.window_len_s * 1000,
-                                   spec.stride_s * 1000, prng_new(7).child("preprocess"))
-        assert windows_to_bytes(result.nodes, result.split, spec.window_len_s * 1000,
-                                spec.stride_s * 1000, result.transforms.vocab_size) == raw
+        assert preprocess_scenario(staged, faults, spec, 7)[1] == raw
 
     @pytest.mark.parametrize("missing", [False, True])
     def test_node_without_log_lines(self, missing):

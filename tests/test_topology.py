@@ -6,6 +6,7 @@ import pytest
 
 from microdiag.prng import prng_new
 from microdiag.simulator import (
+    PRESETS,
     ScenarioSpec,
     generate_topology,
     scenario_preset,
@@ -101,7 +102,7 @@ class TestScheduleFaults:
         assert {f.fault_type for f in faults} == {FaultType.CPU_STRESS}
 
     def test_propagation_factor_follows_scenario(self):
-        spec = self.spec(propagation_factor=0.6, local_symptom_only=False)
+        spec = self.spec(propagation_factor=0.6)
         faults = schedule_faults(spec, topo(6, 1.5), prng_new(3).child("simulate"))
         assert all(f.propagation_factor == 0.6 for f in faults)
         local = schedule_faults(self.spec(), topo(6, 1.5), prng_new(3).child("simulate"))
@@ -117,17 +118,22 @@ class TestScenarioSpec:
     def test_preset_local(self):
         spec = scenario_preset("local")
         assert spec.n_nodes == 12 and spec.propagation_factor == 0.0
-        assert spec.local_symptom_only
 
     def test_preset_propagated(self):
         spec = scenario_preset("propagated")
         assert spec.propagation_factor == 0.6
-        assert not spec.local_symptom_only
         assert spec.fault_mix == scenario_preset("local").fault_mix
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown scenario preset"):
+        with pytest.raises(ValueError, match=r"unknown scenario preset 'staging' \(expected "
+                                             r"one of \['local', 'propagated'\]\)"):
             scenario_preset("staging")
+
+    def test_preset_is_a_fresh_copy_of_the_table_entry(self):
+        spec = scenario_preset("local")
+        assert spec == PRESETS["local"] and spec is not PRESETS["local"]
+        spec.fault_mix[FaultType.CRASH] = 0.0
+        assert PRESETS["local"].fault_mix[FaultType.CRASH] == 0.3
 
     def test_json_round_trip(self):
         spec = scenario_preset("propagated")
@@ -137,6 +143,24 @@ class TestScenarioSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario fields"):
             ScenarioSpec.from_dict({"n_nodes": 4, "chaos_mode": True})
+
+    def test_local_symptom_only_rejected(self):
+        # propagation_factor alone decides; a file that still carries the
+        # old switch is named rather than read with a different meaning
+        old = {**scenario_preset("propagated").to_dict(), "local_symptom_only": False}
+        with pytest.raises(ValueError, match="local_symptom_only"):
+            ScenarioSpec.from_dict(old)
+
+    def test_window_settings_in_ms(self):
+        spec = ScenarioSpec(window_len_s=20, stride_s=10)
+        assert (spec.window_ms, spec.stride_ms) == (20_000, 10_000)
+
+    def test_dict_keys(self):
+        # the keys of the scenario.json that `microdiag simulate` writes
+        assert list(ScenarioSpec().to_dict()) == [
+            "n_nodes", "edge_density", "duration_s", "n_faults", "fault_mix",
+            "propagation_factor", "window_len_s", "stride_s",
+        ]
 
     def test_duration_floor(self):
         with pytest.raises(ValueError, match="too short"):

@@ -15,7 +15,9 @@ from microdiag.train_eval import (
     MetricsReport,
     ablate,
     evaluate,
+    pca_2d,
     render_summary,
+    silhouette_score,
     topk_accuracy,
     train,
 )
@@ -72,6 +74,47 @@ class TestMetrics:
         report = evaluate(params, bundle.split.test, Task.LOCALIZE, bundle.vocab_size)
         assert sorted(report.per_run) == ["top1", "top3", "top5"]  # 5 nodes
         assert report.metric("top1") <= report.metric("top3") <= report.metric("top5")
+
+
+class TestSeparability:
+    def test_silhouette_of_two_clusters_by_hand(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
+        # (b - a) / max(a, b) per point: a is the mean distance to its own
+        # cluster, b to the other one
+        expected = ((5 - 1) / 5 + (4 - 1) / 4 + (3.5 - 2) / 3.5 + (5.5 - 2) / 5.5) / 4
+        assert silhouette_score(points, np.array([0, 0, 1, 1])) == pytest.approx(expected,
+                                                                                 abs=1e-15)
+        # the score names no class: relabeling leaves it alone
+        assert silhouette_score(points, np.array([7, 7, 3, 3])) == pytest.approx(expected,
+                                                                                 abs=1e-15)
+
+    def test_singleton_class_point_scores_zero(self):
+        points = np.array([[0.0], [1.0], [3.0]])
+        # A: a = 1, b = 3; B: a = 1, b = 2; the lone class-1 point scores 0
+        expected = ((3 - 1) / 3 + (2 - 1) / 2 + 0.0) / 3
+        assert silhouette_score(points, np.array([0, 0, 1])) == pytest.approx(expected,
+                                                                              abs=1e-15)
+
+    def test_silhouette_needs_two_classes(self):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            silhouette_score(np.array([[0.0], [1.0], [2.0]]), np.array([4, 4, 4]))
+        with pytest.raises(ValueError, match="disagree in length"):
+            silhouette_score(np.array([[0.0], [1.0]]), np.array([0, 1, 1]))
+
+    def test_pca_matches_svd_under_the_sign_rule(self, rng):
+        x = rng.normal(size=(20, 5)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1])
+        centered = x - x.mean(axis=0)
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        comps = vt[:2].T.copy()
+        for j in range(2):
+            # documented rule: each component's largest-magnitude entry is positive
+            comps[:, j] *= np.sign(comps[np.argmax(np.abs(comps[:, j])), j])
+        np.testing.assert_allclose(pca_2d(x), centered @ comps, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 1), (4,)])
+    def test_pca_needs_two_rows_and_columns(self, shape):
+        with pytest.raises(ValueError, match="at least 2 rows and 2 feature dimensions"):
+            pca_2d(np.ones(shape))
 
 
 class TestTrain:
