@@ -2,9 +2,15 @@
 
 Implements exactly the operations the encoders and diagnosis models need:
 broadcast-aware arithmetic, matmul, valid causal 1-D convolution, reductions,
-layer normalization, and a numerically stable softmax cross-entropy. All
-tensors are float64. Gradients are accumulated by walking the tape in reverse
-topological order.
+layer normalization, and a numerically stable softmax cross-entropy.
+Gradients are accumulated by walking the tape in reverse topological order.
+
+A tensor holds float32 or float64 data: float32 stays float32 and anything
+else becomes float64. Each op's output, and every gradient it hands back,
+takes its inputs' dtype, as do the arrays ops make themselves (a dropout
+mask, `conv1d_valid`'s input-gradient buffer, `backward`'s seed). So a graph
+built from float32 leaves runs in float32 end to end, provided no float64
+array joins it; Python float constants do not promote.
 
 `mul`, `matmul` and `conv1d_valid` decide when built which inputs get a
 gradient, and return `None` for an input that requires none (a dropout mask,
@@ -45,12 +51,14 @@ __all__ = [
 
 
 class Tensor:
-    """A node in the computation graph wrapping an f64 ndarray."""
+    """A node in the computation graph wrapping a float32 or float64 ndarray:
+    float32 data is kept as it is, anything else is converted to float64."""
 
     __slots__ = ("data", "grad", "parents", "grad_fn", "requires_grad")
 
     def __init__(self, data, parents=(), grad_fn=None, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.parents: tuple[Tensor, ...] = parents
         self.grad_fn: Optional[Callable[[np.ndarray], tuple]] = grad_fn
@@ -240,16 +248,13 @@ def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         gt = np.ascontiguousarray(g).reshape(F, B * O)
         gw = np.empty_like(w.data)
-        gx = np.zeros((C, B, T)) if need_x else None
+        gx = np.zeros((C, B, T), dtype=xs.dtype) if need_x else None
         for k in range(K):
             xk = np.ascontiguousarray(xs[:, :, k : k + O]).reshape(C, B * O)
             gw[:, :, k] = gt @ xk.T
             if need_x:
                 gx[:, :, k : k + O] += (wk[k].T @ gt).reshape(C, B, O)
-        # summed over a (B, F, O) copy, whose summation order the pinned
-        # training digests depend on
-        gb = np.ascontiguousarray(g.transpose(1, 0, 2)).sum(axis=(0, 2))
-        return gx, gw, gb
+        return gx, gw, g.sum(axis=(1, 2))
 
     return Tensor(acc, (x, w, b), grad_fn)
 
@@ -262,12 +267,12 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return mul(centered, powc(addc(var, eps), -0.5))
 
 
-def dropout_mask(prng, rate: float, shape) -> np.ndarray:
-    """Inverted-dropout mask: survivors scaled by 1/(1-rate)."""
+def dropout_mask(prng, rate: float, shape, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask of `dtype`: survivors scaled by 1/(1-rate)."""
     if rate <= 0.0:
-        return np.ones(shape)
+        return np.ones(shape, dtype=dtype)
     keep = prng.uniform(size=shape) >= rate
-    return keep / (1.0 - rate)
+    return (keep / (1.0 - rate)).astype(dtype, copy=False)
 
 
 def apply_dropout(x: Tensor, mask: Optional[np.ndarray]) -> Tensor:

@@ -12,7 +12,8 @@ ablation swaps one stage and holds everything else fixed.
 
 Losses are mean softmax cross-entropy; gradients come from the reverse-mode
 tape and cover heads, fusion blocks, message passing, encoders, and position
-embeddings.
+embeddings. A training step's tape runs in its batch's dtype, float32 or
+float64, while parameters and the gradients returned stay float64.
 """
 
 from __future__ import annotations
@@ -122,16 +123,18 @@ def _fusion_block(
     z = ad.add(ad.matmul(x, ad.transpose(w)), b)
     h = ad.relu(ad.layer_norm(z, LN_EPS))
     if training and dropout_rate > 0.0:
-        return ad.apply_dropout(h, ad.dropout_mask(prng, dropout_rate, h.data.shape))
+        mask = ad.dropout_mask(prng, dropout_rate, h.data.shape, h.data.dtype)
+        return ad.apply_dropout(h, mask)
     return h
 
 
 class WindowBatch:
     """Dense arrays for a list of windows: per-node segments stacked
     channel-major as (C, B*N, T), row b*N + n for node n of window b, plus
-    event-weight rows and any labels present."""
+    event-weight rows and any labels present. Segments and event weights
+    are of `dtype`, which a training step's tape follows."""
 
-    def __init__(self, windows, vocab_size: int):
+    def __init__(self, windows, vocab_size: int, dtype=np.float64):
         if not windows:
             raise ValueError("empty batch")
         n = windows[0].n_nodes
@@ -140,12 +143,13 @@ class WindowBatch:
                 raise ValueError("windows disagree on node count")
         self.n_nodes = n
         self.size = len(windows)
-        self.metric = np.stack([seg.metric for w in windows for seg in w.segments], axis=1)
-        self.log = np.stack([seg.log for w in windows for seg in w.segments], axis=1)
-        self.trace = np.stack([seg.trace for w in windows for seg in w.segments], axis=1)
+        segments = [seg for w in windows for seg in w.segments]
+        self.metric = np.stack([seg.metric for seg in segments], axis=1, dtype=dtype)
+        self.log = np.stack([seg.log for seg in segments], axis=1, dtype=dtype)
+        self.trace = np.stack([seg.trace for seg in segments], axis=1, dtype=dtype)
         self.event_w = embed.event_weights(
-            [seg.alerts for w in windows for seg in w.segments], vocab_size
-        )
+            [seg.alerts for seg in segments], vocab_size
+        ).astype(dtype, copy=False)
         self.anomalous = np.array([int(w.label_anomalous) for w in windows])
         self.root_cause = np.array(
             [-1 if w.label_root_cause is None else w.label_root_cause for w in windows]
@@ -176,8 +180,8 @@ class WindowBatch:
         return out
 
 
-def windows_to_batch(windows, vocab_size: int) -> WindowBatch:
-    return WindowBatch(windows, vocab_size)
+def windows_to_batch(windows, vocab_size: int, dtype=np.float64) -> WindowBatch:
+    return WindowBatch(windows, vocab_size, dtype)
 
 
 def adjacency(
@@ -284,20 +288,26 @@ def loss_and_grads(
     training: bool = True,
     prng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over a batch plus gradients for every parameter
-    tensor. Every row must carry a label for the task."""
+    """Mean cross-entropy over a batch plus float64 gradients for every
+    parameter tensor. Every row must carry a label for the task.
+
+    The tape runs in the batch's dtype: parameters and the adjacency are
+    cast to it at the leaves, and `params` itself is left as it is."""
     labels = batch.labels(task)
     if np.any(labels < 0):
         raise ValueError(
             f"batch rows {np.flatnonzero(labels < 0).tolist()} carry no {task.value} label"
         )
-    p = {k: ad.parameter(v) for k, v in params.items()}
+    dtype = batch.metric.dtype
+    p = {k: ad.parameter(v.astype(dtype, copy=False)) for k, v in params.items()}
+    if adj is not None:
+        adj = adj.astype(dtype, copy=False)
     loss = ad.cross_entropy(
         forward_graph(p, batch, task, backbone, adj, dropout_rate, training, prng), labels
     )
     ad.backward(loss)
     grads = {
-        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        k: (np.zeros(t.shape) if t.grad is None else t.grad.astype(np.float64, copy=False))
         for k, t in p.items()
     }
     return float(loss.data), grads

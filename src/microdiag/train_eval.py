@@ -196,6 +196,11 @@ def train(
 ) -> TrainResult:
     """Adam training with early stopping on the validation objective.
 
+    Mixed precision: each step's forward and backward run in float32 over a
+    float32 copy of the training windows, while the master weights, their
+    gradients and Adam's moments stay float64. Validation, and so early
+    stopping and the returned parameters' selection, runs in float64.
+
     With disable_message_passing, a GCN propagates over the identity
     adjacency with identity `gcn/w1`, `gcn/w2` that Adam never updates, so
     it computes exactly what DIAGMLP computes.
@@ -221,7 +226,7 @@ def train(
     adj = models.adjacency(bundle.graph, backbone, disable_message_passing)
     metric_fn, objective = TASK_METRICS[task]
 
-    train_batch = models.windows_to_batch(train_w, bundle.vocab_size)
+    train_batch = models.windows_to_batch(train_w, bundle.vocab_size, np.float32)
     valid_batch = models.windows_to_batch(valid_w, bundle.vocab_size)
     valid_labels = valid_batch.labels(task)
 

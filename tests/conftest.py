@@ -73,3 +73,30 @@ def finite_difference(f, arrays: dict[str, np.ndarray], step: float = 1e-5) -> d
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def watch_tape(out) -> dict[str, set]:
+    """The dtypes on the tape below `out`: "data" holds every tensor's data
+    dtype now, and "grad" collects, as `backward` walks the tape, the dtype
+    of every gradient an op hands back. `backward` copies a gradient into
+    its parent's dtype, so a stray dtype shows only in what the op returns."""
+    nodes = {}
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    seen = {"data": {n.data.dtype for n in nodes.values()}, "grad": set()}
+
+    def recording(grad_fn):
+        def wrapped(g):
+            grads = grad_fn(g)
+            seen["grad"].update(x.dtype for x in grads if x is not None)
+            return grads
+        return wrapped
+
+    for node in nodes.values():
+        if node.grad_fn is not None:
+            node.grad_fn = recording(node.grad_fn)
+    return seen

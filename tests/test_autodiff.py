@@ -23,11 +23,12 @@ from microdiag.autodiff import (
     reshape,
     sub,
     tmean,
+    transpose,
     tsum,
 )
 from microdiag.prng import prng_new
 
-from conftest import finite_difference
+from conftest import finite_difference, watch_tape
 
 
 def check_grads(make_loss, arrays, rtol=1e-5, atol=1e-7):
@@ -367,6 +368,64 @@ class TestDropout:
         b = dropout_mask(prng_new(3).child("step:1"), 0.5, (10,))
         c = dropout_mask(prng_new(3).child("step:2"), 0.5, (10,))
         assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+# op name -> (graph over float32 leaves, leaf shapes); leaves are drawn from
+# [0.5, 2) so that powc's base is positive and relu passes gradient
+FLOAT32_CASES = {
+    "add": (lambda t: add(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+    "sub": (lambda t: sub(t["a"], t["b"]), {"a": (3, 4), "b": (3, 1)}),
+    "mul": (lambda t: mul(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+    "matmul": (lambda t: matmul(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4, 5)}),
+    "relu": (lambda t: relu(t["a"]), {"a": (3, 4)}),
+    "reshape": (lambda t: reshape(t["a"], (4, 3)), {"a": (3, 4)}),
+    "transpose": (lambda t: transpose(t["a"]), {"a": (3, 4)}),
+    "concat": (lambda t: concat([t["a"], t["b"]], axis=1), {"a": (3, 4), "b": (3, 2)}),
+    "tsum": (lambda t: tsum(t["a"], axis=1, keepdims=True), {"a": (3, 4)}),
+    "tmean": (lambda t: tmean(t["a"], axis=0), {"a": (3, 4)}),
+    "powc": (lambda t: powc(t["a"], -0.5), {"a": (3, 4)}),
+    "addc": (lambda t: addc(t["a"], 1e-5), {"a": (3, 4)}),
+    "mulc": (lambda t: mulc(t["a"], 0.25), {"a": (3, 4)}),
+    "conv1d_valid": (lambda t: conv1d_valid(t["x"], t["w"], t["b"]),
+                     {"x": (2, 3, 7), "w": (4, 2, 3), "b": (4,)}),
+    "layer_norm": (lambda t: layer_norm(t["a"]), {"a": (3, 4)}),
+    "cross_entropy": (lambda t: cross_entropy(t["a"], np.array([0, 3, 1])), {"a": (3, 4)}),
+    "dropout": (lambda t: apply_dropout(
+        t["a"], dropout_mask(prng_new(0), 0.5, (3, 4), np.float32)), {"a": (3, 4)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+def test_float32_inputs_keep_float32_data_and_gradients(name):
+    build, shapes = FLOAT32_CASES[name]
+    rng = np.random.default_rng(0)
+    t = {k: parameter(rng.uniform(0.5, 2.0, size=s).astype(np.float32))
+         for k, s in shapes.items()}
+    out = build(t)
+    loss = out if out.data.ndim == 0 else tsum(out)
+    seen = watch_tape(loss)
+    backward(loss)
+    assert seen["data"] == {np.dtype(np.float32)}
+    assert seen["grad"] == {np.dtype(np.float32)}
+    for k, leaf in t.items():
+        assert leaf.grad.dtype == np.float32, k
+
+
+def test_dropout_mask_takes_the_dtype_asked_for():
+    for rate in (0.0, 0.3):
+        assert dropout_mask(prng_new(1), rate, (4, 5), np.float32).dtype == np.float32
+        # float64 by default, with the same survivors and scale
+        mask = dropout_mask(prng_new(1), rate, (4, 5))
+        assert mask.dtype == np.float64
+        np.testing.assert_array_equal(
+            mask.astype(np.float32), dropout_mask(prng_new(1), rate, (4, 5), np.float32))
+
+
+def test_non_float32_data_becomes_float64():
+    for data in (np.arange(3), [1, 2], 2.5, np.ones(2, dtype=np.float16)):
+        assert constant(data).data.dtype == np.float64
+    kept = np.ones(3, dtype=np.float32)
+    assert constant(kept).data is kept
 
 
 def test_finite_difference_selftest():

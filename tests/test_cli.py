@@ -6,12 +6,14 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from microdiag import cli
-from microdiag.serialize import faults_to_json, serialize_stream
+from microdiag import autodiff as ad
+from microdiag import cli, models
+from microdiag.serialize import faults_to_json, load_checkpoint, serialize_stream
 from microdiag.train_eval import AblateResult, MetricsReport
-from microdiag.types import Task
+from microdiag.types import Backbone, Task
 
 from conftest import TINY_SPEC
 
@@ -66,6 +68,29 @@ def test_chain_with_separate_preprocess_dir(tmp_path, capsys):
         assert cli.main(argv) == 0, argv
     assert not (out / "graph.json").exists()
     assert (out / "metrics.json").read_bytes() == in_place["metrics.json"]
+
+
+def test_chain_metrics_recompute_from_the_checkpoint_in_float64(tmp_path, capsys, tiny_bundle):
+    # training steps run in float32, but what `evaluate` scores is the
+    # float64 forward pass of the float64 checkpoint: recomputing the metrics
+    # that way from checkpoint.json gives metrics.json exactly
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
+    files = run_chain(scenario, tmp_path / "a")
+    params = load_checkpoint(tmp_path / "a" / "checkpoint.json")
+    # (tiny_bundle is the dataset of TINY_SPEC at seed 7, as the chain builds it)
+    bundle = tiny_bundle[0]
+    batch = models.windows_to_batch(bundle.split.test, bundle.vocab_size)
+    logits = models.forward_graph({k: ad.constant(v) for k, v in params.items()}, batch,
+                                  Task.DETECT, Backbone.DIAGMLP, None).data
+    assert logits.dtype == np.float64
+    truth, preds = batch.anomalous == 1, logits.argmax(axis=1) == 1
+    tp, fp, fn = int(np.sum(truth & preds)), int(np.sum(~truth & preds)), int(np.sum(truth & ~preds))
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    want = {"f1": round(f1, 6), "precision": round(p, 6), "recall": round(r, 6)}
+    assert json.loads(files["metrics.json"])["metrics"] == want
 
 
 # sha256 of the two tables `report` writes for TINY_SPEC at seed 7

@@ -23,17 +23,18 @@ from microdiag.prng import prng_new
 from microdiag.train_eval import SeparabilityMode, separability_report
 from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
 
-from conftest import finite_difference
+from conftest import finite_difference, watch_tape
 
 
-def make_windows(rng, n_windows=4, n_nodes=3, T=8, anomalous_from=0):
+def make_windows(rng, n_windows=4, n_nodes=3, T=8, anomalous_from=0, channels=(2, 2, 3)):
+    mc, lc, tc = channels
     out = []
     for i in range(n_windows):
         segs = [
             NodeSegments(
-                metric=rng.normal(size=(2, T)),
-                log=rng.integers(0, 3, size=(2, T)).astype(float),
-                trace=rng.normal(size=(3, T)),
+                metric=rng.normal(size=(mc, T)),
+                log=rng.integers(0, 3, size=(lc, T)).astype(float),
+                trace=rng.normal(size=(tc, T)),
                 alerts=(2,) if (i + j) % 2 else (),
             )
             for j in range(n_nodes)
@@ -347,6 +348,45 @@ class TestLossAndGrads:
             scale = np.abs(fd[k]).max() + 1e-8
             worst = max(worst, err / scale)
         assert worst < 1e-4, worst
+
+    @pytest.mark.parametrize("backbone", [Backbone.DIAGMLP, Backbone.GCN])
+    @pytest.mark.parametrize("task", [Task.DETECT, Task.LOCALIZE, Task.CLASSIFY])
+    def test_float32_step_tracks_the_float64_step(self, task, backbone, monkeypatch):
+        # a local-shaped batch: 32 windows of 12 nodes (384 rows), T = 30,
+        # at the default RunConfig widths, dropout on
+        n, channels = 12, (8, 20, 4)
+        windows = make_windows(np.random.default_rng(14), n_windows=32, n_nodes=n, T=30,
+                               channels=channels)
+        params = init_params(prng_new(3), task, backbone, n, 16, 64, 4, *channels)
+        before = {k: v.copy() for k, v in params.items()}
+        ring = ServiceGraph(n, tuple(f"s{i}" for i in range(n)),
+                            tuple((i, i + 1) for i in range(n - 1)))
+        adj = adjacency(ring, backbone)
+
+        def step(dtype):
+            return loss_and_grads(params, windows_to_batch(windows, 4, dtype), task, backbone,
+                                  adj, dropout_rate=0.1, training=True, prng=prng_new(5))
+
+        loss64, g64 = step(np.float64)
+        tapes = []
+        real_backward = ad.backward
+
+        def watched(out):
+            tapes.append(watch_tape(out))
+            real_backward(out)
+
+        monkeypatch.setattr(ad, "backward", watched)
+        loss32, g32 = step(np.float32)
+        assert tapes[0]["data"] == {np.dtype(np.float32)}
+        assert tapes[0]["grad"] == {np.dtype(np.float32)}
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert set(g32) == set(params)
+        for k, g in g64.items():
+            assert g32[k].dtype == np.float64, k
+            np.testing.assert_allclose(g32[k], g, rtol=0, atol=1e-5 * np.abs(g).max(),
+                                       err_msg=k)
+        for k, v in params.items():
+            assert v.dtype == np.float64 and np.array_equal(v, before[k]), k
 
 
 class TestCountParams:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from microdiag import models
+from microdiag import models, train_eval
 from microdiag.prng import prng_new
 from microdiag.train_eval import (
     TASK_METRICS,
@@ -183,7 +183,14 @@ class TestTrain:
                                    bundle.vocab_size, mc, lc, tc)
         eye = np.eye(config.hidden)
         theta["gcn/w1"], theta["gcn/w2"] = eye, eye
-        batch = models.windows_to_batch(bundle.split.train, bundle.vocab_size)
+        # the float32 batch `train` steps on, its rows in the epoch's shuffled
+        # order: float32 sums differ in the last bits from one row order to
+        # another, and Adam's first step divides by |g| + eps, which turns
+        # that into ~1e-9 on the smallest gradients. The arithmetic on the
+        # gradient is float64, as in `train`.
+        order = prng_new(config.seed).child("train").child("epoch:0").permutation(n)
+        batch = models.windows_to_batch(bundle.split.train, bundle.vocab_size, np.float32)
+        batch = batch.select(order)
         _, grads = models.loss_and_grads(theta, batch, config.task, Backbone.GCN,
                                          np.eye(bundle.n_nodes), training=False)
         beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
@@ -195,11 +202,30 @@ class TestTrain:
             m_hat = (1 - beta1) * g / (1 - beta1)
             v_hat = (1 - beta2) * g * g / (1 - beta2)
             want = theta[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            # the batch's rows are shuffled in training, which moves only the
-            # last bits of the gradient
             np.testing.assert_allclose(result.params[name], want, rtol=0, atol=1e-12,
                                        err_msg=name)
         assert not np.array_equal(result.params["head_detect/w"], theta["head_detect/w"])
+
+    def test_validation_and_evaluation_stay_float64(self, tiny_bundle, monkeypatch):
+        # training steps run in float32; the windows and logits early
+        # stopping and `evaluate` score, and the parameters `train` returns,
+        # are float64
+        bundle, _, _ = tiny_bundle
+        seen = []
+        real = train_eval._eval_logits
+
+        def spy(params, batch, *args):
+            logits = real(params, batch, *args)
+            seen.append({a.dtype for a in (batch.metric, batch.log, batch.trace, batch.event_w,
+                                           logits, *params.values())})
+            return logits
+
+        monkeypatch.setattr(train_eval, "_eval_logits", spy)
+        result = train(bundle, quick_config(max_epochs=2))
+        assert {v.dtype for v in result.params.values()} == {np.dtype(np.float64)}
+        assert seen == [{np.dtype(np.float64)}] * 2  # one validation pass per epoch
+        evaluate(result.params, bundle.split.test, Task.DETECT, bundle.vocab_size)
+        assert seen == [{np.dtype(np.float64)}] * 3
 
 
 def hand_built_ablation(gcn_seed2_fails=True):
