@@ -9,6 +9,11 @@ flags and overwrites outputs atomically, so reruns are byte-identical.
 Window length and stride come from the scenario, never from a flag:
 `preprocess` reads them from the scenario.json that `simulate` wrote, and
 `ablate` and `report` from --scenario.
+
+`train` and `evaluate` take the work directory as a required --workdir: it
+holds the windows of an earlier `preprocess`, so no default could name it.
+`simulate`, `ablate` and `report` write to runs/<scenario>-s<seed> unless
+told otherwise.
 """
 
 from __future__ import annotations
@@ -49,9 +54,7 @@ from .types import Backbone, RunConfig, Task
 
 
 def _default_workdir(args: argparse.Namespace) -> Path:
-    scenario = getattr(args, "scenario", None) or "run"
-    name = Path(scenario).stem if scenario not in PRESETS else scenario
-    return Path("runs") / f"{name}-s{getattr(args, 'seed', 0)}"
+    return Path("runs") / f"{Path(args.scenario).stem}-s{args.seed}"
 
 
 def _load_scenario(value: str) -> ScenarioSpec:
@@ -121,7 +124,7 @@ def _load_bundle(workdir: Path) -> DatasetBundle:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
+    workdir = Path(args.workdir)
     bundle = _load_bundle(workdir)
     config = _run_config(args)
     result = train(bundle, config)
@@ -139,7 +142,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
+    workdir = Path(args.workdir)
     bundle = _load_bundle(workdir)
     config = RunConfig.from_dict(
         json.loads((workdir / "run_config.json").read_text("utf-8"))
@@ -148,13 +151,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = train_eval.evaluate(
         params, bundle.split.test, config.task, bundle.vocab_size,
         backbone=config.backbone, graph=bundle.graph,
-        fingerprint=train_eval.config_fingerprint(config, bundle.digest),
     )
     payload = {
         "task": report.task.value,
         "n_runs": report.n_runs,
         "metrics": {k: round(v, 6) for k, (v, _) in sorted(report.mean_and_std.items())},
-        "fingerprint": report.fingerprint,
+        "fingerprint": train_eval.config_fingerprint(config, bundle.digest),
     }
     atomic_write_text(workdir / "metrics.json", json.dumps(payload, indent=2) + "\n")
     for name, value in sorted(payload["metrics"].items()):
@@ -253,13 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train one model on staged windows")
-    p.add_argument("--workdir", default=None, help="directory with windows.jsonl + scaler.json")
+    p.add_argument("--workdir", required=True,
+                   help="directory with windows.jsonl + scaler.json from preprocess")
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     common_model_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained checkpoint on the test split")
-    p.add_argument("--workdir", default=None, help="directory with checkpoint.json")
+    p.add_argument("--workdir", required=True, help="directory with checkpoint.json from train")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run the backbone comparison over seeds")

@@ -2,9 +2,11 @@
 
 The pipeline mirrors a standard observability stack: log lines are mined
 into templates and bucketed into per-template count series; metric channels
-are z-scored and optionally compressed by correlation clustering; 3-sigma
-thresholds over every series produce alert event sequences; spans yield
-per-node latency statistics and the observed dependency graph.
+are z-scored; 3-sigma thresholds over every series produce alert event
+sequences; spans yield per-node latency statistics and the observed
+dependency graph. Every metric channel is kept: `compress_metrics`, called
+with k equal to the channel count, returns them all, and it leaves with the
+next change to the benchmark, which times it by name.
 
 Array layout: every series is an (N, rows, T) float64 array whose axis 0
 follows the stream's node order and whose last axis is the 1 s bucket
@@ -31,7 +33,6 @@ them.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +50,7 @@ from .serialize import (
 )
 from .templates import TemplateTable, mine_templates, template_series
 from .types import (
+    BUCKET_MS,
     FAULT_TYPES,
     DatasetSplit,
     DiagnosisWindow,
@@ -95,7 +97,6 @@ _TRACE_ERR_ROW = TRACE_STAT_NAMES.index("err_rate")
 TRACE_ERR_SIGMA = 0.1
 EMPTY_TOKEN = "<EMPTY>"
 UNK_TOKEN = "<UNK>"
-BUCKET_MS = 1000
 KMEANS_ITERS = 20
 MIN_WINDOWS_PER_SPLIT = 10
 
@@ -264,13 +265,8 @@ class WindowPlan:
         return self.boundary1_ms
 
 
-def plan_windows(
-    duration_ms: int,
-    window_ms: int,
-    stride_ms: int,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-) -> WindowPlan:
-    """Tile [0, duration) and split window indices chronologically.
+def plan_windows(duration_ms: int, window_ms: int, stride_ms: int) -> WindowPlan:
+    """Tile [0, duration) and split window indices chronologically, 60/20/20.
 
     Any window overlapping the open guard zone (boundary - window_len,
     boundary + window_len) is discarded, so no kept window straddles a split
@@ -280,13 +276,10 @@ def plan_windows(
         raise ValueError("window and stride must be positive")
     if stride_ms > window_ms:
         raise ValueError("stride must not exceed window length (gaps would drop faults)")
-    if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must be three positive values summing to 1")
 
     starts = tuple(range(0, duration_ms - window_ms + 1, stride_ms))
     m = len(starts)
-    i1 = math.floor(fractions[0] * m)
-    i2 = math.floor((fractions[0] + fractions[1]) * m)
+    i1, i2 = 3 * m // 5, 4 * m // 5
     if not (0 < i1 < i2 < m):
         raise ValueError(
             f"only {m} windows tiled; too few to split — use a longer duration"
@@ -372,7 +365,6 @@ class Transforms:
     alert_vocab: dict[str, int]
     graph: ServiceGraph  # observed in train-range spans
     train_end_ms: int
-    bucket_ms: int = BUCKET_MS
 
     @property
     def vocab_size(self) -> int:
@@ -387,7 +379,7 @@ class Transforms:
                     for key, pair in zip(keys, rows)}
 
         payload = {
-            "bucket_ms": self.bucket_ms,
+            "bucket_ms": BUCKET_MS,
             "train_end_ms": self.train_end_ms,
             "selected_channels": list(self.selected_channels),
             "metric_stats": keyed(self.channels, self.metric_stats),
@@ -488,7 +480,7 @@ def _alerts(
         rows, buckets, high = three_sigma_alerts(values, stats)
         order = np.lexsort((rank[rows], buckets))
         rows, high = rows[order], high[order].astype(np.intp)
-        alerts.append((buckets[order] * tf.bucket_ms, tokens[rows, high]))
+        alerts.append((buckets[order] * BUCKET_MS, tokens[rows, high]))
     return alerts
 
 
@@ -498,7 +490,6 @@ def fit_transforms(
     channels: list[str],
     train_end_ms: int,
     prng: Prng,
-    metric_k: Optional[int] = None,
 ) -> tuple[Transforms, tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
     """Fit every train-derived transform, and return it with the model
     inputs that `apply_transforms` makes of the whole timeline.
@@ -514,20 +505,18 @@ def fit_transforms(
     if train_sec <= 0:
         raise ValueError("empty training range")
     nodes = stream.nodes
-    duration_ms = grid.shape[-1] * BUCKET_MS
 
     train_z, metric_stats = standardize_metrics(grid[..., :train_sec], train_sec)
     # Channel selection is shared across nodes: correlate each channel name
-    # using its z-scored train segments concatenated over nodes.
-    k = len(channels) if metric_k is None else metric_k
+    # using its z-scored train segments concatenated over nodes. With k = C
+    # every channel is kept.
     pooled = train_z.transpose(1, 0, 2).reshape(len(channels), -1)
-    selected = [channels[c] for c in compress_metrics(pooled, k, prng)]
+    selected = [channels[c] for c in compress_metrics(pooled, len(channels), prng)]
 
     table = mine_templates(_train_log_lines(stream, train_end_ms))
-    counts = template_series(
-        table, [stream.logs.get(node, []) for node in nodes], BUCKET_MS, 0, duration_ms
-    )
-    trace_raw = trace_features(stream.spans, len(nodes), duration_ms // BUCKET_MS)
+    n_buckets = grid.shape[-1]
+    counts = template_series(table, [stream.logs.get(node, []) for node in nodes], n_buckets)
+    trace_raw = trace_features(stream.spans, len(nodes), n_buckets)
     tf = Transforms(
         table=table,
         channels=channels,
@@ -637,13 +626,12 @@ def preprocess_stream(
     window_ms: int,
     stride_ms: int,
     prng: Prng,
-    metric_k: Optional[int] = None,
 ) -> PreprocessResult:
     """Full preprocessing pipeline: plan windows, fit transforms on the
     train range, apply them to the whole timeline, cut labeled windows."""
     grid, channels = _metric_grid(stream)
     plan = plan_windows(grid.shape[-1] * BUCKET_MS, window_ms, stride_ms)
-    tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng, metric_k)
+    tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng)
     del grid  # the full-timeline grid is not needed to cut windows
     split = build_windows(plan, *inputs, tf.alert_vocab, faults)
     return PreprocessResult(split=split, transforms=tf, nodes=stream.nodes)
@@ -693,8 +681,10 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
 def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict]:
     """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header).
 
-    Malformed input raises `ParseError`, which names the line and field."""
-    lines = data.decode("utf-8").splitlines()
+    Lines split as telemetry lines do (`bytes.splitlines`: at b"\\n",
+    b"\\r\\n" and b"\\r" only). Malformed input raises `ParseError`, which
+    names the line and field."""
+    lines = [line.decode("utf-8") for line in data.splitlines()]
     header = header_line(lines)
     nodes = tuple(header["nodes"])
     parts: dict[str, list[DiagnosisWindow]] = {"train": [], "valid": [], "test": []}

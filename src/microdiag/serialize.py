@@ -200,7 +200,10 @@ def _records(lines: list[bytes]):
 
 
 def deserialize_stream(data: bytes) -> TelemetryStream:
-    """Decode JSONL bytes back into a validated TelemetryStream."""
+    """Decode JSONL bytes back into a TelemetryStream. Each record is held
+    to the rules of `TelemetryStream.validate` as it is read (known node,
+    time order per metric series, per node's logs and over spans, known span
+    endpoints), so a broken rule raises the ParseError of its line."""
     if not data.isascii():
         data.decode("utf-8")  # invalid UTF-8 fails before any line is read
     lines = data.splitlines()
@@ -255,9 +258,7 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     spans = np.empty(len(span_t), dtype=SPAN_DTYPE)
     for name, col in zip(SPAN_DTYPE.names, span_cols):
         spans[name] = col
-    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
-    stream.validate()
-    return stream
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
 
 
 def graph_to_dict(graph: ServiceGraph) -> dict:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .types import BUCKET_MS
+
 __all__ = ["TemplateTable", "mine_templates", "template_series", "WILDCARD"]
 
 WILDCARD = "<*>"
@@ -105,34 +107,26 @@ def mine_templates(lines) -> TemplateTable:
 
 
 def template_series(
-    table: TemplateTable,
-    logs: list[list[tuple[int, str]]],
-    bucket_ms: int,
-    start_ms: int,
-    end_ms: int,
+    table: TemplateTable, logs: list[list[tuple[int, str]]], n_buckets: int
 ) -> np.ndarray:
     """Count series of shape (len(logs), n_templates + 1, n_buckets), one
-    block per node's (t_ms, text) lines.
+    block per node's (t_ms, text) lines, one column per BUCKET_MS from t=0.
 
     Row table.unk_id counts unmatched lines; empty buckets are explicit
     zeros. Total counts equal the number of lines, which must all fall in
-    [start_ms, end_ms).
+    [0, n_buckets * BUCKET_MS).
     """
-    if bucket_ms <= 0:
-        raise ValueError("bucket_ms must be positive")
-    if end_ms <= start_ms:
-        raise ValueError("end_ms must exceed start_ms")
-    n_buckets = -(-(end_ms - start_ms) // bucket_ms)
+    if n_buckets <= 0:
+        raise ValueError("n_buckets must be positive")
     n_rows = table.n_templates + 1
     out = np.zeros((len(logs), n_rows * n_buckets))
     for counts, lines in zip(out, logs):
         times = np.array([t for t, _ in lines], dtype=np.int64)
-        outside = (times < start_ms) | (times >= end_ms)
+        outside = (times < 0) | (times >= n_buckets * BUCKET_MS)
         if outside.any():
-            raise ValueError(
-                f"log line at {times[outside][0]} ms outside series range [{start_ms}, {end_ms})"
-            )
+            raise ValueError(f"log line at {times[outside][0]} ms outside series range "
+                             f"[0, {n_buckets * BUCKET_MS})")
         tids = np.array([table.match(text) for _, text in lines], dtype=np.int64)
-        counts += np.bincount(tids * n_buckets + (times - start_ms) // bucket_ms,
+        counts += np.bincount(tids * n_buckets + times // BUCKET_MS,
                               minlength=n_rows * n_buckets)
     return out.reshape(len(logs), n_rows, n_buckets)

@@ -118,23 +118,18 @@ def preprocess_scenario(
     faults: list[FaultSpec],
     scenario: ScenarioSpec,
     dataset_seed: int,
-    metric_k: Optional[int] = None,
 ) -> tuple[PreprocessResult, bytes]:
     """Preprocess a scenario's telemetry into windows, with the window length
     and stride the scenario's faults were scheduled for, and serialize them."""
-    result = preprocess_stream(
-        stream, faults, scenario.window_ms, scenario.stride_ms,
-        prng_new(dataset_seed).child("preprocess"), metric_k=metric_k,
-    )
+    result = preprocess_stream(stream, faults, scenario.window_ms, scenario.stride_ms,
+                               prng_new(dataset_seed).child("preprocess"))
     raw = windows_to_bytes(result.nodes, result.split, scenario.window_ms,
                            scenario.stride_ms, result.transforms.vocab_size)
     return result, raw
 
 
 def prepare_dataset(
-    scenario: ScenarioSpec,
-    dataset_seed: int,
-    metric_k: Optional[int] = None,
+    scenario: ScenarioSpec, dataset_seed: int
 ) -> tuple[DatasetBundle, PreprocessResult, bytes]:
     """Simulate a scenario and preprocess it into a canonical dataset.
 
@@ -142,7 +137,7 @@ def prepare_dataset(
     in-memory runs and file-staged CLI runs consume identical inputs.
     """
     _, faults, stream = simulate_scenario(scenario, dataset_seed)
-    result, raw = preprocess_scenario(stream, faults, scenario, dataset_seed, metric_k)
+    result, raw = preprocess_scenario(stream, faults, scenario, dataset_seed)
     return DatasetBundle.from_bytes(raw, result.transforms.graph), result, raw
 
 
@@ -377,7 +372,6 @@ class MetricsReport:
     task: Task
     n_runs: int
     per_run: dict[str, list[float]]
-    fingerprint: str = ""
 
     def __post_init__(self):
         for name, values in self.per_run.items():
@@ -417,7 +411,6 @@ def evaluate(
     params, windows, task: Task, vocab_size: int,
     backbone: Backbone = Backbone.DIAGMLP,
     graph: Optional[ServiceGraph] = None,
-    fingerprint: str = "",
     disable_message_passing: bool = False,
 ) -> MetricsReport:
     """One run's test metrics over the windows that carry a label for the
@@ -431,10 +424,7 @@ def evaluate(
     metrics = TASK_METRICS[task][0](
         _eval_logits(params, batch, task, backbone, adj), batch.labels(task)
     )
-    return MetricsReport(
-        task=task, n_runs=1, per_run={k: [v] for k, v in metrics.items()},
-        fingerprint=fingerprint,
-    )
+    return MetricsReport(task=task, n_runs=1, per_run={k: [v] for k, v in metrics.items()})
 
 
 class SeparabilityMode(str, Enum):
@@ -577,7 +567,6 @@ def ablate(
                 report = evaluate(
                     tr.params, bundle.split.test, base.task, bundle.vocab_size,
                     backbone=backbone, graph=bundle.graph,
-                    fingerprint=config_fingerprint(config, bundle.digest),
                     disable_message_passing=disable_message_passing,
                 )
                 result.reports[key] = report

@@ -2,22 +2,25 @@
 
 Conventions: timestamps are integer milliseconds everywhere inside the
 package; seconds only appear at API boundaries (scenario durations, CLI
-flags). Every type is treated as immutable once built. `ServiceGraph`,
-`FaultSpec`, `DiagnosisWindow`, `DatasetSplit` and `RunConfig` validate
-their invariants on construction; `TelemetryStream` checks its own only in
-an explicit `validate()`, which the simulator and serialization call, and
-`NodeSegments` checks none.
+flags). Every series is bucketed at BUCKET_MS from t=0. Every type is
+treated as immutable once built. `ServiceGraph`, `FaultSpec`,
+`DiagnosisWindow`, `DatasetSplit` and `RunConfig` validate their invariants
+on construction; `TelemetryStream` checks its own only in an explicit
+`validate()`, which the simulator and `serialize_stream` call (the telemetry
+reader enforces the same rules line by line), and `NodeSegments` checks
+none. `NodeSegments` and `DiagnosisWindow` compare by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "BUCKET_MS",
     "FaultType",
     "Task",
     "Backbone",
@@ -30,6 +33,10 @@ __all__ = [
     "DatasetSplit",
     "RunConfig",
 ]
+
+# width of one series bucket: metrics are sampled, and log lines, spans and
+# alerts counted, per BUCKET_MS
+BUCKET_MS = 1000
 
 
 class FaultType(str, Enum):
@@ -219,16 +226,6 @@ class NodeSegments:
     trace: np.ndarray
     alerts: tuple[int, ...]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NodeSegments):
-            return NotImplemented
-        return (
-            np.array_equal(self.metric, other.metric)
-            and np.array_equal(self.log, other.log)
-            and np.array_equal(self.trace, other.trace)
-            and self.alerts == other.alerts
-        )
-
 
 @dataclass(eq=False)
 class DiagnosisWindow:
@@ -258,18 +255,6 @@ class DiagnosisWindow:
     @property
     def n_nodes(self) -> int:
         return len(self.segments)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagnosisWindow):
-            return NotImplemented
-        return (
-            self.start_ms == other.start_ms
-            and self.end_ms == other.end_ms
-            and self.label_anomalous == other.label_anomalous
-            and self.label_root_cause == other.label_root_cause
-            and self.label_fault_type == other.label_fault_type
-            and self.segments == other.segments
-        )
 
 
 @dataclass

@@ -139,6 +139,15 @@ def test_window_flags_are_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 60" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["train", "--seed", "3"], ["evaluate"]])
+def test_train_and_evaluate_require_workdir(argv, capsys):
+    # the windows come from an earlier preprocess, so no default could name them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --workdir" in capsys.readouterr().err
+
+
 def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
     _, _, faults, stream = tiny_sim
     (tmp_path / "telemetry.jsonl").write_bytes(serialize_stream(stream))

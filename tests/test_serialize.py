@@ -416,6 +416,36 @@ def test_non_monotone_metric_rejected_on_parse():
         deserialize_stream(data)
 
 
+SPAN = (b'{"kind":"span","t_ms":%d,"node":"a","caller":"a","callee":"%s","latency_ms":1.0,'
+        b'"status":"ok"}')
+LOG = b'{"kind":"log","t_ms":%d,"node":"%s","text":"x"}'
+
+
+@pytest.mark.parametrize(
+    "records, line_no, field, detail",
+    [
+        pytest.param([metric_line(0), metric_line(1, "zz")], 3, "node", "unknown node 'zz'",
+                     id="metric-unknown-node"),
+        pytest.param([LOG % (0, b"zz")], 2, "node", "unknown node 'zz'", id="log-unknown-node"),
+        pytest.param([metric_line(5), metric_line(6, "b"), metric_line(3)], 4, "t_ms",
+                     "non-monotone timestamp in metric a/cpu", id="metric-order"),
+        pytest.param([LOG % (5, b"a"), LOG % (1, b"b"), LOG % (3, b"a")], 4, "t_ms",
+                     "non-monotone timestamp in logs of a", id="log-order"),
+        pytest.param([SPAN % (5, b"b"), SPAN % (3, b"b")], 3, "t_ms",
+                     "non-monotone timestamp in spans", id="span-order"),
+        pytest.param([SPAN % (0, b"b"), SPAN % (1, b"zz")], 3, "caller",
+                     "unknown span endpoint on line 3", id="span-endpoint"),
+    ],
+)
+def test_reader_enforces_every_stream_rule(records, line_no, field, detail):
+    # `deserialize_stream` runs no `TelemetryStream.validate`: the reader
+    # holds each record to its rules and names the line
+    with pytest.raises(ParseError) as err:
+        deserialize_stream(b"\n".join([HEADER, *records]) + b"\n")
+    assert (err.value.line_no, err.value.field) == (line_no, field)
+    assert str(err.value) == f"line {line_no}, field {field!r}: {detail}"
+
+
 def test_graph_round_trip():
     graph = ServiceGraph(3, ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
     assert graph_from_dict(json.loads(graph_to_json(graph))) == graph

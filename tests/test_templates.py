@@ -111,7 +111,7 @@ def test_template_series_counts_and_conservation():
         [(2500, "tick 7")],
         [],
     ]
-    series = template_series(table, logs, bucket_ms=1000, start_ms=0, end_ms=3000)
+    series = template_series(table, logs, n_buckets=3)
     # one block per node; rows: one per template plus the UNK row; columns: 3 buckets
     assert series.shape == (3, table.n_templates + 1, 3)
     a, b, c = series
@@ -127,7 +127,7 @@ def test_template_series_rejects_lines_outside_range():
     table = mine_templates(["tick 1"])
     logs = [[(0, "tick 1"), (5000, "tick 1")]]
     with pytest.raises(ValueError, match="outside series range"):
-        template_series(table, logs, bucket_ms=1000, start_ms=0, end_ms=3000)
+        template_series(table, logs, n_buckets=3)
 
 
 def test_wildcard_token_is_stable():
