@@ -218,45 +218,41 @@ def mulc(a: Tensor, c: float) -> Tensor:
 
 
 def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Causal valid convolution: out[f, .., o] = sum_{c,k} w[f,c,k] x[c, .., o+k].
+    """Causal valid convolution: out[o, .., f] = sum_{c,k} w[f,c,k] x[o+k, .., c].
 
-    Channel-major: x: (C, B, T), w: (F, C, K), b: (F,). Output (F, B, T-K+1),
+    Time-major: x: (T, B, C), w: (F, C, K), b: (F,). Output (T-K+1, B, F),
     so two convolutions chain with no transpose between them; position o sees
     only inputs at times <= o+K-1, so no future leakage and no padding. The
     input gradient is built only when x requires one.
     """
-    C, B, T = x.data.shape
+    T, B, C = x.data.shape
     F, Cw, K = w.data.shape
     if Cw != C:
         raise ValueError(f"conv channel mismatch: input {C}, kernel {Cw}")
     if T < K:
         raise ValueError(f"segment length {T} shorter than kernel width {K}")
     O = T - K + 1
-    # channel-major layout turns each kernel tap into one contiguous GEMM
-    # instead of B tiny broadcast matmuls; strided kernel slices would push
-    # numpy off the BLAS path, so copy each tap once
-    xs = np.ascontiguousarray(x.data)
-    wk = [np.ascontiguousarray(w.data[:, :, k]) for k in range(K)]
-    full = (wk[0] @ xs.reshape(C, B * T)).reshape(F, B, T)
-    acc = full[:, :, 0:O].copy()
+    # x as (T*B, C): tap k is the row block [k*B, (k+O)*B), one GEMM with no
+    # copy of x; the (K, C, F) taps of w are one small transposed copy
+    xs = x.data.reshape(T * B, C)
+    wk = w.data.transpose(2, 1, 0).copy()
+    acc = xs[0 : O * B] @ wk[0]
     for k in range(1, K):
-        full = (wk[k] @ xs.reshape(C, B * T)).reshape(F, B, T)
-        acc += full[:, :, k : k + O]
-    acc += b.data[:, None, None]
+        acc += xs[k * B : (k + O) * B] @ wk[k]
+    acc += b.data
     need_x = x.requires_grad
 
     def grad_fn(g):
-        gt = np.ascontiguousarray(g).reshape(F, B * O)
+        gt = g.reshape(O * B, F)
         gw = np.empty_like(w.data)
-        gx = np.zeros((C, B, T), dtype=xs.dtype) if need_x else None
+        gx = np.zeros((T * B, C), dtype=xs.dtype) if need_x else None
         for k in range(K):
-            xk = np.ascontiguousarray(xs[:, :, k : k + O]).reshape(C, B * O)
-            gw[:, :, k] = gt @ xk.T
+            gw[:, :, k] = gt.T @ xs[k * B : (k + O) * B]
             if need_x:
-                gx[:, :, k : k + O] += (wk[k].T @ gt).reshape(C, B, O)
-        return gx, gw, g.sum(axis=(1, 2))
+                gx[k * B : (k + O) * B] += gt @ wk[k].T
+        return (None if gx is None else gx.reshape(T, B, C)), gw, gt.sum(axis=0)
 
-    return Tensor(acc, (x, w, b), grad_fn)
+    return Tensor(acc.reshape(O, B, F), (x, w, b), grad_fn)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

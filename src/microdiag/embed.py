@@ -80,11 +80,11 @@ def init_encoder_params(
 
 
 def encoder_graph(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
-    """TCN over a channel-major (C, B, T) tensor -> (B, d); the tape-graph
-    building block. Only the pooled (hidden, B) result is transposed."""
+    """TCN over a time-major (T, B, C) tensor -> (B, d); the tape-graph
+    building block. The mean over time, axis 0, leaves (B, hidden) rows."""
     h = ad.relu(ad.conv1d_valid(x, p[f"{prefix}/conv1_w"], p[f"{prefix}/conv1_b"]))
     h = ad.relu(ad.conv1d_valid(h, p[f"{prefix}/conv2_w"], p[f"{prefix}/conv2_b"]))
-    pooled = ad.transpose(ad.tmean(h, axis=2))  # (B, hidden)
+    pooled = ad.tmean(h, axis=0)  # (B, hidden)
     return ad.add(ad.matmul(pooled, ad.transpose(p[f"{prefix}/proj_w"])), p[f"{prefix}/proj_b"])
 
 
@@ -120,9 +120,8 @@ def encode_nodes(
     trace: np.ndarray,
     event_w: np.ndarray,
 ) -> ad.Tensor:
-    """The encoder stage: channel-major (C, rows, T) segments and
-    event-weight rows -> (rows, 3d) as [metric | log | trace series + alert
-    events]."""
+    """The encoder stage: time-major (T, rows, C) segments and event-weight
+    rows -> (rows, 3d) as [metric | log | trace series + alert events]."""
     x_metric = encoder_graph(ad.constant(metric), p, "enc_metric")
     x_log = encoder_graph(ad.constant(log), p, "enc_log")
     x_trace = ad.add(encoder_graph(ad.constant(trace), p, "enc_trace"), events_graph(event_w, p))

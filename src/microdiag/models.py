@@ -13,7 +13,8 @@ ablation swaps one stage and holds everything else fixed.
 Losses are mean softmax cross-entropy; gradients come from the reverse-mode
 tape and cover heads, fusion blocks, message passing, encoders, and position
 embeddings. A training step's tape runs in its batch's dtype, float32 or
-float64, while parameters and the gradients returned stay float64.
+float64, while parameters and the gradients returned stay float64. A batch
+holds its series time-major, (T, B*N, C): each conv tap is a block of rows.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _fusion_block(
 
 class WindowBatch:
     """Dense arrays for a list of windows: per-node segments stacked
-    channel-major as (C, B*N, T), row b*N + n for node n of window b, plus
+    time-major as (T, B*N, C), row b*N + n for node n of window b, plus
     event-weight rows and any labels present. Segments and event weights
     are of `dtype`, which a training step's tape follows."""
 
@@ -144,9 +145,10 @@ class WindowBatch:
         self.n_nodes = n
         self.size = len(windows)
         segments = [seg for w in windows for seg in w.segments]
-        self.metric = np.stack([seg.metric for seg in segments], axis=1, dtype=dtype)
-        self.log = np.stack([seg.log for seg in segments], axis=1, dtype=dtype)
-        self.trace = np.stack([seg.trace for seg in segments], axis=1, dtype=dtype)
+        # per modality one stack of the (C, T) segments, one transposing copy
+        self.metric, self.log, self.trace = (
+            np.stack(series, dtype=dtype).transpose(2, 0, 1).copy()
+            for series in zip(*((seg.metric, seg.log, seg.trace) for seg in segments)))
         self.event_w = embed.event_weights(
             [seg.alerts for seg in segments], vocab_size
         ).astype(dtype, copy=False)
@@ -170,14 +172,24 @@ class WindowBatch:
         out.n_nodes = self.n_nodes
         out.size = len(rows)
         node_rows = (rows[:, None] * self.n_nodes + np.arange(self.n_nodes)).ravel()
-        out.metric = self.metric[:, node_rows]
-        out.log = self.log[:, node_rows]
-        out.trace = self.trace[:, node_rows]
+        out.metric = np.take(self.metric, node_rows, axis=1)  # contiguous, unlike [:, rows]
+        out.log = np.take(self.log, node_rows, axis=1)
+        out.trace = np.take(self.trace, node_rows, axis=1)
         out.event_w = self.event_w[node_rows]
         out.anomalous = self.anomalous[rows]
         out.root_cause = self.root_cause[rows]
         out.fault_type = self.fault_type[rows]
         return out
+
+    def chunks(self, size: int):
+        """Consecutive batches of at most `size` windows, in order; the batch
+        itself when it fits in one, so nothing is gathered again."""
+        if self.size <= size:
+            yield self
+            return
+        rows = np.arange(self.size)
+        for lo in range(0, self.size, size):
+            yield self.select(rows[lo : lo + size])
 
 
 def windows_to_batch(windows, vocab_size: int, dtype=np.float64) -> WindowBatch:

@@ -203,7 +203,9 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     """Decode JSONL bytes back into a TelemetryStream. Each record is held
     to the rules of `TelemetryStream.validate` as it is read (known node,
     time order per metric series, per node's logs and over spans, known span
-    endpoints), so a broken rule raises the ParseError of its line."""
+    endpoints), and each field to its JSON type (an integer `t_ms`, string
+    names and text, number values and latencies; a boolean is no number), so
+    a broken rule raises the ParseError of its line."""
     if not data.isascii():
         data.decode("utf-8")  # invalid UTF-8 fails before any line is read
     lines = data.splitlines()
@@ -215,14 +217,21 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     span_cols = span_t, span_caller, span_callee, span_latency, span_error = [], [], [], [], []
     for idx, obj in _records(lines):
         try:
+            # `type(x) is` checks: a JSON true is no integer, "2.5" no number
             kind, t_ms = obj["kind"], obj["t_ms"]
-            if not isinstance(t_ms, int):
+            if type(t_ms) is not int:
                 raise ParseError(idx, "t_ms", f"expected integer, got {t_ms!r}")
             node = obj["node"]
+            if type(node) is not str:
+                raise ParseError(idx, "node", f"expected string, got {node!r}")
             if node not in known:
                 raise ParseError(idx, "node", f"unknown node {node!r}")
             if kind == "metric":
                 channel, value = obj["channel"], obj["value"]
+                if type(channel) is not str:
+                    raise ParseError(idx, "channel", f"expected string, got {channel!r}")
+                if type(value) is not float and type(value) is not int:
+                    raise ParseError(idx, "value", f"expected number, got {value!r}")
                 series = metrics.setdefault(node, {}).get(channel)
                 if series is None:
                     series = metrics[node][channel] = []
@@ -232,12 +241,18 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 series.append((t_ms, float(value)))
             elif kind == "log":
                 text_field = obj["text"]
+                if type(text_field) is not str:
+                    raise ParseError(idx, "text", f"expected string, got {text_field!r}")
                 series = logs.setdefault(node, [])
                 if series and t_ms < series[-1][0]:
                     raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
-                series.append((t_ms, str(text_field)))
+                series.append((t_ms, text_field))
             elif kind == "span":
-                caller, callee = known.get(obj["caller"]), known.get(obj["callee"])
+                caller, callee = obj["caller"], obj["callee"]
+                if type(caller) is not str or type(callee) is not str:
+                    name, end = ("caller", caller) if type(caller) is not str else ("callee", callee)
+                    raise ParseError(idx, name, f"expected string, got {end!r}")
+                caller, callee = known.get(caller), known.get(callee)
                 if caller is None or callee is None:
                     raise ParseError(idx, "caller", f"unknown span endpoint on line {idx}")
                 if span_t and t_ms < span_t[-1]:
@@ -246,10 +261,13 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 if status not in ("ok", "error"):
                     raise ParseError(idx, "status",
                                      f"expected 'ok' or 'error', got {status!r}")
+                latency = obj["latency_ms"]
+                if type(latency) is not float and type(latency) is not int:
+                    raise ParseError(idx, "latency_ms", f"expected number, got {latency!r}")
                 span_t.append(t_ms)
                 span_caller.append(caller)
                 span_callee.append(callee)
-                span_latency.append(float(obj["latency_ms"]))
+                span_latency.append(float(latency))
                 span_error.append(status == "error")
             else:
                 raise ParseError(idx, "kind", f"unknown kind {kind!r}")

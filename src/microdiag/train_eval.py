@@ -155,11 +155,8 @@ def _eval_logits(
     adj: Optional[np.ndarray],
 ) -> np.ndarray:
     p = {k: ad.constant(v) for k, v in params.items()}
-    rows = np.arange(batch.size)
-    outs = []
-    for lo in range(0, batch.size, EVAL_CHUNK):
-        chunk = batch.select(rows[lo : lo + EVAL_CHUNK])
-        outs.append(models.forward_graph(p, chunk, task, backbone, adj).data)
+    outs = [models.forward_graph(p, chunk, task, backbone, adj).data
+            for chunk in batch.chunks(EVAL_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 
@@ -504,9 +501,7 @@ def separability_report(
     models.check_batch(p, batch, adj)
 
     feats = []
-    rows = np.arange(batch.size)
-    for lo in range(0, batch.size, EVAL_CHUNK):
-        chunk = batch.select(rows[lo : lo + EVAL_CHUNK])
+    for chunk in batch.chunks(EVAL_CHUNK):
         x = embed.encode_nodes(p, chunk.metric, chunk.log, chunk.trace, chunk.event_w)
         if mode is SeparabilityMode.RAW_CONCAT:
             feats.append(x.data.reshape(chunk.size, -1))  # (B, N*3d)

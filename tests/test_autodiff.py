@@ -164,31 +164,73 @@ class TestReductions:
         check_grads(make_loss, {"x": rng.normal(size=(4, 6))})
 
 
+def naive_conv1d(x, w, b):
+    """Triple-loop oracle of `conv1d_valid`: time-major x (T, B, C), w (F, C,
+    K), b (F,) -> (T-K+1, B, F)."""
+    T, B, C = x.shape
+    F, _, K = w.shape
+    out = np.empty((T - K + 1, B, F))
+    for o in range(T - K + 1):
+        for row in range(B):
+            for f in range(F):
+                out[o, row, f] = b[f] + sum(
+                    w[f, c, k] * x[o + k, row, c] for c in range(C) for k in range(K))
+    return out
+
+
+def naive_conv1d_grads(x, w, g):
+    """Triple-loop gradients of sum(g * conv1d_valid(x, w, b)) for x, w, b."""
+    T, B, C = x.shape
+    F, _, K = w.shape
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for o in range(T - K + 1):
+        for row in range(B):
+            for f in range(F):
+                for c in range(C):
+                    for k in range(K):
+                        gx[o + k, row, c] += g[o, row, f] * w[f, c, k]
+                        gw[f, c, k] += g[o, row, f] * x[o + k, row, c]
+    return gx, gw, g.sum(axis=(0, 1))
+
+
 class TestConv1d:
     def test_hand_values(self):
-        x = constant(np.array([[[1.0, 2.0, 3.0]]]))       # (C=1, B=1, T=3)
-        w = constant(np.array([[[1.0, 2.0]]]))            # (F=1, C=1, K=2)
+        x = constant(np.array([[[1.0]], [[2.0]], [[3.0]]]))  # (T=3, B=1, C=1)
+        w = constant(np.array([[[1.0, 2.0]]]))               # (F=1, C=1, K=2)
         b = constant(np.array([10.0]))
         out = conv1d_valid(x, w, b)
-        assert out.data.shape == (1, 1, 2)
-        assert out.data[0, 0].tolist() == [15.0, 18.0]    # [1+4, 2+6] + 10
+        assert out.data.shape == (2, 1, 1)
+        assert out.data[:, 0, 0].tolist() == [15.0, 18.0]    # [1+4, 2+6] + 10
+
+    def test_matches_naive_loops(self):
+        # uneven B, C, T and F so a swapped axis cannot pass
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(11, 5, 3))  # (T, B, C)
+        w, b = rng.normal(size=(4, 3, 3)), rng.normal(size=(4,))
+        g = rng.normal(size=(9, 5, 4))
+        xt, wt, bt = parameter(x), parameter(w), parameter(b)
+        out = conv1d_valid(xt, wt, bt)
+        np.testing.assert_allclose(out.data, naive_conv1d(x, w, b), rtol=0, atol=1e-12)
+        backward(tsum(mul(out, constant(g))))
+        for got, want in zip((xt.grad, wt.grad, bt.grad), naive_conv1d_grads(x, w, g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_causality_no_future_leakage(self):
         rng = np.random.default_rng(19)
-        x = rng.normal(size=(2, 1, 8))  # (C, B, T)
+        x = rng.normal(size=(8, 1, 2))  # (T, B, C)
         w, b = rng.normal(size=(3, 2, 3)), rng.normal(size=(3,))
         base = conv1d_valid(constant(x), constant(w), constant(b)).data
-        assert base.shape == (3, 1, 6)  # (F, B, T-K+1)
+        assert base.shape == (6, 1, 3)  # (T-K+1, B, F)
         bumped = x.copy()
-        bumped[:, :, 5] += 100.0  # position o=5 first visible at output o-K+1=3
+        bumped[5] += 100.0  # position o=5 first visible at output o-K+1=3
         out = conv1d_valid(constant(bumped), constant(w), constant(b)).data
-        assert np.array_equal(out[:, :, :3], base[:, :, :3])
-        assert not np.allclose(out[:, :, 3], base[:, :, 3])
+        assert np.array_equal(out[:3], base[:3])
+        assert not np.allclose(out[3], base[3])
 
     def test_fd(self):
         rng = np.random.default_rng(20)
         arrays = {
-            "x": rng.normal(size=(3, 2, 7)),  # (C, B, T)
+            "x": rng.normal(size=(7, 2, 3)),  # (T, B, C)
             "w": rng.normal(size=(2, 3, 3)) * 0.5,
             "b": rng.normal(size=(2,)),
         }
@@ -202,7 +244,7 @@ class TestConv1d:
     def test_batch_rows_are_independent(self):
         # row b of the output is the convolution of row b of the input alone
         rng = np.random.default_rng(28)
-        x = rng.normal(size=(3, 4, 9))
+        x = rng.normal(size=(9, 4, 3))
         w, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(2,))
         out = conv1d_valid(constant(x), constant(w), constant(b)).data
         for row in range(4):
@@ -213,9 +255,9 @@ class TestConv1d:
         # the input gradient is skipped, and skipping it leaves the weight
         # and bias gradients bit-identical to a parameter input's
         rng = np.random.default_rng(29)
-        x = rng.normal(size=(3, 5, 7))
+        x = rng.normal(size=(7, 5, 3))
         w0, b0 = rng.normal(size=(4, 3, 3)), rng.normal(size=(4,))
-        readout = rng.normal(size=(4, 5, 5))
+        readout = rng.normal(size=(5, 5, 4))
         grads = {}
         for make_x in (constant, parameter):
             xt, w, b = make_x(x), parameter(w0), parameter(b0)
@@ -228,7 +270,7 @@ class TestConv1d:
             assert a.tobytes() == b.tobytes()
 
     def test_shape_errors(self):
-        x = constant(np.zeros((2, 1, 4)))  # (C, B, T)
+        x = constant(np.zeros((4, 1, 2)))  # (T, B, C)
         with pytest.raises(ValueError, match="channel mismatch"):
             conv1d_valid(x, constant(np.zeros((1, 3, 2))), constant(np.zeros(1)))
         with pytest.raises(ValueError, match="shorter than kernel"):
@@ -387,7 +429,7 @@ FLOAT32_CASES = {
     "addc": (lambda t: addc(t["a"], 1e-5), {"a": (3, 4)}),
     "mulc": (lambda t: mulc(t["a"], 0.25), {"a": (3, 4)}),
     "conv1d_valid": (lambda t: conv1d_valid(t["x"], t["w"], t["b"]),
-                     {"x": (2, 3, 7), "w": (4, 2, 3), "b": (4,)}),
+                     {"x": (7, 3, 2), "w": (4, 2, 3), "b": (4,)}),
     "layer_norm": (lambda t: layer_norm(t["a"]), {"a": (3, 4)}),
     "cross_entropy": (lambda t: cross_entropy(t["a"], np.array([0, 3, 1])), {"a": (3, 4)}),
     "dropout": (lambda t: apply_dropout(

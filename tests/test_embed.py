@@ -38,8 +38,8 @@ def tensors(params):
 
 def encode_series(segment, params, prefix):
     """One (channels, T) segment through the TCN -> R^d; the encoder takes
-    a channel-major (channels, rows, T) batch, here of one row."""
-    return encoder_graph(ad.constant(segment[:, None]), tensors(params), prefix).data[0]
+    a time-major (T, rows, channels) batch, here of one row."""
+    return encoder_graph(ad.constant(segment.T[:, None]), tensors(params), prefix).data[0]
 
 
 def encode_alerts(ids, params):
@@ -98,11 +98,11 @@ class TestTimeseriesEncoder:
 
         def make_loss():
             p = {k: ad.parameter(v) for k, v in arrays.items()}
-            out = encoder_graph(ad.constant(x[:, None]), p, "enc_metric")
+            out = encoder_graph(ad.constant(x.T[:, None]), p, "enc_metric")
             return ad.tsum(ad.mul(out, ad.constant(weights)))
 
         tensors = {k: ad.parameter(v) for k, v in arrays.items()}
-        out = encoder_graph(ad.constant(x[:, None]), tensors, "enc_metric")
+        out = encoder_graph(ad.constant(x.T[:, None]), tensors, "enc_metric")
         ad.backward(ad.tsum(ad.mul(out, ad.constant(weights))))
         fd = finite_difference(lambda: float(make_loss().data), arrays)
         for k in arrays:
@@ -168,11 +168,12 @@ class TestEmbedWindow:
         ]
 
     def encode(self, segs, params):
+        # time-major (T, rows, channels) batches
         return encode_nodes(
             tensors(params),
-            np.stack([seg.metric for seg in segs], axis=1),
-            np.stack([seg.log for seg in segs], axis=1),
-            np.stack([seg.trace for seg in segs], axis=1),
+            np.stack([seg.metric.T for seg in segs], axis=1),
+            np.stack([seg.log.T for seg in segs], axis=1),
+            np.stack([seg.trace.T for seg in segs], axis=1),
             event_weights([seg.alerts for seg in segs], VOCAB),
         ).data
 

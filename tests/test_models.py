@@ -153,11 +153,12 @@ class TestWindowBatch:
         windows = make_windows(rng, n_windows=4, anomalous_from=2)
         batch = windows_to_batch(windows, vocab_size=4)
         assert batch.size == 4 and batch.n_nodes == 3
-        assert batch.metric.shape == (2, 12, 8)  # (channels, windows x nodes, T)
-        assert batch.trace.shape == (3, 12, 8)
+        assert batch.metric.shape == (8, 12, 2)  # (T, windows x nodes, channels)
+        assert batch.trace.shape == (8, 12, 3)
         # row b*N + n holds node n of window b
-        assert np.array_equal(batch.metric[:, 1 * 3 + 2], windows[1].segments[2].metric)
-        assert np.array_equal(batch.trace[:, 3 * 3 + 0], windows[3].segments[0].trace)
+        assert np.array_equal(batch.metric[:, 1 * 3 + 2].T, windows[1].segments[2].metric)
+        assert np.array_equal(batch.trace[:, 3 * 3 + 0].T, windows[3].segments[0].trace)
+        assert batch.metric.flags["C_CONTIGUOUS"] and batch.trace.flags["C_CONTIGUOUS"]
         assert batch.event_w.shape == (12, 4)
         assert batch.labels(Task.DETECT).tolist() == [0, 0, 1, 1]
         assert batch.labels(Task.LOCALIZE).tolist() == [-1, -1, 2, 0]
@@ -172,6 +173,18 @@ class TestWindowBatch:
         for attr in ("metric", "log", "trace", "event_w",
                      "anomalous", "root_cause", "fault_type"):
             assert np.array_equal(getattr(sub, attr), getattr(direct, attr)), attr
+        assert sub.metric.flags["C_CONTIGUOUS"] and sub.trace.flags["C_CONTIGUOUS"]
+
+    def test_chunks_are_the_batch_itself_when_it_fits(self):
+        rng = np.random.default_rng(5)
+        batch = windows_to_batch(make_windows(rng, n_windows=5), 4)
+        assert [c is batch for c in batch.chunks(5)] == [True]
+        pieces = list(batch.chunks(2))
+        assert [c.size for c in pieces] == [2, 2, 1]
+        for attr in ("metric", "log", "trace", "event_w", "anomalous", "root_cause", "fault_type"):
+            whole = np.concatenate([getattr(c, attr) for c in pieces],
+                                   axis=1 if attr in ("metric", "log", "trace") else 0)
+            assert np.array_equal(whole, getattr(batch, attr)), attr
 
     def test_guards(self):
         with pytest.raises(ValueError, match="empty batch"):

@@ -446,6 +446,33 @@ def test_reader_enforces_every_stream_rule(records, line_no, field, detail):
     assert str(err.value) == f"line {line_no}, field {field!r}: {detail}"
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (b'{"kind":"log","t_ms":true,"node":"a","text":"x"}', "t_ms"),
+        (b'{"kind":"log","t_ms":0,"node":[],"text":"x"}', "node"),
+        (b'{"kind":"metric","t_ms":0,"node":"a","channel":[],"value":1.0}', "channel"),
+        (b'{"kind":"metric","t_ms":0,"node":"a","channel":"cpu","value":"2.5"}', "value"),
+        (b'{"kind":"metric","t_ms":0,"node":"a","channel":"cpu","value":true}', "value"),
+        (b'{"kind":"log","t_ms":0,"node":"a","text":5}', "text"),
+        (b'{"kind":"span","t_ms":0,"node":"a","caller":["a"],"callee":"b","latency_ms":1.0,'
+         b'"status":"ok"}', "caller"),
+        (b'{"kind":"span","t_ms":0,"node":"a","caller":"a","callee":{},"latency_ms":1.0,'
+         b'"status":"ok"}', "callee"),
+        (b'{"kind":"span","t_ms":0,"node":"a","caller":"a","callee":"b","latency_ms":true,'
+         b'"status":"ok"}', "latency_ms"),
+    ],
+)
+def test_reader_rejects_wrong_typed_fields(record, field):
+    # a wrong-typed field is a ParseError naming its line and field, never a
+    # converted value or a bare TypeError
+    data = b"\n".join([HEADER, metric_line(0, "b"), record]) + b"\n"
+    with pytest.raises(ParseError) as err:
+        deserialize_stream(data)
+    assert (err.value.line_no, err.value.field) == (3, field)
+    assert str(err.value).startswith(f"line 3, field {field!r}: expected ")
+
+
 def test_graph_round_trip():
     graph = ServiceGraph(3, ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
     assert graph_from_dict(json.loads(graph_to_json(graph))) == graph
