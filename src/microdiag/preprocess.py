@@ -47,6 +47,7 @@ from .serialize import (
     graph_to_dict,
     header_line,
     json_line,
+    round6,
 )
 from .templates import TemplateTable, mine_templates, template_series
 from .types import (
@@ -637,11 +638,6 @@ def preprocess_stream(
     return PreprocessResult(split=split, transforms=tf, nodes=stream.nodes)
 
 
-def _num(x: float) -> float:
-    r = round(float(x), 6)
-    return 0.0 if r == 0.0 else r
-
-
 def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
                      window_ms: int, stride_ms: int, vocab_size: int) -> bytes:
     """Serialize a DatasetSplit to the windows.jsonl layout (header line,
@@ -666,9 +662,9 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
                 "fault_type": w.label_fault_type,
                 "nodes": [
                     {
-                        "metric": [[_num(v) for v in row] for row in seg.metric],
-                        "log": [[int(v) for v in row] for row in seg.log],
-                        "trace": [[_num(v) for v in row] for row in seg.trace],
+                        "metric": (round6(seg.metric) + 0.0).tolist(),  # no -0.0
+                        "log": seg.log.astype(np.int64).tolist(),
+                        "trace": (round6(seg.trace) + 0.0).tolist(),
                         "alerts": list(seg.alerts),
                     }
                     for seg in w.segments

@@ -17,22 +17,29 @@ The writer emits, for each record, the bytes `json.dumps(record_dict,
 separators=(",", ":"))` would: one string template per record kind, with
 names and log text quoted by `json.dumps` (so non-ASCII is escaped) and each
 float written as `json.dumps` writes `round(float(x), 6)` (`float.__repr__`,
-or NaN / Infinity / -Infinity). Records are ordered by one stable sort on
-(t_ms, kind), kinds in the order metric, log, span.
+or NaN / Infinity / -Infinity). Records are numeric columns per kind, ordered
+by one stable sort on (t_ms, kind), kinds in the order metric, log, span, and
+formatted `_BLOCK_RECORDS` at a time into one `io.BytesIO`, so one block of
+record strings is alive at a time. The writer still returns bytes (`getvalue`
+hands the buffer over uncopied): the CLI writes them atomically and the
+benchmark's tracer takes their length.
 
 The reader splits lines at b"\\n", b"\\r\\n" and b"\\r" only
 (`bytes.splitlines`), so a raw U+2028, U+0085 or form feed inside a line is
-part of that line. It parses `_BLOCK_LINES` lines per `json.loads` call and
+part of that line. It splits slices of about `_SLICE_BYTES`, each cut just
+after a b"\\n", so no line or b"\\r\\n" spans two slices and the file's line
+list is never built. It parses `_BLOCK_LINES` lines per `json.loads` call and
 reads a block line by line when that parse cannot vouch for one object per
 line; a malformed file raises the ParseError of its first bad line either way.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import math
 import os
 import tempfile
+from array import array
 from pathlib import Path
 from typing import Iterable
 
@@ -42,6 +49,7 @@ from .types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStre
 
 __all__ = [
     "ParseError",
+    "round6",
     "json_line",
     "header_line",
     "serialize_stream",
@@ -59,7 +67,9 @@ __all__ = [
 ]
 
 _HEADER_VERSION = 1
-# Lines parsed by one `json.loads` call when reading telemetry.
+# Telemetry records formatted per block; bytes per read slice; lines per `json.loads`.
+_BLOCK_RECORDS = 2048
+_SLICE_BYTES = 1 << 20
 _BLOCK_LINES = 4096
 
 
@@ -75,12 +85,26 @@ class ParseError(ValueError):
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def round6(values) -> np.ndarray:
+    """`round(float(x), 6)` of every element, bit for bit: `rint(x * 1e6) / 1e6` where the
+    product is clear of a half-integer by more than its rounding error, else Python's `round`."""
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e6
+        whole = np.rint(scaled)
+        tie_gap = 0.5 - np.abs(scaled - whole)  # exact wherever it is below 0.25
+        exact = (tie_gap > np.abs(scaled) * 2.0**-52) & (np.abs(scaled) < 2.0**50)
+    out = whole / 1e6
+    out[~exact] = [round(v, 6) for v in x[~exact].tolist()]
+    return out
+
+
 def _float_texts(values) -> list[str]:
     """Each value as `json.dumps` writes `round(float(v), 6)`: the rounding
     keeps files compact and reruns byte-stable."""
-    rounded = [round(v, 6) for v in map(float, values)]
-    texts = list(map(float.__repr__, rounded))
-    if not math.isfinite(sum(rounded)):  # a NaN or an infinity, or a sum past the float range
+    rounded = round6(values)
+    texts = list(map(float.__repr__, rounded.tolist()))
+    if not np.isfinite(rounded).all():
         texts = [_NON_FINITE.get(t, t) for t in texts]
     return texts
 
@@ -93,46 +117,54 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
         separators=(",", ":"),
     )
     quoted = [json.dumps(node) for node in stream.nodes]
-    # Records in construction order: metrics by node, channel, time; logs by
-    # node, time; spans in array order. One stable sort by (t_ms, kind) then
-    # gives the file order.
-    records: list[str] = []
-    times: list[int] = []
+    # Columns in construction order: metrics by node, channel, time (a mid-text
+    # per series); logs by node, time; spans in array order (a mid-text per
+    # pair). One stable sort by (t_ms, kind) then gives the file order.
+    mids, sizes, times, values, log_node, log_text = [], [], [], [], [], []
     for node, q in zip(stream.nodes, quoted):
         channels = stream.metrics.get(node, {})
         for channel in sorted(channels):
-            if not channels[channel]:
-                continue
-            ts, values = zip(*channels[channel])
-            mid = f',"node":{q},"channel":{json.dumps(channel)},"value":'
-            records += [f'{{"kind":"metric","t_ms":{t}{mid}{v}}}'
-                        for t, v in zip(ts, _float_texts(values))]
+            if channels[channel]:
+                ts, vs = zip(*channels[channel])
+                mids.append(f',"node":{q},"channel":{json.dumps(channel)},"value":')
+                sizes.append(len(ts))
+                times += ts
+                values += vs
+    for i, node in enumerate(stream.nodes):
+        if stream.logs.get(node):
+            ts, texts = zip(*stream.logs[node])
+            log_node += [i] * len(ts)
+            log_text += texts
             times += ts
-    n_metric = len(records)
-    for node, q in zip(stream.nodes, quoted):
-        if not stream.logs.get(node):
-            continue
-        ts, texts = zip(*stream.logs[node])
-        records += [f'{{"kind":"log","t_ms":{t},"node":{q},"text":{json.dumps(text)}}}'
-                    for t, text in zip(ts, texts)]
-        times += ts
-    n_log = len(records) - n_metric
+    series, values = np.repeat(np.arange(len(mids)), sizes), np.array(values, dtype=np.float64)
     sp = stream.spans
-    # one text per (caller, callee) pair that occurs
     pairs, pair_of = np.unique(sp["caller"] * len(quoted) + sp["callee"], return_inverse=True)
     callers, callees = np.divmod(pairs, len(quoted))
-    mids = [f',"node":{quoted[a]},"caller":{quoted[a]},"callee":{quoted[b]},"latency_ms":'
-            for a, b in zip(callers.tolist(), callees.tolist())]
+    span_mids = [f',"node":{quoted[a]},"caller":{quoted[a]},"callee":{quoted[b]},"latency_ms":'
+                 for a, b in zip(callers.tolist(), callees.tolist())]
     status = (',"status":"ok"}', ',"status":"error"}')
-    records += [f'{{"kind":"span","t_ms":{t}{mids[p]}{lat}{status[e]}'
-                for t, p, lat, e in zip(sp["t_ms"].tolist(), pair_of.tolist(),
-                                        _float_texts(sp["latency_ms"].tolist()),
-                                        sp["error"].tolist())]
-    kind = np.repeat(np.arange(3, dtype=np.int8), (n_metric, n_log, len(sp)))
-    order = np.lexsort((kind, np.concatenate((np.array(times, dtype=np.int64), sp["t_ms"]))))
-    text = "\n".join([header, *[records[i] for i in order.tolist()], ""])
-    del records  # freed before the text is copied to bytes, the writer's peak
-    return text.encode("utf-8")
+    first = (0, len(values), len(values) + len(log_text))  # each kind's first record
+    kind = np.repeat(np.arange(3, dtype=np.int8), (len(values), len(log_text), len(sp)))
+    times = np.concatenate((np.array(times, dtype=np.int64), sp["t_ms"]))
+    order = np.lexsort((kind, times))
+    out = io.BytesIO()
+    out.write(header.encode("utf-8") + b"\n")
+    for start in range(0, len(order), _BLOCK_RECORDS):
+        block = order[start:start + _BLOCK_RECORDS]
+        k, t = kind[block], times[block]
+        mi, li, si = (block[k == n] - first[n] for n in range(3))  # each kind's own indices
+        lines = np.empty(len(block), dtype=object)
+        lines[k == 0] = [f'{{"kind":"metric","t_ms":{a}{mids[b]}{v}}}' for a, b, v
+                         in zip(t[k == 0].tolist(), series[mi].tolist(), _float_texts(values[mi]))]
+        lines[k == 1] = [f'{{"kind":"log","t_ms":{a},"node":{quoted[log_node[j]]},'
+                         f'"text":{json.dumps(log_text[j])}}}'
+                         for a, j in zip(t[k == 1].tolist(), li.tolist())]
+        lines[k == 2] = [f'{{"kind":"span","t_ms":{a}{span_mids[p]}{lat}{status[e]}'
+                         for a, p, lat, e in zip(t[k == 2].tolist(), pair_of[si].tolist(),
+                                                 _float_texts(sp["latency_ms"][si]),
+                                                 sp["error"][si].tolist())]
+        out.write(("\n".join(lines.tolist()) + "\n").encode("utf-8"))
+    return out.getvalue()
 
 
 def _require(obj: dict, field: str, line_no: int):
@@ -183,44 +215,70 @@ def _block_records(block: list[bytes]) -> list | None:
     return objs if len(objs) == len(block) else None
 
 
-def _records(lines: list[bytes]):
+def _slices(data: bytes):
+    """`data.splitlines()`, one list per slice of about `_SLICE_BYTES` cut after a b"\\n"."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _SLICE_BYTES - 1) + 1 or len(data)
+        yield data[start:end].splitlines()
+        start = end
+
+
+def _records(data: bytes):
     """(line number, object) for each non-blank line after the header, in
     file order; a line that is not a JSON object raises its ParseError when
     reached."""
-    for start in range(1, len(lines), _BLOCK_LINES):
-        block = lines[start:start + _BLOCK_LINES]
-        objs = _block_records(block)
-        if objs is not None:
-            yield from enumerate(objs, start + 1)
-            continue
-        for idx, raw in enumerate(block, start + 1):
-            text = raw.decode("utf-8")
-            if text.strip():
-                yield idx, json_line(text, idx, "record")
+    line_no = 1  # of the slice's first line
+    for lines in _slices(data):
+        for start in range(line_no == 1, len(lines), _BLOCK_LINES):  # from 1: past the header
+            block = lines[start:start + _BLOCK_LINES]
+            objs = _block_records(block)
+            if objs is not None:
+                yield from enumerate(objs, line_no + start)
+                continue
+            for idx, raw in enumerate(block, line_no + start):
+                text = raw.decode("utf-8")
+                if text.strip():
+                    yield idx, json_line(text, idx, "record")
+        line_no += len(lines)
+
+
+def _number(value, field: str, line_no: int) -> float:
+    """A number field as a float; a boolean is no number."""
+    if type(value) is not float and type(value) is not int:
+        raise ParseError(line_no, field, f"expected number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(line_no, field, "integer out of the float range") from None
 
 
 def deserialize_stream(data: bytes) -> TelemetryStream:
     """Decode JSONL bytes back into a TelemetryStream. Each record is held
     to the rules of `TelemetryStream.validate` as it is read (known node,
     time order per metric series, per node's logs and over spans, known span
-    endpoints), and each field to its JSON type (an integer `t_ms`, string
-    names and text, number values and latencies; a boolean is no number), so
-    a broken rule raises the ParseError of its line."""
+    endpoints), and each field to its JSON type and range (an int64 `t_ms`,
+    string names and text, values and latencies that a float holds; a boolean
+    is no number), so a broken rule raises the ParseError of its line."""
     if not data.isascii():
         data.decode("utf-8")  # invalid UTF-8 fails before any line is read
-    lines = data.splitlines()
-    nodes = tuple(header_line([line.decode("utf-8") for line in lines[:1]])["nodes"])
+    first = next(_slices(data), [])[:1]
+    nodes = tuple(header_line([line.decode("utf-8") for line in first])["nodes"])
     known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, list[tuple[int, float]]]] = {}
     logs: dict[str, list[tuple[int, str]]] = {}
-    span_cols = span_t, span_caller, span_callee, span_latency, span_error = [], [], [], [], []
-    for idx, obj in _records(lines):
+    # int64 and float64 columns: no Python object per span is kept
+    span_cols = span_t, span_caller, span_callee, span_latency, span_error = (
+        array("q"), array("q"), array("q"), array("d"), array("b"))
+    for idx, obj in _records(data):
         try:
             # `type(x) is` checks: a JSON true is no integer, "2.5" no number
             kind, t_ms = obj["kind"], obj["t_ms"]
             if type(t_ms) is not int:
                 raise ParseError(idx, "t_ms", f"expected integer, got {t_ms!r}")
+            if not -2**63 <= t_ms < 2**63:
+                raise ParseError(idx, "t_ms", "integer out of the int64 range")
             node = obj["node"]
             if type(node) is not str:
                 raise ParseError(idx, "node", f"expected string, got {node!r}")
@@ -230,15 +288,14 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 channel, value = obj["channel"], obj["value"]
                 if type(channel) is not str:
                     raise ParseError(idx, "channel", f"expected string, got {channel!r}")
-                if type(value) is not float and type(value) is not int:
-                    raise ParseError(idx, "value", f"expected number, got {value!r}")
+                value = _number(value, "value", idx)
                 series = metrics.setdefault(node, {}).get(channel)
                 if series is None:
                     series = metrics[node][channel] = []
                 elif t_ms < series[-1][0]:
                     raise ParseError(idx, "t_ms",
                                      f"non-monotone timestamp in metric {node}/{channel}")
-                series.append((t_ms, float(value)))
+                series.append((t_ms, value))
             elif kind == "log":
                 text_field = obj["text"]
                 if type(text_field) is not str:
@@ -261,13 +318,11 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 if status not in ("ok", "error"):
                     raise ParseError(idx, "status",
                                      f"expected 'ok' or 'error', got {status!r}")
-                latency = obj["latency_ms"]
-                if type(latency) is not float and type(latency) is not int:
-                    raise ParseError(idx, "latency_ms", f"expected number, got {latency!r}")
+                latency = _number(obj["latency_ms"], "latency_ms", idx)
                 span_t.append(t_ms)
                 span_caller.append(caller)
                 span_callee.append(callee)
-                span_latency.append(float(latency))
+                span_latency.append(latency)
                 span_error.append(status == "error")
             else:
                 raise ParseError(idx, "kind", f"unknown kind {kind!r}")

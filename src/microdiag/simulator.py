@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .prng import Prng
+from .serialize import round6
 from .types import FAULT_TYPES, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 __all__ = [
@@ -425,14 +426,14 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
 
     metrics = {
         name: {
-            ch: [(t * 1000, round(float(v), 6)) for t, v in enumerate(values[(i, ch)])]
+            ch: list(zip(range(0, 1000 * T, 1000), round6(values[(i, ch)]).tolist()))
             for ch in METRIC_CHANNELS
         }
         for i, name in enumerate(names)
     }
     spans = spans[keep]
-    # Python's round, as the telemetry file's: a re-read stream holds the same floats
-    spans["latency_ms"] = [round(x, 6) for x in spans["latency_ms"].tolist()]
+    # rounded as the telemetry file is, so a re-read stream holds the same floats
+    spans["latency_ms"] = round6(spans["latency_ms"])
     stream = TelemetryStream(nodes=names, metrics=metrics, logs=logs, spans=spans)
     stream.validate(graph)
     return stream

@@ -1,13 +1,16 @@
 """Round-trip and canonicality properties of the file formats, and the
 telemetry codec against the one-`json`-call-per-record codec it replaced."""
 
+import contextlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microdiag import serialize
 from microdiag.serialize import (
     ParseError,
     _BLOCK_LINES,
@@ -18,6 +21,7 @@ from microdiag.serialize import (
     graph_from_dict,
     graph_to_json,
     load_checkpoint,
+    round6,
     save_checkpoint,
     serialize_stream,
     write_csv,
@@ -471,6 +475,183 @@ def test_reader_rejects_wrong_typed_fields(record, field):
         deserialize_stream(data)
     assert (err.value.line_no, err.value.field) == (3, field)
     assert str(err.value).startswith(f"line 3, field {field!r}: expected ")
+
+
+@pytest.mark.parametrize(
+    "record, field, detail",
+    [
+        (b'{"kind":"metric","t_ms":0,"node":"a","channel":"cpu","value":%s}' % (b"9" * 401),
+         "value", "integer out of the float range"),
+        (b'{"kind":"span","t_ms":0,"node":"a","caller":"a","callee":"b","latency_ms":%s,'
+         b'"status":"ok"}' % (b"9" * 401), "latency_ms", "integer out of the float range"),
+        (b'{"kind":"span","t_ms":%s,"node":"a","caller":"a","callee":"b","latency_ms":1.0,'
+         b'"status":"ok"}' % (b"9" * 30), "t_ms", "integer out of the int64 range"),
+        (metric_line(10**30), "t_ms", "integer out of the int64 range"),
+        (LOG % (2**63, b"a"), "t_ms", "integer out of the int64 range"),
+        (metric_line(-2**63 - 1), "t_ms", "integer out of the int64 range"),
+    ],
+)
+def test_reader_names_out_of_range_numbers(record, field, detail):
+    # a number no float or int64 holds is a ParseError, never a bare OverflowError
+    data = b"\n".join([HEADER, metric_line(0, "b"), record]) + b"\n"
+    with pytest.raises(ParseError) as err:
+        deserialize_stream(data)
+    assert str(err.value) == f"line 3, field {field!r}: {detail}"
+
+
+def test_int64_bounds_of_t_ms_are_read():
+    data = b"\n".join([HEADER, metric_line(-2**63), metric_line(2**63 - 1)]) + b"\n"
+    assert deserialize_stream(data).metrics["a"]["cpu"] == [(-2**63, 0.5), (2**63 - 1, 0.5)]
+
+
+@contextlib.contextmanager
+def small_blocks(records: int = 3, slice_bytes: int = 64, lines: int = 2):
+    """The codec's block constants set small, so a short file spans many
+    writer blocks, reader slices and parse blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_BLOCK_RECORDS", records)
+        mp.setattr(serialize, "_SLICE_BYTES", slice_bytes)
+        mp.setattr(serialize, "_BLOCK_LINES", lines)
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(streams(), streams(wide=True)))
+def test_codec_matches_references_across_small_blocks(stream):
+    with small_blocks():
+        data = serialize_stream(stream)
+        assert data == reference_serialize(stream)
+        assert_field_equal(deserialize_stream(data), reference_deserialize(data))
+
+
+def block_stream(rng: np.random.Generator) -> TelemetryStream:
+    """Three nodes with every kind of record, many sharing a timestamp."""
+    def times(n):
+        return np.sort(rng.integers(0, 40, size=n) * 250).tolist()
+
+    metrics = {node: {ch: list(zip(times(12), rng.normal(size=12).tolist()))
+                      for ch in ("cpu", "mem")} for node in ("a", "b", "c")}
+    logs = {node: [(t, f"req {t} café") for t in times(9)] for node in ("a", "c")}
+    pairs = rng.integers(0, 3, size=(30, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    spans = np.array([(t, a, b, lat, err) for t, (a, b), lat, err in zip(
+        times(len(pairs)), pairs.tolist(), rng.lognormal(size=len(pairs)).tolist(),
+        (rng.uniform(size=len(pairs)) < 0.2).tolist())], dtype=SPAN_DTYPE)
+    return TelemetryStream(nodes=("a", "b", "c"), metrics=metrics, logs=logs, spans=spans)
+
+
+@pytest.mark.parametrize("case", ["full", "no-logs", "no-spans", "node-without-metrics",
+                                  "non-finite"])
+def test_writer_matches_reference_across_small_blocks(case):
+    stream = block_stream(np.random.default_rng(0))
+    if case == "no-logs":
+        stream.logs = {}
+    elif case == "no-spans":
+        stream.spans = stream.spans[:0]
+    elif case == "node-without-metrics":
+        del stream.metrics["b"]
+    elif case == "non-finite":
+        series = stream.metrics["a"]["cpu"]
+        for k, v in enumerate((float("nan"), float("inf"), float("-inf"), -0.0, -4e-7)):
+            series[k] = (series[k][0], v)
+        stream.spans["latency_ms"][:3] = (float("nan"), float("inf"), 0.0078125)
+    for records in (1, 2, 3, 7, 1000):
+        with small_blocks(records=records):
+            assert serialize_stream(stream) == reference_serialize(stream)
+
+
+LONG_LOG = b'{"kind":"log","t_ms":%d,"node":"b","text":"' + b"x" * 300 + b'"}'
+UNICODE_LOG = b'{"kind":"log","t_ms":%d,"node":"a","text":"caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac"}'
+
+
+@pytest.mark.parametrize("seps", [(b"\n",), (b"\r\n",), (b"\r",), (b"\r\n", b"\n", b"\r")],
+                         ids=["lf", "crlf", "cr", "mixed"])
+def test_reader_matches_reference_at_every_cut(seps):
+    # blank lines, a line longer than a slice and non-ASCII text; over all
+    # slice sizes, each byte of the file, a b"\r\n" pair's "\r" included,
+    # is where some slice's search for its cut starts
+    lines = [HEADER, metric_line(0), b"", UNICODE_LOG % 1, metric_line(2), b"  ",
+             LONG_LOG % 3, metric_line(4), b"\t", UNICODE_LOG % 5, metric_line(6)]
+    data = b"".join(line + seps[k % len(seps)] for k, line in enumerate(lines))
+    want = reference_deserialize(data)
+    for size in range(1, len(data) + 2):
+        with small_blocks(slice_bytes=size):
+            assert_field_equal(deserialize_stream(data), want)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"not json", b"[1, 2]", metric_line(0), metric_line(50, "zz"), b'{"kind":"log","t_ms":1}',
+     b'{"kind":"metric","t_ms":1.5,"node":"a"}'],
+    ids=["json", "array", "non-monotone", "unknown-node", "missing-field", "float-t_ms"],
+)
+def test_malformed_record_in_third_slice_matches_reference(bad):
+    data = file_with({11: bad}, n_lines=20)
+    with small_blocks(slice_bytes=200):
+        sizes = [len(lines) for lines in serialize._slices(data)]
+        assert sum(sizes[:2]) < 11 <= sum(sizes[:3])
+        with pytest.raises(ParseError) as got:
+            deserialize_stream(data)
+    with pytest.raises(ParseError) as want:
+        reference_deserialize(data)
+    assert (got.value.line_no, got.value.field, str(got.value)) == (
+        want.value.line_no, want.value.field, str(want.value))
+
+
+def test_out_of_range_number_in_a_later_slice_names_its_line():
+    data = file_with({14: metric_line(2**63)}, n_lines=20)
+    with small_blocks(slice_bytes=200):
+        sizes = [len(lines) for lines in serialize._slices(data)]
+        assert sum(sizes[:3]) < 14 <= sum(sizes[:4])
+        with pytest.raises(ParseError, match=r"^line 14, field 't_ms': integer out of the int64"):
+            deserialize_stream(data)
+
+
+def test_invalid_utf8_late_fails_before_any_line_across_small_blocks():
+    data = file_with({3: b"oops"}, n_lines=40) + UNICODE_LOG % 99 + b"\xff\n"
+    with small_blocks(), pytest.raises(UnicodeDecodeError):
+        deserialize_stream(data)
+
+
+def test_codec_memory_stays_near_the_file_size(tiny_sim):
+    # default block sizes: the writer holds one block of record strings
+    # beside its output, and the reader one slice of lines beside its input
+    stream = tiny_sim[3]
+    tracemalloc.start()
+    try:
+        data = serialize_stream(stream)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = deserialize_stream(data)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 10e6 and back.nodes == stream.nodes
+    assert write_peak <= 1.6 * len(data)
+    assert read_peak <= 1.6 * len(data)
+
+
+def round6_cases(rng: np.random.Generator) -> np.ndarray:
+    ties = (2 * np.arange(-50_000, 50_000) + 1) / 128  # x * 1e6 exactly half-way
+    near_ties = np.concatenate([np.nextafter(ties[::10], np.inf),
+                                np.nextafter(ties[::10], -np.inf)])
+    big = 2.0**50 / 1e6 * (1 + np.arange(-2_000, 2_000) * 2.0**-52)
+    special = np.array([0.0078125, -0.0078125, 5e-7, -5e-7, 0.0, -0.0, 1e-9, -1e-9, 1e300, -1e300,
+                        1.7e308, 5e-324, np.nan, np.inf, -np.inf])
+    return np.concatenate([
+        rng.normal(size=400_000), rng.normal(50, 20, size=100_000),
+        rng.lognormal(3, 1, size=250_000), rng.lognormal(-8, 3, size=100_000),
+        ties, near_ties, big, special,
+    ])
+
+
+def test_round6_equals_python_round_bit_for_bit():
+    x = round6_cases(np.random.default_rng(0))
+    assert x.size > 950_000
+    want = np.array([round(v, 6) for v in x.tolist()])
+    assert np.array_equal(round6(x).view(np.uint64), want.view(np.uint64))
+    assert round6(x.reshape(-1, 5)).shape == (x.size // 5, 5)
 
 
 def test_graph_round_trip():
