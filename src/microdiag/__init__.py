@@ -15,6 +15,7 @@ from .types import (
     FaultType,
     NodeSegments,
     RunConfig,
+    SERIES_DTYPE,
     SPAN_DTYPE,
     ServiceGraph,
     Task,
@@ -54,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backbone", "DatasetSplit", "DiagnosisWindow", "FaultSpec", "FaultType",
-    "NodeSegments", "RunConfig", "SPAN_DTYPE", "ServiceGraph", "Task",
+    "NodeSegments", "RunConfig", "SERIES_DTYPE", "SPAN_DTYPE", "ServiceGraph", "Task",
     "TelemetryStream",
     "Prng", "prng_new",
     "ScenarioSpec", "generate_topology", "scenario_preset", "schedule_faults",

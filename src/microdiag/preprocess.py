@@ -396,19 +396,19 @@ def _metric_grid(stream: TelemetryStream) -> tuple[np.ndarray, list[str]]:
     """The (N, C, T) metric grid on the 1 Hz grid from t=0, channels in
     sorted order, and the channel names; validates alignment."""
     channels = sorted(set().union(*(stream.metrics.get(node, {}) for node in stream.nodes)))
-    rows = []
     for node in stream.nodes:
         missing = set(channels) - set(stream.metrics.get(node, {}))
         if missing:
             raise ValueError(f"node {node!r} has no metric records for {sorted(missing)}")
-        for ch in channels:
-            points = stream.metrics[node][ch]
-            if [t for t, _ in points] != list(range(0, 1000 * len(points), 1000)):
-                raise ValueError(f"metric series {node}/{ch} is not sampled at 1 Hz from t=0")
-            rows.append([v for _, v in points])
+    rows = [stream.metrics[node][ch] for node in stream.nodes for ch in channels]
     if not rows or len({len(r) for r in rows}) != 1:
         raise ValueError("metric series have inconsistent lengths")
-    grid = np.array(rows, dtype=np.float64)
+    off = (np.stack([r["t_ms"] for r in rows]) != np.arange(len(rows[0])) * 1000).any(axis=1)
+    if off.any():
+        node, c = divmod(int(np.argmax(off)), len(channels))
+        raise ValueError(f"metric series {stream.nodes[node]}/{channels[c]} "
+                         "is not sampled at 1 Hz from t=0")
+    grid = np.stack([r["value"] for r in rows])
     return grid.reshape(len(stream.nodes), len(channels), -1), channels
 
 

@@ -9,7 +9,8 @@ the node list; every following line is a record:
      "latency_ms": float, "status": "ok" | "error"}
 
 For spans, "node" is the reporting (caller) side; in memory a span is a
-`SPAN_DTYPE` record with node indices and an `error` flag. Serialization is
+`SPAN_DTYPE` record with node indices and an `error` flag, and a metric
+series one `SERIES_DTYPE` array per node and channel. Serialization is
 canonical: identical streams always produce identical bytes. All CSV reports
 are UTF-8 with a header row and LF line endings.
 
@@ -31,6 +32,9 @@ after a b"\\n", so no line or b"\\r\\n" spans two slices and the file's line
 list is never built. It parses `_BLOCK_LINES` lines per `json.loads` call and
 reads a block line by line when that parse cannot vouch for one object per
 line; a malformed file raises the ParseError of its first bad line either way.
+Metric samples and spans go into typed columns (`array`), which become the
+stream's arrays once the file is read, so neither keeps a Python object per
+record.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
+from .types import SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 __all__ = [
     "ParseError",
@@ -120,23 +124,23 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
     # Columns in construction order: metrics by node, channel, time (a mid-text
     # per series); logs by node, time; spans in array order (a mid-text per
     # pair). One stable sort by (t_ms, kind) then gives the file order.
-    mids, sizes, times, values, log_node, log_text = [], [], [], [], [], []
+    mids, sizes, times, values = [], [], [], [np.empty(0)]
     for node, q in zip(stream.nodes, quoted):
         channels = stream.metrics.get(node, {})
-        for channel in sorted(channels):
-            if channels[channel]:
-                ts, vs = zip(*channels[channel])
-                mids.append(f',"node":{q},"channel":{json.dumps(channel)},"value":')
-                sizes.append(len(ts))
-                times += ts
-                values += vs
+        for channel in sorted(channels):  # an empty series adds a mid-text and no record
+            samples = channels[channel]
+            mids.append(f',"node":{q},"channel":{json.dumps(channel)},"value":')
+            sizes.append(len(samples))
+            times.append(samples["t_ms"])
+            values.append(samples["value"])
+    log_times, log_node, log_text = [], [], []
     for i, node in enumerate(stream.nodes):
         if stream.logs.get(node):
             ts, texts = zip(*stream.logs[node])
             log_node += [i] * len(ts)
             log_text += texts
-            times += ts
-    series, values = np.repeat(np.arange(len(mids)), sizes), np.array(values, dtype=np.float64)
+            log_times += ts
+    series, values = np.repeat(np.arange(len(mids)), sizes), np.concatenate(values)
     sp = stream.spans
     pairs, pair_of = np.unique(sp["caller"] * len(quoted) + sp["callee"], return_inverse=True)
     callers, callees = np.divmod(pairs, len(quoted))
@@ -145,7 +149,7 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
     status = (',"status":"ok"}', ',"status":"error"}')
     first = (0, len(values), len(values) + len(log_text))  # each kind's first record
     kind = np.repeat(np.arange(3, dtype=np.int8), (len(values), len(log_text), len(sp)))
-    times = np.concatenate((np.array(times, dtype=np.int64), sp["t_ms"]))
+    times = np.concatenate((*times, np.array(log_times, dtype=np.int64), sp["t_ms"]))
     order = np.lexsort((kind, times))
     out = io.BytesIO()
     out.write(header.encode("utf-8") + b"\n")
@@ -180,6 +184,10 @@ def json_line(line: str, line_no: int, field: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(line_no, field, f"invalid JSON: {exc.msg}") from exc
+    except ValueError:  # the one other failure of `json.loads` on a str
+        raise ParseError(line_no, field, "integer longer than Python's digit limit") from None
+    except RecursionError:
+        raise ParseError(line_no, field, "nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError(line_no, field, "expected a JSON object")
     return obj
@@ -266,9 +274,9 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     nodes = tuple(header_line([line.decode("utf-8") for line in first])["nodes"])
     known = {name: i for i, name in enumerate(nodes)}
 
-    metrics: dict[str, dict[str, list[tuple[int, float]]]] = {}
+    metrics: dict[str, dict[str, tuple[array, array]]] = {}
     logs: dict[str, list[tuple[int, str]]] = {}
-    # int64 and float64 columns: no Python object per span is kept
+    # int64 and float64 columns: no Python object per metric sample or span is kept
     span_cols = span_t, span_caller, span_callee, span_latency, span_error = (
         array("q"), array("q"), array("q"), array("d"), array("b"))
     for idx, obj in _records(data):
@@ -291,11 +299,12 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 value = _number(value, "value", idx)
                 series = metrics.setdefault(node, {}).get(channel)
                 if series is None:
-                    series = metrics[node][channel] = []
-                elif t_ms < series[-1][0]:
+                    series = metrics[node][channel] = (array("q"), array("d"))
+                elif t_ms < series[0][-1]:
                     raise ParseError(idx, "t_ms",
                                      f"non-monotone timestamp in metric {node}/{channel}")
-                series.append((t_ms, value))
+                series[0].append(t_ms)
+                series[1].append(value)
             elif kind == "log":
                 text_field = obj["text"]
                 if type(text_field) is not str:
@@ -328,10 +337,19 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 raise ParseError(idx, "kind", f"unknown kind {kind!r}")
         except KeyError as exc:  # only a field lookup on `obj` raises it
             raise ParseError(idx, exc.args[0], "missing") from None
-    spans = np.empty(len(span_t), dtype=SPAN_DTYPE)
-    for name, col in zip(SPAN_DTYPE.names, span_cols):
-        spans[name] = col
-    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs, spans=spans)
+    for channels in metrics.values():  # one series' columns and array alive at a time
+        for channel, cols in channels.items():
+            channels[channel] = _structured(SERIES_DTYPE, cols)
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+                           spans=_structured(SPAN_DTYPE, span_cols))
+
+
+def _structured(dtype: np.dtype, cols) -> np.ndarray:
+    """One array of `dtype` whose fields, in order, are the equal-length `cols`."""
+    out = np.empty(len(cols[0]), dtype=dtype)
+    for name, col in zip(dtype.names, cols):
+        out[name] = col
+    return out
 
 
 def graph_to_dict(graph: ServiceGraph) -> dict:

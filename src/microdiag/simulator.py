@@ -32,7 +32,8 @@ import numpy as np
 
 from .prng import Prng
 from .serialize import round6
-from .types import FAULT_TYPES, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
+from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
+                    TelemetryStream)
 
 __all__ = [
     "ScenarioSpec",
@@ -317,7 +318,9 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
     Baseline draws come from the `baseline` child stream in a fixed order
     (metrics by node then channel, logs by node, spans by edge), so fault
     effects can never shift them. Each fault consumes its own `fault:<i>`
-    child stream.
+    child stream. Each metric series is one SERIES_DTYPE array on the 1 Hz
+    grid from t=0 and the spans one time-ordered SPAN_DTYPE array, their
+    floats rounded as the telemetry file writes them.
     """
     for f in faults:
         if f.target_node >= graph.n_nodes:
@@ -368,6 +371,7 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
         block["error"] = span_rng.uniform(size=n) < BASELINE_ERROR_RATE
         blocks.append(block)
     spans = np.concatenate(blocks)
+    del blocks  # two span copies, not three, at the sort
     spans = spans[np.argsort(spans["t_ms"], kind="stable")]
     keep = np.ones(spans.size, dtype=bool)  # fault intervals are disjoint: drop once at the end
 
@@ -424,13 +428,11 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
     for name in names:
         logs[name].sort(key=lambda rec: rec[0])
 
-    metrics = {
-        name: {
-            ch: list(zip(range(0, 1000 * T, 1000), round6(values[(i, ch)]).tolist()))
-            for ch in METRIC_CHANNELS
-        }
-        for i, name in enumerate(names)
-    }
+    metrics = {name: {} for name in names}
+    for (i, ch), vals in values.items():
+        series = metrics[names[i]][ch] = np.empty(T, SERIES_DTYPE)
+        series["t_ms"] = np.arange(T) * 1000
+        series["value"] = round6(vals)
     spans = spans[keep]
     # rounded as the telemetry file is, so a re-read stream holds the same floats
     spans["latency_ms"] = round6(spans["latency_ms"])

@@ -27,6 +27,7 @@ __all__ = [
     "ServiceGraph",
     "FaultSpec",
     "SPAN_DTYPE",
+    "SERIES_DTYPE",
     "TelemetryStream",
     "NodeSegments",
     "DiagnosisWindow",
@@ -165,20 +166,22 @@ class FaultSpec:
 # One trace span along a caller -> callee edge; endpoints index stream.nodes.
 SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("caller", np.int64), ("callee", np.int64),
                        ("latency_ms", np.float64), ("error", np.bool_)])
+# One sample of a metric series.
+SERIES_DTYPE = np.dtype([("t_ms", np.int64), ("value", np.float64)])
 
 
 @dataclass
 class TelemetryStream:
     """Raw multimodal telemetry for one simulated scenario.
 
-    metrics: node -> channel -> [(t_ms, value)], non-decreasing timestamps.
+    metrics: node -> channel -> 1-D SERIES_DTYPE array, non-decreasing t_ms.
     logs:    node -> [(t_ms, text)], non-decreasing timestamps.
     spans:   time-ordered SPAN_DTYPE array; caller and callee index nodes.
              On disk (see `serialize`) a span names them, with "ok"/"error".
     """
 
     nodes: tuple[str, ...]
-    metrics: dict[str, dict[str, list[tuple[int, float]]]]
+    metrics: dict[str, dict[str, np.ndarray]]
     logs: dict[str, list[tuple[int, str]]]
     spans: np.ndarray
 
@@ -188,7 +191,10 @@ class TelemetryStream:
             if node not in known:
                 raise ValueError(f"metrics for unknown node {node!r}")
             for channel, series in channels.items():
-                if any(b[0] < a[0] for a, b in zip(series, series[1:])):
+                if not (isinstance(series, np.ndarray) and series.dtype == SERIES_DTYPE
+                        and series.ndim == 1):
+                    raise ValueError(f"metric {node}/{channel} is not a 1-D SERIES_DTYPE array")
+                if np.any(series["t_ms"][1:] < series["t_ms"][:-1]):
                     raise ValueError(
                         f"non-monotone timestamps in metric {node}/{channel}"
                     )

@@ -41,6 +41,8 @@ from microdiag.types import (
     TelemetryStream,
 )
 
+from helpers import series_array
+
 
 class TestStandardize:
     def test_hand_values(self):
@@ -375,7 +377,7 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
     """Flat deterministic telemetry covering every node and edge."""
     chans = ("cpu", "qps")
     metrics = {
-        n: {ch: [(t * 1000, 20.0 + i + (t % 3)) for t in range(duration_s)]
+        n: {ch: series_array((t * 1000, 20.0 + i + (t % 3)) for t in range(duration_s))
             for i, ch in enumerate(chans)}
         for n in nodes
     }
@@ -405,10 +407,8 @@ class TestTransforms:
 
         mutated = quiet_stream()
         for node in mutated.nodes:
-            for ch, points in mutated.metrics[node].items():
-                mutated.metrics[node][ch] = [
-                    (t, v + 500.0) if t >= train_end else (t, v) for t, v in points
-                ]
+            for points in mutated.metrics[node].values():
+                points["value"][points["t_ms"] >= train_end] += 500.0
             mutated.logs[node] = [
                 rec for rec in mutated.logs[node] if rec[0] < train_end
             ] + [(train_end + 5, "totally new failure mode appeared")] * 30
@@ -466,7 +466,7 @@ class TestTransforms:
         nodes = ("a", "b", "c")
         duration_s = 240
         metrics = {
-            n: {"cpu": [(t * 1000, 20.0 + (t % 3)) for t in range(duration_s)]}
+            n: {"cpu": series_array((t * 1000, 20.0 + (t % 3)) for t in range(duration_s))}
             for n in nodes
         }
         logs = {n: [(0, "boot ok")] for n in nodes}
@@ -597,6 +597,15 @@ class TestPreprocessStream:
         with pytest.raises(ValueError, match=r"node 'c' has no metric records for \['qps'\]"):
             preprocess_stream(stream, [], 2000, 2000, prng_new(0).child("p"))
 
+    def test_metric_series_off_the_1hz_grid(self):
+        stream = quiet_stream()
+        stream.metrics["c"]["qps"]["t_ms"][5:] += 1
+        with pytest.raises(ValueError, match=r"^metric series c/qps is not sampled at 1 Hz"):
+            _metric_grid(stream)
+        stream.metrics["c"]["qps"] = stream.metrics["a"]["qps"][:-1]
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            _metric_grid(stream)
+
     def test_splits_meet_minimum_size(self):
         stream = quiet_stream(duration_s=240)
         faults = []
@@ -640,6 +649,21 @@ class TestWindowsFromBytes:
         assert nodes[0] == odd
         assert len(split.all_windows) == len(tiny_bundle[0].split.all_windows)
         assert deserialize_stream(header + b"\n").nodes == nodes
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            (b'{"split":"train","start_ms":%s}' % (b"9" * 5000),
+             "integer longer than Python's digit limit"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ],
+        ids=["5000-digit-integer", "100k-deep-nesting"],
+    )
+    def test_line_json_cannot_parse(self, tiny_bundle, line, detail):
+        lines = tiny_bundle[2].split(b"\n")
+        lines[2] = line
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == f"line 3, field 'record': {detail}"
 
     def test_missing_field(self, tiny_bundle):
         lines = tiny_bundle[2].split(b"\n")

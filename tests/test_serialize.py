@@ -28,7 +28,10 @@ from microdiag.serialize import (
 )
 from microdiag.simulator import PRESET_FAULT_MIX, ScenarioSpec
 from microdiag.train_eval import simulate_scenario
-from microdiag.types import SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
+from microdiag.types import (SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
+                             TelemetryStream)
+
+from helpers import series_array
 
 # values stored at 6-decimal resolution survive the stream format exactly
 micro_floats = st.integers(min_value=-(10**9), max_value=10**9).map(lambda n: n / 1e6)
@@ -67,7 +70,7 @@ def streams(draw, wide=False):
         for ch in draw(st.sets(channel_names, max_size=2)):
             n = draw(st.integers(0, 5))
             times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)))
-            channels[ch] = [(t, draw(floats)) for t in times]
+            channels[ch] = series_array((t, draw(floats)) for t in times)
         metrics[node] = channels
     logs = {}
     for node in draw(st.sets(names, max_size=3)):
@@ -98,7 +101,7 @@ def reference_serialize(stream: TelemetryStream) -> bytes:
     records = []
     for node in stream.nodes:
         for channel in sorted(stream.metrics.get(node, {})):
-            for t_ms, value in stream.metrics[node][channel]:
+            for t_ms, value in stream.metrics[node][channel].tolist():
                 obj = {"kind": "metric", "t_ms": t_ms, "node": node,
                        "channel": channel, "value": fnum(value)}
                 records.append((t_ms, 0, json.dumps(obj, separators=(",", ":"))))
@@ -181,6 +184,8 @@ def reference_deserialize(data: bytes) -> TelemetryStream:
                           status == "error"))
         else:
             raise ParseError(idx, "kind", f"unknown kind {kind!r}")
+    metrics = {node: {ch: series_array(series) for ch, series in channels.items()}
+               for node, channels in metrics.items()}
     stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
                              spans=np.array(spans, dtype=SPAN_DTYPE))
     stream.validate()
@@ -188,7 +193,11 @@ def reference_deserialize(data: bytes) -> TelemetryStream:
 
 
 def typed(series):
-    """A series with each field's type and exact bits (NaN and -0.0 included)."""
+    """A series with each field's type and exact bits (NaN and -0.0 included);
+    a metric series must be a 1-D SERIES_DTYPE array, read through `.tolist()`."""
+    if isinstance(series, np.ndarray):
+        assert series.dtype == SERIES_DTYPE and series.ndim == 1
+        series = series.tolist()
     return [tuple((type(x), x.hex() if isinstance(x, float) else x) for x in rec)
             for rec in series]
 
@@ -216,8 +225,8 @@ def test_stream_round_trip_exact(stream):
     # parsing only materializes nodes that have records, so compare content
     for node, channels in stream.metrics.items():
         for ch, series in channels.items():
-            if series:
-                assert back.metrics[node][ch] == series
+            if len(series):
+                assert typed(back.metrics[node][ch]) == typed(series)
     for node, lines in stream.logs.items():
         if lines:
             assert back.logs[node] == lines
@@ -358,14 +367,14 @@ def test_invalid_utf8_fails_before_any_line():
 def test_stream_values_survive_at_micro_resolution():
     stream = TelemetryStream(
         nodes=("a", "b"),
-        metrics={"a": {"cpu": [(0, 12.625), (1000, -3.000001)]}},
+        metrics={"a": {"cpu": series_array([(0, 12.625), (1000, -3.000001)])}},
         logs={"b": [(10, "hello world")]},
         spans=np.array([(5, 0, 1, 17.25, False)], dtype=SPAN_DTYPE),
     )
     data = serialize_stream(stream)
     assert b'"caller":"a","callee":"b","latency_ms":17.25,"status":"ok"' in data
     back = deserialize_stream(data)
-    assert back.metrics["a"]["cpu"] == [(0, 12.625), (1000, -3.000001)]
+    assert back.metrics["a"]["cpu"].tolist() == [(0, 12.625), (1000, -3.000001)]
     assert back.logs["b"] == [(10, "hello world")]
     assert np.array_equal(back.spans, stream.spans)
 
@@ -499,9 +508,40 @@ def test_reader_names_out_of_range_numbers(record, field, detail):
     assert str(err.value) == f"line 3, field {field!r}: {detail}"
 
 
+@pytest.mark.parametrize(
+    "record, detail",
+    [
+        (b'{"kind":"metric","t_ms":0,"node":"a","channel":"cpu","value":%s}' % (b"9" * 5000),
+         "integer longer than Python's digit limit"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    ],
+    ids=["5000-digit-integer", "100k-deep-nesting"],
+)
+def test_reader_names_lines_json_cannot_parse(record, detail):
+    # the limits of Python's JSON parser are a ParseError, never a bare
+    # ValueError or RecursionError
+    data = b"\n".join([HEADER, metric_line(0, "b"), record]) + b"\n"
+    with pytest.raises(ParseError) as err:
+        deserialize_stream(data)
+    assert str(err.value) == f"line 3, field 'record': {detail}"
+
+
+def test_simulated_and_read_series_are_equal_series_arrays(tiny_sim):
+    stream = tiny_sim[3]
+    back = deserialize_stream(serialize_stream(stream))
+    assert list(back.metrics) == list(stream.nodes)
+    for node in stream.nodes:
+        assert list(back.metrics[node]) == sorted(stream.metrics[node])  # the file's order
+        for ch, series in stream.metrics[node].items():
+            for x in (series, back.metrics[node][ch]):
+                assert type(x) is np.ndarray and x.dtype == SERIES_DTYPE and x.ndim == 1
+            assert back.metrics[node][ch].tobytes() == series.tobytes()
+
+
 def test_int64_bounds_of_t_ms_are_read():
     data = b"\n".join([HEADER, metric_line(-2**63), metric_line(2**63 - 1)]) + b"\n"
-    assert deserialize_stream(data).metrics["a"]["cpu"] == [(-2**63, 0.5), (2**63 - 1, 0.5)]
+    assert deserialize_stream(data).metrics["a"]["cpu"].tolist() == [(-2**63, 0.5),
+                                                                     (2**63 - 1, 0.5)]
 
 
 @contextlib.contextmanager
@@ -529,7 +569,7 @@ def block_stream(rng: np.random.Generator) -> TelemetryStream:
     def times(n):
         return np.sort(rng.integers(0, 40, size=n) * 250).tolist()
 
-    metrics = {node: {ch: list(zip(times(12), rng.normal(size=12).tolist()))
+    metrics = {node: {ch: series_array(zip(times(12), rng.normal(size=12).tolist()))
                       for ch in ("cpu", "mem")} for node in ("a", "b", "c")}
     logs = {node: [(t, f"req {t} café") for t in times(9)] for node in ("a", "c")}
     pairs = rng.integers(0, 3, size=(30, 2))
@@ -551,9 +591,8 @@ def test_writer_matches_reference_across_small_blocks(case):
     elif case == "node-without-metrics":
         del stream.metrics["b"]
     elif case == "non-finite":
-        series = stream.metrics["a"]["cpu"]
-        for k, v in enumerate((float("nan"), float("inf"), float("-inf"), -0.0, -4e-7)):
-            series[k] = (series[k][0], v)
+        stream.metrics["a"]["cpu"]["value"][:5] = (float("nan"), float("inf"), float("-inf"),
+                                                   -0.0, -4e-7)
         stream.spans["latency_ms"][:3] = (float("nan"), float("inf"), 0.0078125)
     for records in (1, 2, 3, 7, 1000):
         with small_blocks(records=records):
@@ -613,23 +652,34 @@ def test_invalid_utf8_late_fails_before_any_line_across_small_blocks():
         deserialize_stream(data)
 
 
+def metric_heavy_stream(rng: np.random.Generator) -> TelemetryStream:
+    """100k metric records and nothing else: 10 nodes, 4 channels, 2500 s."""
+    nodes = tuple(f"svc-{i:02d}" for i in range(10))
+    times = np.arange(2500) * 1000
+    metrics = {node: {ch: series_array(zip(times.tolist(), round6(rng.normal(50, 20, 2500))))
+                      for ch in ("cpu", "mem", "latency", "qps")} for node in nodes}
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs={}, spans=np.empty(0, SPAN_DTYPE))
+
+
 def test_codec_memory_stays_near_the_file_size(tiny_sim):
     # default block sizes: the writer holds one block of record strings
     # beside its output, and the reader one slice of lines beside its input
-    stream = tiny_sim[3]
-    tracemalloc.start()
-    try:
-        data = serialize_stream(stream)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        back = deserialize_stream(data)
-        read_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert len(data) > 10e6 and back.nodes == stream.nodes
-    assert write_peak <= 1.6 * len(data)
-    assert read_peak <= 1.6 * len(data)
+    # and typed columns, not one object per metric sample or span
+    heavy = metric_heavy_stream(np.random.default_rng(0))
+    for stream, min_size in ((tiny_sim[3], 10e6), (heavy, 8e6)):
+        tracemalloc.start()
+        try:
+            data = serialize_stream(stream)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = deserialize_stream(data)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(data) > min_size and back.nodes == stream.nodes
+        assert write_peak <= 1.6 * len(data)
+        assert read_peak <= 1.6 * len(data)
 
 
 def round6_cases(rng: np.random.Generator) -> np.ndarray:

@@ -40,7 +40,7 @@ def run(faults, seed=11, spec=SPEC, graph=None):
 
 
 def series(stream: TelemetryStream, node: str, channel: str) -> np.ndarray:
-    return np.array([v for _, v in stream.metrics[node][channel]])
+    return stream.metrics[node][channel]["value"]
 
 
 def in_fault(stream: TelemetryStream, f: FaultSpec, column: str, node: int) -> np.ndarray:

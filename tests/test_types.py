@@ -14,11 +14,14 @@ from microdiag.types import (
     FaultType,
     NodeSegments,
     RunConfig,
+    SERIES_DTYPE,
     SPAN_DTYPE,
     ServiceGraph,
     Task,
     TelemetryStream,
 )
+
+from helpers import series_array
 
 NO_SPANS = np.empty(0, SPAN_DTYPE)
 
@@ -102,11 +105,24 @@ class TestTelemetryStream:
     def test_monotone_timestamps_enforced(self):
         stream = TelemetryStream(
             nodes=("a",),
-            metrics={"a": {"cpu": [(5, 1.0), (3, 1.0)]}},
+            metrics={"a": {"cpu": series_array([(5, 1.0), (3, 1.0)])}},
             logs={},
             spans=NO_SPANS,
         )
         with pytest.raises(ValueError, match="non-monotone"):
+            stream.validate()
+
+    @pytest.mark.parametrize(
+        "series",
+        [[(0, 1.0), (1000, 1.0)], np.array([(0, 1.0)]), np.zeros((2, 2), SERIES_DTYPE),
+         np.zeros(2, [("t_ms", np.int32), ("value", np.float64)])],
+        ids=["tuple-list", "float-array", "2-d", "int32-times"],
+    )
+    def test_series_must_be_a_1d_series_array(self, series):
+        # the writer reads a series' columns, so any other series fails here
+        stream = TelemetryStream(nodes=("a",), metrics={"a": {"cpu": series}}, logs={},
+                                 spans=NO_SPANS)
+        with pytest.raises(ValueError, match=r"^metric a/cpu is not a 1-D SERIES_DTYPE array$"):
             stream.validate()
 
     def test_unknown_node_rejected(self):
