@@ -14,8 +14,12 @@ array joins it; Python float constants do not promote.
 
 `mul`, `matmul` and `conv1d_valid` decide when built which inputs get a
 gradient, and return `None` for an input that requires none (a dropout mask,
-the adjacency, event-weight rows, raw segments). `backward` frees the tape as
-it consumes it: only leaves keep gradients, and a graph is walked once.
+the adjacency, event-weight rows, raw segments). A tensor that requires no
+gradient keeps no parents and no `grad_fn`: a graph of constants records no
+tape, and each activation goes once the next op has read it. `backward`
+frees the tape as it consumes it: only leaves keep gradients, and a graph
+is walked once. It hands each node a gradient that node alone holds, so a
+`grad_fn` may scale it in place, as `conv1d_valid(..., relu=True)` does.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ class Tensor:
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.parents: tuple[Tensor, ...] = parents
-        self.grad_fn: Optional[Callable[[np.ndarray], tuple]] = grad_fn
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # a constant keeps no tape: its inputs and grad_fn closure go at once
+        self.parents: tuple[Tensor, ...] = parents if self.requires_grad else ()
+        self.grad_fn: Optional[Callable] = grad_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -175,11 +180,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        # a read-only view: `backward` copies it into the parent's gradient
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return Tensor(out_data, (a,), grad_fn)
 
@@ -217,13 +221,17 @@ def mulc(a: Tensor, c: float) -> Tensor:
     return Tensor(out_data, (a,), grad_fn)
 
 
-def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv1d_valid(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """Causal valid convolution: out[o, .., f] = sum_{c,k} w[f,c,k] x[o+k, .., c].
 
     Time-major: x: (T, B, C), w: (F, C, K), b: (F,). Output (T-K+1, B, F),
     so two convolutions chain with no transpose between them; position o sees
     only inputs at times <= o+K-1, so no future leakage and no padding. The
     input gradient is built only when x requires one.
+
+    With `relu`, the output is `relu(conv1d_valid(x, w, b))` bit for bit,
+    made in place: the tape keeps no pre-activation and no mask, and the
+    backward masks the gradient with `out > 0`.
     """
     T, B, C = x.data.shape
     F, Cw, K = w.data.shape
@@ -240,10 +248,14 @@ def conv1d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     for k in range(1, K):
         acc += xs[k * B : (k + O) * B] @ wk[k]
     acc += b.data
+    if relu:
+        acc *= acc > 0  # `relu`'s product with its mask, so the same bits
     need_x = x.requires_grad
 
     def grad_fn(g):
         gt = g.reshape(O * B, F)
+        if relu:
+            gt *= acc > 0
         gw = np.empty_like(w.data)
         gx = np.zeros((T * B, C), dtype=xs.dtype) if need_x else None
         for k in range(K):

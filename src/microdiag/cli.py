@@ -102,10 +102,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"{meta_path} not found: preprocess takes the window "
                                 "length, stride and seed from the scenario.json of simulate")
     meta = json.loads(meta_path.read_text("utf-8"))
-    stream = deserialize_stream((indir / "telemetry.jsonl").read_bytes())
     faults = faults_from_json((indir / "faults.json").read_text("utf-8"))
+    # the stream is not named here, so it is freed before the windows are serialized
     result, raw = preprocess_scenario(
-        stream, faults, ScenarioSpec.from_dict(meta["scenario"]), int(meta["seed"])
+        deserialize_stream((indir / "telemetry.jsonl").read_bytes()), faults,
+        ScenarioSpec.from_dict(meta["scenario"]), int(meta["seed"]),
     )
     write_preprocess_outputs(result, raw, out)
     split = result.split

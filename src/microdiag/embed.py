@@ -81,9 +81,11 @@ def init_encoder_params(
 
 def encoder_graph(x: ad.Tensor, p: dict[str, ad.Tensor], prefix: str) -> ad.Tensor:
     """TCN over a time-major (T, B, C) tensor -> (B, d); the tape-graph
-    building block. The mean over time, axis 0, leaves (B, hidden) rows."""
-    h = ad.relu(ad.conv1d_valid(x, p[f"{prefix}/conv1_w"], p[f"{prefix}/conv1_b"]))
-    h = ad.relu(ad.conv1d_valid(h, p[f"{prefix}/conv2_w"], p[f"{prefix}/conv2_b"]))
+    building block. Each convolution applies its ReLU to its own output
+    (`relu=True`), so the tape holds one array per convolution. The mean
+    over time, axis 0, leaves (B, hidden) rows."""
+    h = ad.conv1d_valid(x, p[f"{prefix}/conv1_w"], p[f"{prefix}/conv1_b"], relu=True)
+    h = ad.conv1d_valid(h, p[f"{prefix}/conv2_w"], p[f"{prefix}/conv2_b"], relu=True)
     pooled = ad.tmean(h, axis=0)  # (B, hidden)
     return ad.add(ad.matmul(pooled, ad.transpose(p[f"{prefix}/proj_w"])), p[f"{prefix}/proj_b"])
 

@@ -120,9 +120,13 @@ def preprocess_scenario(
     dataset_seed: int,
 ) -> tuple[PreprocessResult, bytes]:
     """Preprocess a scenario's telemetry into windows, with the window length
-    and stride the scenario's faults were scheduled for, and serialize them."""
+    and stride the scenario's faults were scheduled for, and serialize them.
+
+    A caller that passes the stream as a call's value, naming it nowhere,
+    has it freed once `preprocess_stream` returns, before serializing."""
     result = preprocess_stream(stream, faults, scenario.window_ms, scenario.stride_ms,
                                prng_new(dataset_seed).child("preprocess"))
+    del stream
     raw = windows_to_bytes(result.nodes, result.split, scenario.window_ms,
                            scenario.stride_ms, result.transforms.vocab_size)
     return result, raw
@@ -136,8 +140,9 @@ def prepare_dataset(
     The bundle is parsed back from the serialized windows bytes, so
     in-memory runs and file-staged CLI runs consume identical inputs.
     """
-    _, faults, stream = simulate_scenario(scenario, dataset_seed)
-    result, raw = preprocess_scenario(stream, faults, scenario, dataset_seed)
+    sim = list(simulate_scenario(scenario, dataset_seed))
+    # popped, the stream's one reference goes to preprocess_scenario
+    result, raw = preprocess_scenario(sim.pop(), sim[1], scenario, dataset_seed)
     return DatasetBundle.from_bytes(raw, result.transforms.graph), result, raw
 
 
@@ -260,17 +265,25 @@ def train(
             step += 1
             bc1 = 1.0 - ADAM_BETA1 ** step
             bc2 = 1.0 - ADAM_BETA2 ** step
-            # in place, in the textbook expression's operation order (same bits)
+            # in place, in the textbook expression's operation order (same
+            # bits); the temporaries `a`, `b` go before the next step's tape
             for k, g in grads.items():
                 if k in fixed:
                     continue
+                a = np.multiply(1.0 - ADAM_BETA1, g)
                 m[k] *= ADAM_BETA1
-                m[k] += (1.0 - ADAM_BETA1) * g
+                m[k] += a
+                np.multiply(1.0 - ADAM_BETA2, g, out=a)
+                a *= g
                 v2[k] *= ADAM_BETA2
-                v2[k] += (1.0 - ADAM_BETA2) * g * g
-                params[k] -= config.learning_rate * (m[k] / bc1) / (
-                    np.sqrt(v2[k] / bc2) + ADAM_EPS
-                )
+                v2[k] += a
+                b = np.divide(m[k], bc1)
+                b *= config.learning_rate
+                np.divide(v2[k], bc2, out=a)
+                np.sqrt(a, out=a)
+                a += ADAM_EPS
+                b /= a
+                params[k] -= b
 
         val_logits = _eval_logits(params, valid_batch, task, backbone, adj)
         val_obj = metric_fn(val_logits, valid_labels)[objective]

@@ -1,5 +1,7 @@
 """Tape gradients against central finite differences, op by op."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,72 @@ class TestConv1d:
             conv1d_valid(x, constant(np.zeros((1, 2, 5))), constant(np.zeros(1)))
 
 
+class TestFusedRelu:
+    """`conv1d_valid(..., relu=True)` against `relu(conv1d_valid(...))`."""
+
+    @staticmethod
+    def lattice(seed, dtype):
+        # small integers, so many pre-activations are exactly 0 (and some -0.0)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-1, 2, size=(8, 5, 3)).astype(dtype)
+        w = rng.integers(-1, 2, size=(4, 3, 3)).astype(dtype)
+        b = np.array([0.0, 1.0, -1.0, 0.0], dtype=dtype)
+        return x, w, b, rng.normal(size=(6, 5, 4)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_relu_of_conv_bit_for_bit(self, dtype):
+        x, w, b, readout = self.lattice(31, dtype)
+        results = []
+        for fused in (False, True):
+            t = {"x": parameter(x), "w": parameter(w), "b": parameter(b)}
+            if fused:
+                out = conv1d_valid(t["x"], t["w"], t["b"], relu=True)
+            else:
+                out = relu(conv1d_valid(t["x"], t["w"], t["b"]))
+            data = out.data.copy()
+            backward(tsum(mul(out, constant(readout))))
+            results.append([data] + [t[k].grad for k in ("x", "w", "b")])
+        pre = conv1d_valid(constant(x), constant(w), constant(b)).data
+        assert np.count_nonzero(pre == 0) > 10  # the kink is exercised
+        for plain, fused in zip(*results):
+            assert fused.dtype == dtype
+            assert fused.tobytes() == plain.tobytes()
+
+    def test_fd_away_from_kink(self):
+        rng = np.random.default_rng(32)
+        arrays = {
+            "x": rng.normal(size=(7, 2, 3)),
+            "w": rng.normal(size=(3, 3, 3)) * 0.5,
+            "b": rng.normal(size=(3,)),
+        }
+        pre = conv1d_valid(*(constant(arrays[k]) for k in ("x", "w", "b"))).data
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+        check_grads(lambda t: weighted(conv1d_valid(t["x"], t["w"], t["b"], relu=True),
+                                       np.random.default_rng(33)),
+                    arrays, rtol=1e-5, atol=1e-6)
+
+    def test_shared_output_and_shared_gradient_array_match_fd(self):
+        # h feeds `add` and `mul`; `add` hands h and k one gradient array, so
+        # the in-place mask of one must not reach the other's gradient
+        rng = np.random.default_rng(34)
+        arrays = {
+            "x": rng.normal(size=(6, 2, 2)),
+            "w1": rng.normal(size=(3, 2, 3)) * 0.5, "b1": rng.normal(size=(3,)),
+            "w2": rng.normal(size=(3, 2, 3)) * 0.5, "b2": rng.normal(size=(3,)),
+        }
+        for i in ("1", "2"):
+            pre = conv1d_valid(constant(arrays["x"]), constant(arrays["w" + i]),
+                               constant(arrays["b" + i])).data
+            assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
+
+        def make_loss(t):
+            h = conv1d_valid(t["x"], t["w1"], t["b1"], relu=True)
+            k = conv1d_valid(t["x"], t["w2"], t["b2"], relu=True)
+            return add(weighted(add(h, k), np.random.default_rng(35)), tsum(mul(h, h)))
+
+        check_grads(make_loss, arrays, rtol=1e-5, atol=1e-6)
+
+
 class TestLayerNorm:
     def test_hand_values(self):
         out = layer_norm(constant(np.array([1.0, 3.0])))
@@ -381,6 +449,44 @@ class TestBackwardSemantics:
             backward(tsum(addc(h, 1.0)))
         assert x.grad.tolist() == [8.0]
 
+    def test_constant_graph_keeps_no_tape(self):
+        rng = np.random.default_rng(36)
+        probes = []
+
+        def chain():
+            h = matmul(constant(rng.normal(size=(4, 3))), constant(rng.normal(size=(3, 5))))
+            probes.append(weakref.ref(h.data))
+            return tmean(relu(h), axis=0)
+
+        out = chain()
+        assert probes[0]() is None  # nothing holds the intermediate
+        assert out.parents == () and out.grad_fn is None and not out.requires_grad
+        # a graph with a parameter in it keeps its tape
+        x = parameter(np.ones((2, 3)))
+        y = relu(matmul(x, constant(np.ones((3, 2)))))
+        assert len(y.parents) == 1 and y.grad_fn is not None
+
+    def test_reductions_into_a_node_read_twice_accumulate(self):
+        # tsum and tmean hand back read-only broadcast views; the node they
+        # feed gets an array of its own and sums both
+        rng = np.random.default_rng(37)
+        x0, r = rng.normal(size=(3, 4)), rng.normal(size=(3, 1))
+        x = parameter(x0)
+        h = mulc(x, 2.0)
+        loss = add(tsum(tmean(h, axis=0)), tsum(mul(tsum(h, axis=1, keepdims=True), constant(r))))
+        backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 / 3.0 + np.broadcast_to(r, (3, 4))),
+                                   rtol=0, atol=1e-15)
+        check_grads(lambda t: add(tsum(tmean(mulc(t["x"], 2.0), axis=0)),
+                                  tsum(mul(tsum(mulc(t["x"], 2.0), axis=1, keepdims=True),
+                                           constant(r)))),
+                    {"x": x0.copy()})
+        # a leaf fed by reductions only: its gradient is a writable array
+        y = parameter(np.ones((2, 3)))
+        backward(add(tsum(y), tsum(tmean(y, axis=1))))
+        assert y.grad.flags.writeable and y.grad.flags.owndata
+        np.testing.assert_array_equal(y.grad, np.full((2, 3), 1.0 + 1.0 / 3.0))
+
     def test_repeated_backward_requires_fresh_graph(self):
         x = parameter(np.array([2.0]))
         backward(tsum(mul(x, x)))
@@ -430,6 +536,8 @@ FLOAT32_CASES = {
     "mulc": (lambda t: mulc(t["a"], 0.25), {"a": (3, 4)}),
     "conv1d_valid": (lambda t: conv1d_valid(t["x"], t["w"], t["b"]),
                      {"x": (7, 3, 2), "w": (4, 2, 3), "b": (4,)}),
+    "conv1d_valid_relu": (lambda t: conv1d_valid(t["x"], t["w"], t["b"], relu=True),
+                          {"x": (7, 3, 2), "w": (4, 2, 3), "b": (4,)}),
     "layer_norm": (lambda t: layer_norm(t["a"]), {"a": (3, 4)}),
     "cross_entropy": (lambda t: cross_entropy(t["a"], np.array([0, 3, 1])), {"a": (3, 4)}),
     "dropout": (lambda t: apply_dropout(

@@ -52,6 +52,30 @@ def test_gain_needs_a_median_gap_wider_than_the_parent_spread():
     assert not s["gain_holds"]
 
 
+def test_run_outcomes_count_correct_runs_and_flag_a_growing_failed_share():
+    def run(correct, attempted, failed):
+        return {"correct": correct, "attempted": attempted, "failed": failed}
+
+    pairs = [
+        {"parent": run(True, 48, 0), "change": run(True, 48, 1)},
+        {"parent": run(False, 48, 2), "change": run(True, 50, 0)},
+        {"parent": run(True, 48, 0), "change": run(False, 50, 1)},
+    ]
+    out = bench_pairs.run_outcomes(pairs)
+    assert out["parent"] == {"correct_runs": 2, "failed_share": 2 / 144}
+    assert out["change"] == {"correct_runs": 2, "failed_share": 2 / 148}
+    assert not out["failed_share_grew"]
+    pairs[0]["change"]["failed"] = 3  # 4 of 148 against 2 of 144
+    assert bench_pairs.run_outcomes(pairs)["failed_share_grew"]
+    # an equal share, zero on both sides included, does not grow
+    clean = [{"parent": run(True, 10, 0), "change": run(True, 12, 0)}]
+    assert bench_pairs.run_outcomes(clean) == {
+        "parent": {"correct_runs": 1, "failed_share": 0.0},
+        "change": {"correct_runs": 1, "failed_share": 0.0},
+        "failed_share_grew": False,
+    }
+
+
 def test_src_lines_counts_like_wc(tmp_path):
     pkg = tmp_path / "src" / "microdiag"
     pkg.mkdir(parents=True)

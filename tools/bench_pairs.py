@@ -11,7 +11,10 @@ the end-to-end metrics and their directions come from CHANGE_DIR's
 `BENCHMARK.json`. Per metric the summary gives each side's median and
 inclusive quartiles, the pairs the change won (ties count for neither
 side), and whether a gain holds: at least nine tenths of the pairs won and
-a median gap wider than the parent's interquartile range. With `--trace`,
+a median gap wider than the parent's interquartile range. Under "runs" it
+gives each side's count of runs whose checks passed and its share of failed
+operations (failed / attempted over every run), and whether the change's
+share grew, which rejects the change on its own. With `--trace`,
 one `--trace 1` run per side at seed 0 follows the pairs.
 
 The result goes under `workloads[W]` (and `trace[W]`) of the `--out` file,
@@ -62,6 +65,21 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict[str, dict]:
             "gain_holds": (wins >= math.ceil(0.9 * len(pairs))
                            and sign * (qc["median"] - qp["median"]) > qp["q3"] - qp["q1"]),
         }
+    return out
+
+
+def run_outcomes(pairs: list[dict]) -> dict:
+    """Per side: the runs whose checks passed and the share of attempted
+    operations that failed; whether the change's share is above the parent's."""
+    out = {}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        attempted = sum(r["attempted"] for r in runs)
+        out[side] = {
+            "correct_runs": sum(bool(r["correct"]) for r in runs),
+            "failed_share": sum(r["failed"] for r in runs) / attempted if attempted else 0.0,
+        }
+    out["failed_share_grew"] = out["change"]["failed_share"] > out["parent"]["failed_share"]
     return out
 
 
@@ -121,10 +139,9 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.out.read_text("utf-8")) if args.out and args.out.exists() else {}
     doc["src_lines"] = {side: src_lines(d) for side, d in dirs.items()}
-    doc.setdefault("workloads", {})[args.workload] = {
-        "pairs": pairs,
-        "summary": summarize(pairs, {m["name"]: m["better"] for m in spec["end_to_end"]}),
-    }
+    summary = summarize(pairs, {m["name"]: m["better"] for m in spec["end_to_end"]})
+    summary["runs"] = run_outcomes(pairs)
+    doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summary}
     if args.trace:
         doc.setdefault("trace", {})[args.workload] = {
             side: flat(run_benchmark(d, args.workload, 0, seconds, 1))
