@@ -4,9 +4,9 @@ The pipeline mirrors a standard observability stack: log lines are mined
 into templates and bucketed into per-template count series; metric channels
 are z-scored; 3-sigma thresholds over every series produce alert event
 sequences; spans yield per-node latency statistics and the observed
-dependency graph. Every metric channel is kept: `compress_metrics`, called
-with k equal to the channel count, returns them all, and it leaves with the
-next change to the benchmark, which times it by name.
+dependency graph. Every metric channel reaches the model: the channel step,
+`compress_metrics`, returns every index and keeps its name only because the
+benchmark times the step by it.
 
 Array layout: every series is an (N, rows, T) float64 array whose axis 0
 follows the stream's node order and whose last axis is the 1 s bucket
@@ -19,15 +19,14 @@ ordered by time and then by series identifier as a string.
 
 Leakage discipline: each full-timeline series (the metric grid, template
 counts, trace statistics and alerts) is built once, and every statistic
-that transforms data (z-scalers, channel selection, alert thresholds, alert
-vocabulary) is fitted on its train-range slice, the part before
-`train_end_ms`. A bucket's value depends only on telemetry inside that
-bucket (an alert also on the bucket before it), so each slice equals the
-series built from train-range telemetry alone. The template table is mined
-from train-range log lines and the observed graph comes from train-range
-spans; its node i is the stream's node i, as in every window. A `Transforms`
-value captures every fitted statistic; applying transforms never updates
-them.
+that transforms data (z-scalers, alert thresholds, alert vocabulary) is
+fitted on its train-range slice, the part before `train_end_ms`. A bucket's
+value depends only on telemetry inside that bucket (an alert also on the
+bucket before it), so each slice equals the series built from train-range
+telemetry alone. The template table is mined from train-range log lines and
+the observed graph comes from train-range spans; its node i is the stream's
+node i, as in every window. A `Transforms` value captures every fitted
+statistic; applying transforms never updates them.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ import numpy as np
 from .prng import Prng
 from .serialize import (
     ParseError,
+    _records,
     atomic_write_bytes,
     atomic_write_text,
     graph_to_dict,
     header_line,
-    json_line,
     round6,
 )
 from .templates import TemplateTable, mine_templates, template_series
@@ -64,7 +63,6 @@ from .types import (
 __all__ = [
     "Transforms",
     "WindowPlan",
-    "standardize_metrics",
     "compress_metrics",
     "three_sigma_alerts",
     "trace_features",
@@ -98,7 +96,6 @@ _TRACE_ERR_ROW = TRACE_STAT_NAMES.index("err_rate")
 TRACE_ERR_SIGMA = 0.1
 EMPTY_TOKEN = "<EMPTY>"
 UNK_TOKEN = "<UNK>"
-KMEANS_ITERS = 20
 MIN_WINDOWS_PER_SPLIT = 10
 
 
@@ -114,68 +111,14 @@ def _zscore(values: np.ndarray, stats: np.ndarray) -> np.ndarray:
     return np.divide(values - mu, sigma, out=np.zeros(values.shape), where=sigma > 0)
 
 
-def standardize_metrics(series: np.ndarray, train_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score each row of a (..., T) array with mean/population-sigma from
-    its first train_len samples; returns (z, stats), stats as (..., 2).
-    Rows with sigma=0 map to all-zeros."""
-    if train_len <= 0:
-        raise ValueError("train_len must be positive")
-    series = np.asarray(series, dtype=np.float64)
-    if series.shape[-1] == 0:
-        raise ValueError("series have no training samples")
-    stats = _mean_std(series[..., :train_len])
-    return _zscore(series, stats), stats
-
-
-def _correlation_embedding(rows: np.ndarray) -> np.ndarray:
-    """Pairwise population correlation of the rows of a (C, L) array."""
-    sigma = rows.std(axis=1)
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    live = sigma > 0
-    scale = np.where(live, sigma, 1.0)
-    cov = centered @ centered.T / rows.shape[1]
-    # constant channels are uncorrelated with everything by convention
-    corr = np.where(live[:, None] & live[None, :], cov / np.outer(scale, scale), 0.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
 def compress_metrics(rows: np.ndarray, k: int, prng: Prng) -> list[int]:
-    """Cluster the channels of a (C, L) array by their pairwise-correlation
-    embedding (Lloyd k-means, fixed iterations, seeded init) and keep one
-    medoid per cluster: the member with the highest mean correlation to its
-    cluster. Returns the kept row indices in ascending order."""
-    n = len(rows)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError(f"k={k} exceeds channel count {n}")
-    if k == n:
-        return list(range(n))
-    corr = _correlation_embedding(rows)
-
-    rng = prng.child("compress")
-    centers = corr[np.sort(rng.permutation(n)[:k])].copy()
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(KMEANS_ITERS):
-        dists = ((corr[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = dists.argmin(axis=1)  # ties go to the lowest cluster index
-        for c in range(k):
-            members = np.nonzero(assign == c)[0]
-            if members.size == 0:
-                # revive an empty cluster with the point farthest from its center
-                far = int(dists[np.arange(n), assign].argmax())
-                centers[c] = corr[far]
-                assign[far] = c
-            else:
-                centers[c] = corr[members].mean(axis=0)
-
-    selected = []
-    for c in range(k):
-        members = np.nonzero(assign == c)[0]
-        mean_corr = corr[np.ix_(members, members)].mean(axis=1)
-        selected.append(int(members[mean_corr.argmax()]))
-    return sorted(selected)
+    """The metric channels to keep, as indices into `rows`, whose axis 0 is
+    the channel: all C of them, with k equal to C. Every channel reaches the
+    model; the function keeps its name and signature because the benchmark
+    times the channel step by them. `prng` is unused."""
+    if k != len(rows):
+        raise ValueError(f"k={k} must equal the channel count {len(rows)}")
+    return list(range(k))
 
 
 def three_sigma_alerts(
@@ -360,7 +303,6 @@ class Transforms:
     table: TemplateTable
     channels: list[str]  # metric channel names, sorted
     metric_stats: np.ndarray
-    selected_channels: list[str]
     template_stats: np.ndarray
     trace_stats: np.ndarray
     alert_vocab: dict[str, int]
@@ -370,6 +312,11 @@ class Transforms:
     @property
     def vocab_size(self) -> int:
         return len(self.alert_vocab)
+
+    @property
+    def selected_channels(self) -> list[str]:
+        """`channels`, under the name the benchmark and scaler.json read."""
+        return self.channels
 
     def to_json(self) -> str:
         nodes = self.graph.node_names
@@ -382,7 +329,7 @@ class Transforms:
         payload = {
             "bucket_ms": BUCKET_MS,
             "train_end_ms": self.train_end_ms,
-            "selected_channels": list(self.selected_channels),
+            "selected_channels": list(self.channels),
             "metric_stats": keyed(self.channels, self.metric_stats),
             "template_stats": keyed(range(self.table.n_templates + 1), self.template_stats),
             "trace_stats": keyed(TRACE_STAT_NAMES, self.trace_stats),
@@ -464,7 +411,7 @@ def _alerts(
     raw counts and use the stored train statistics. A token is the series
     identifier plus the direction, shared across nodes so alerts generalize.
     """
-    idents = ([f"metric:{ch}" for ch in tf.selected_channels]
+    idents = ([f"metric:{ch}" for ch in tf.channels]
               + [f"template:{tid}" for tid in range(log_counts.shape[1])]
               + [f"trace:{stat}" for stat in TRACE_STAT_NAMES])
     tokens = np.array([(f"{i}:LOW", f"{i}:HIGH") for i in idents])
@@ -507,12 +454,9 @@ def fit_transforms(
         raise ValueError("empty training range")
     nodes = stream.nodes
 
-    train_z, metric_stats = standardize_metrics(grid[..., :train_sec], train_sec)
-    # Channel selection is shared across nodes: correlate each channel name
-    # using its z-scored train segments concatenated over nodes. With k = C
-    # every channel is kept.
-    pooled = train_z.transpose(1, 0, 2).reshape(len(channels), -1)
-    selected = [channels[c] for c in compress_metrics(pooled, len(channels), prng)]
+    metric_train = grid[..., :train_sec]
+    # the channel step keeps every channel; see `compress_metrics`
+    compress_metrics(metric_train.transpose(1, 0, 2), len(channels), prng)
 
     table = mine_templates(_train_log_lines(stream, train_end_ms))
     n_buckets = grid.shape[-1]
@@ -521,8 +465,7 @@ def fit_transforms(
     tf = Transforms(
         table=table,
         channels=channels,
-        metric_stats=metric_stats,
-        selected_channels=selected,
+        metric_stats=_mean_std(metric_train),
         template_stats=_mean_std(counts[..., :train_sec]),
         trace_stats=_trace_stats(trace_raw[..., :train_sec]),
         alert_vocab={},
@@ -548,13 +491,12 @@ def apply_transforms(
     Takes the metric grid, the template counts under tf.table and the trace
     statistics, each (N, rows, seconds); returns (metric_z, log_counts,
     trace_z, alerts), where the three arrays keep that layout and alerts
-    holds each node's (t_ms, token) arrays. metric_z has the selected
-    channels; trace channels follow TRACE_SEGMENT_STATS, as the count row
-    informs alerting but is not a model input (span volume already reaches
-    the model through the qps metric).
+    holds each node's (t_ms, token) arrays. metric_z has every channel;
+    trace channels follow TRACE_SEGMENT_STATS, as the count row informs
+    alerting but is not a model input (span volume already reaches the model
+    through the qps metric).
     """
-    picked = [tf.channels.index(ch) for ch in tf.selected_channels]
-    metric_z = _zscore(grid[:, picked], tf.metric_stats[:, picked])
+    metric_z = _zscore(grid, tf.metric_stats)
     trace_z = _trace_z_scores(trace_raw, tf)
     alerts = _alerts(metric_z, counts, trace_z, tf)
     # windows carry only the latency/error rows; alerting above saw all stats
@@ -677,15 +619,14 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
 def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict]:
     """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header).
 
-    Lines split as telemetry lines do (`bytes.splitlines`: at b"\\n",
-    b"\\r\\n" and b"\\r" only). Malformed input raises `ParseError`, which
-    names the line and field."""
-    lines = [line.decode("utf-8") for line in data.splitlines()]
-    header = header_line(lines)
+    Lines are read as telemetry lines are (`serialize.header_line` and
+    `_records`): split at b"\\n", b"\\r\\n" and b"\\r" only, blank lines
+    skipped. Malformed input raises `ParseError`, which names the line and
+    field."""
+    header = header_line(data)
     nodes = tuple(header["nodes"])
     parts: dict[str, list[DiagnosisWindow]] = {"train": [], "valid": [], "test": []}
-    for line_no, line in enumerate(lines[1:], start=2):
-        rec = json_line(line, line_no, "record")
+    for line_no, rec in _records(data):
         split = rec.get("split")
         if split not in ("train", "valid", "test"):
             raise ParseError(line_no, "split", f"unknown split {split!r}")

@@ -193,11 +193,16 @@ def json_line(line: str, line_no: int, field: str) -> dict:
     return obj
 
 
-def header_line(lines: list[str]) -> dict:
-    """The header object that opens a JSONL file; it carries the node list."""
-    if not lines:
+def header_line(data: bytes) -> dict:
+    """The header object on the first line of JSONL bytes; it carries the
+    node list. Invalid UTF-8 anywhere in `data` fails here, before any record
+    is read."""
+    if not data.isascii():
+        data.decode("utf-8")
+    first = next(_slices(data), [])[:1]
+    if not first:
         raise ParseError(1, "kind", "empty input, expected a header line")
-    header = json_line(lines[0], 1, "header")
+    header = json_line(first[0].decode("utf-8"), 1, "header")
     if header.get("kind") != "header":
         raise ParseError(1, "kind", "first line must be the header")
     _require(header, "nodes", 1)
@@ -268,10 +273,7 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     endpoints), and each field to its JSON type and range (an int64 `t_ms`,
     string names and text, values and latencies that a float holds; a boolean
     is no number), so a broken rule raises the ParseError of its line."""
-    if not data.isascii():
-        data.decode("utf-8")  # invalid UTF-8 fails before any line is read
-    first = next(_slices(data), [])[:1]
-    nodes = tuple(header_line([line.decode("utf-8") for line in first])["nodes"])
+    nodes = tuple(header_line(data)["nodes"])
     known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, tuple[array, array]]] = {}

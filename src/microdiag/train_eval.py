@@ -528,7 +528,6 @@ def separability_report(
 class AblateResult:
     task: Task
     seeds: list[int]
-    rows: list[tuple]  # (backbone, seed, task, metric, value)
     reports: dict[tuple[str, int], Optional[MetricsReport]]
     checkpoints: dict[tuple[str, int], dict[str, np.ndarray]] = field(repr=False, default_factory=dict)
     histories: dict[tuple[str, int], list[tuple]] = field(repr=False, default_factory=dict)
@@ -563,7 +562,7 @@ def ablate(
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
-    result = AblateResult(task=base.task, seeds=list(seeds), rows=[], reports={},
+    result = AblateResult(task=base.task, seeds=list(seeds), reports={},
                           dataset_digest=bundle.digest)
 
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
@@ -585,15 +584,9 @@ def ablate(
                     "shared_init": tr.shared_init_digest,
                     "schedule": tr.schedule_digest,
                 }
-                result.rows.append((backbone.value, seed, base.task.value, "status", "ok"))
-                for name in sorted(report.per_run):
-                    result.rows.append(
-                        (backbone.value, seed, base.task.value, name, report.per_run[name][0])
-                    )
             except Exception as exc:  # keep the harness running per contract
                 result.reports[key] = None
                 result.failures[key] = f"{type(exc).__name__}: {exc}"
-                result.rows.append((backbone.value, seed, base.task.value, "status", "failed"))
 
     for seed in seeds:
         a = result.stage_digests.get((Backbone.DIAGMLP.value, seed))
@@ -606,8 +599,15 @@ def ablate(
 
 
 def results_csv_rows(result: AblateResult) -> tuple[list[str], list[list]]:
+    """results.csv: per cell, in the order of `result.reports`, a status row
+    ("ok", or "failed" for a None report) and one row per metric."""
     header = ["backbone", "seed", "task", "metric", "value"]
-    rows = [list(r) for r in result.rows]
+    rows = []
+    for (backbone, seed), report in result.reports.items():
+        cell = [backbone, seed, result.task.value]
+        rows.append(cell + ["status", "failed" if report is None else "ok"])
+        if report is not None:
+            rows += [cell + [name, report.per_run[name][0]] for name in sorted(report.per_run)]
     return header, rows
 
 

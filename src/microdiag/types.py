@@ -159,9 +159,6 @@ class FaultSpec:
     def end_ms(self) -> int:
         return self.start_ms + self.duration_ms
 
-    def covers(self, t_ms: int) -> bool:
-        return self.start_ms <= t_ms < self.end_ms
-
 
 # One trace span along a caller -> callee edge; endpoints index stream.nodes.
 SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("caller", np.int64), ("callee", np.int64),

@@ -164,7 +164,7 @@ def fake_ablation(failed: bool) -> AblateResult:
     reports = {("DIAGMLP", 1): report(0.5), ("DIAGMLP", 2): report(0.75),
                ("GCN", 1): report(1.0), ("GCN", 2): None if failed else report(0.5)}
     failures = {("GCN", 2): "ValueError: boom"} if failed else {}
-    return AblateResult(task=Task.DETECT, seeds=[1, 2], rows=[], reports=reports,
+    return AblateResult(task=Task.DETECT, seeds=[1, 2], reports=reports,
                         failures=failures)
 
 
@@ -175,6 +175,11 @@ def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, fa
     code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(tmp_path), "--task", "detect"])
     out, err = capsys.readouterr()
     assert (tmp_path / "results.csv").is_file() and (tmp_path / "summary.md").is_file()
+    with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+        statuses = [(r["backbone"], r["seed"], r["value"])
+                    for r in csv.DictReader(fh) if r["metric"] == "status"]
+    assert statuses == [("DIAGMLP", "1", "ok"), ("DIAGMLP", "2", "ok"), ("GCN", "1", "ok"),
+                        ("GCN", "2", "failed" if failed else "ok")]
     if failed:
         assert code == 1
         assert err == "GCN 2: ValueError: boom\n"

