@@ -1,19 +1,17 @@
 """Command-line entry point exposing the pipeline stages as subcommands.
 
-Stages communicate through files in a work directory: `simulate` writes
-telemetry, `preprocess` turns it into windows, `train` fits a model,
-`evaluate` scores it, `ablate` runs the backbone comparison, and `report`
-emits the separability tables. Every command is deterministic given its
-flags and overwrites outputs atomically, so reruns are byte-identical.
+Stages communicate through files in one work directory: simulate ->
+preprocess -> {train -> evaluate, ablate, report}. `simulate` writes
+telemetry and `preprocess` turns it into windows; every later command reads
+those windows from its required --workdir, so all of them see one dataset,
+pinned by the digest of windows.jsonl, and write their outputs beside it.
+Re-running a command in one directory overwrites its outputs (`ablate` its
+tables, as `train` its checkpoint.json); every command is deterministic given
+its flags and writes atomically, so reruns are byte-identical.
 
-Window length and stride come from the scenario, never from a flag:
-`preprocess` reads them from the scenario.json that `simulate` wrote, and
-`ablate` and `report` from --scenario.
-
-`train` and `evaluate` take the work directory as a required --workdir: it
-holds the windows of an earlier `preprocess`, so no default could name it.
-`simulate`, `ablate` and `report` write to runs/<scenario>-s<seed> unless
-told otherwise.
+Only `simulate` takes --scenario; it writes to runs/<scenario>-s<seed> unless
+told otherwise. Window length and stride come from the scenario, never from
+a flag: `preprocess` reads them from the scenario.json that `simulate` wrote.
 """
 
 from __future__ import annotations
@@ -45,16 +43,11 @@ from .train_eval import (
     DatasetBundle,
     SeparabilityMode,
     ablate,
-    prepare_dataset,
     preprocess_scenario,
     simulate_scenario,
     train,
 )
 from .types import Backbone, RunConfig, Task
-
-
-def _default_workdir(args: argparse.Namespace) -> Path:
-    return Path("runs") / f"{Path(args.scenario).stem}-s{args.seed}"
 
 
 def _load_scenario(value: str) -> ScenarioSpec:
@@ -64,12 +57,14 @@ def _load_scenario(value: str) -> ScenarioSpec:
     if not path.is_file():
         raise FileNotFoundError(
             f"scenario '{value}' is neither a preset {sorted(PRESETS)} nor a file")
-    return ScenarioSpec.from_dict(json.loads(path.read_text("utf-8")))
+    spec = json.loads(path.read_text("utf-8"))
+    # the scenario.json of `simulate` holds the spec under "scenario", beside its seed
+    return ScenarioSpec.from_dict(spec.get("scenario", spec))
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
     return RunConfig(
-        seed=args.seed,
+        seed=seed,
         task=Task(args.task.upper()),
         backbone=Backbone(args.backbone.upper()),
         d=args.d,
@@ -80,7 +75,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    out = Path(args.out) if args.out else _default_workdir(args)
+    out = Path(args.out or Path("runs") / f"{Path(args.scenario).stem}-s{args.seed}")
     graph, faults, stream = simulate_scenario(scenario, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out / "telemetry.jsonl", serialize_stream(stream))
@@ -127,7 +122,7 @@ def _load_bundle(workdir: Path) -> DatasetBundle:
 def cmd_train(args: argparse.Namespace) -> int:
     workdir = Path(args.workdir)
     bundle = _load_bundle(workdir)
-    config = _run_config(args)
+    config = _run_config(args, args.seed)
     result = train(bundle, config)
     save_checkpoint(result.params, workdir / "checkpoint.json")
     atomic_write_text(
@@ -167,11 +162,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    scenario = _load_scenario(args.scenario)
-    workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
-    bundle, _, _ = prepare_dataset(scenario, args.seed)
-    base = _run_config(args)
-    result = ablate(bundle, base, seeds)
+    workdir = Path(args.workdir)
+    # each cell's run seed comes from --seeds
+    result = ablate(_load_bundle(workdir), _run_config(args, 0), seeds)
     header, rows = train_eval.results_csv_rows(result)
     write_csv(workdir / "results.csv", header, rows)
     atomic_write_text(workdir / "summary.md", train_eval.render_summary(result))
@@ -195,10 +188,9 @@ REPORT_VARIANTS = (
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    workdir = Path(args.workdir) if args.workdir else _default_workdir(args)
-    bundle, _, _ = prepare_dataset(scenario, args.seed)
-    base = _run_config(args)
+    workdir = Path(args.workdir)
+    bundle = _load_bundle(workdir)
+    base = _run_config(args, args.seed)
     checkpoints = {
         backbone: train(bundle, dataclasses.replace(base, backbone=backbone)).params
         for backbone in (Backbone.DIAGMLP, Backbone.GCN)
@@ -267,22 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run the backbone comparison over seeds")
-    p.add_argument("--scenario", default="local",
-                   help="preset name or scenario JSON file, which also sets window length "
-                   "and stride (default local)")
-    p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
     p.add_argument("--seeds", default="1,2,3,4,5",
-                   help="comma-separated run seeds (default 1,2,3,4,5)")
-    p.add_argument("--workdir", default=None, help="output directory")
+                   help="comma-separated distinct run seeds (default 1,2,3,4,5)")
+    p.add_argument("--workdir", required=True,
+                   help="directory from preprocess; results.csv and summary.md go there")
     common_model_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="emit 2D separability tables for raw and trunk features")
-    p.add_argument("--scenario", default="local",
-                   help="preset name or scenario JSON file, which also sets window length "
-                   "and stride (default local)")
-    p.add_argument("--seed", type=int, default=1, help="run + dataset seed (default 1)")
-    p.add_argument("--workdir", default=None, help="output directory")
+    p.add_argument("--seed", type=int, default=1,
+                   help="run seed of both trained backbones (default 1)")
+    p.add_argument("--workdir", required=True,
+                   help="directory from preprocess; the separability tables go there")
     common_model_flags(p)
     p.set_defaults(func=cmd_report)
 

@@ -51,7 +51,6 @@ def init_encoder_params(
     log_channels: int,
     trace_channels: int,
     vocab_size: int,
-    tcn_hidden: int = TCN_HIDDEN,
 ) -> dict[str, np.ndarray]:
     """Fresh encoder parameters; each tensor from its own named PRNG stream
     so shared tensors are identical across model variants."""
@@ -62,12 +61,12 @@ def init_encoder_params(
         ("enc_trace", trace_channels),
     ):
         for name, shape, fan in (
-            (f"{prefix}/conv1_w", (tcn_hidden, c_in, KERNEL_WIDTH), c_in * KERNEL_WIDTH),
-            (f"{prefix}/conv1_b", (tcn_hidden,), c_in * KERNEL_WIDTH),
-            (f"{prefix}/conv2_w", (tcn_hidden, tcn_hidden, KERNEL_WIDTH), tcn_hidden * KERNEL_WIDTH),
-            (f"{prefix}/conv2_b", (tcn_hidden,), tcn_hidden * KERNEL_WIDTH),
-            (f"{prefix}/proj_w", (d, tcn_hidden), tcn_hidden),
-            (f"{prefix}/proj_b", (d,), tcn_hidden),
+            (f"{prefix}/conv1_w", (TCN_HIDDEN, c_in, KERNEL_WIDTH), c_in * KERNEL_WIDTH),
+            (f"{prefix}/conv1_b", (TCN_HIDDEN,), c_in * KERNEL_WIDTH),
+            (f"{prefix}/conv2_w", (TCN_HIDDEN, TCN_HIDDEN, KERNEL_WIDTH), TCN_HIDDEN * KERNEL_WIDTH),
+            (f"{prefix}/conv2_b", (TCN_HIDDEN,), TCN_HIDDEN * KERNEL_WIDTH),
+            (f"{prefix}/proj_w", (d, TCN_HIDDEN), TCN_HIDDEN),
+            (f"{prefix}/proj_b", (d,), TCN_HIDDEN),
         ):
             params[name] = uniform_init(prng, name, shape, fan)
     for name, shape, fan in (

@@ -68,7 +68,6 @@ def init_params(
     metric_channels: int,
     log_channels: int,
     trace_channels: int,
-    tcn_hidden: int = embed.TCN_HIDDEN,
 ) -> dict[str, np.ndarray]:
     """Encoder + trunk + task-head parameters.
 
@@ -77,7 +76,7 @@ def init_params(
     """
     h_out = 2 * hidden
     params = embed.init_encoder_params(
-        prng, d, metric_channels, log_channels, trace_channels, vocab_size, tcn_hidden
+        prng, d, metric_channels, log_channels, trace_channels, vocab_size
     )
 
     def u(name, shape, fan_in):

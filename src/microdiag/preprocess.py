@@ -621,10 +621,14 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
 
     Lines are read as telemetry lines are (`serialize.header_line` and
     `_records`): split at b"\\n", b"\\r\\n" and b"\\r" only, blank lines
-    skipped. Malformed input raises `ParseError`, which names the line and
-    field."""
+    skipped. Malformed input, the header's node list and `vocab_size`
+    included, raises `ParseError`, which names the line and field."""
     header = header_line(data)
     nodes = tuple(header["nodes"])
+    vocab_size = header.get("vocab_size")
+    if type(vocab_size) is not int or vocab_size < 2:  # a JSON true is no integer
+        raise ParseError(1, "vocab_size", "missing" if "vocab_size" not in header
+                         else f"expected an integer >= 2, got {vocab_size!r}")
     parts: dict[str, list[DiagnosisWindow]] = {"train": [], "valid": [], "test": []}
     for line_no, rec in _records(data):
         split = rec.get("split")

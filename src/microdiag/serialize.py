@@ -195,8 +195,8 @@ def json_line(line: str, line_no: int, field: str) -> dict:
 
 def header_line(data: bytes) -> dict:
     """The header object on the first line of JSONL bytes; it carries the
-    node list. Invalid UTF-8 anywhere in `data` fails here, before any record
-    is read."""
+    node list, a list of distinct strings. Invalid UTF-8 anywhere in `data`
+    fails here, before any record is read."""
     if not data.isascii():
         data.decode("utf-8")
     first = next(_slices(data), [])[:1]
@@ -205,7 +205,11 @@ def header_line(data: bytes) -> dict:
     header = json_line(first[0].decode("utf-8"), 1, "header")
     if header.get("kind") != "header":
         raise ParseError(1, "kind", "first line must be the header")
-    _require(header, "nodes", 1)
+    nodes = _require(header, "nodes", 1)
+    if type(nodes) is not list or any(type(n) is not str for n in nodes):
+        raise ParseError(1, "nodes", f"expected a list of strings, got {nodes!r}")
+    if len(set(nodes)) != len(nodes):
+        raise ParseError(1, "nodes", f"duplicate node names in {nodes!r}")
     return header
 
 

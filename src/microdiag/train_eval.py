@@ -98,7 +98,7 @@ class DatasetBundle:
             nodes=nodes,
             split=split,
             graph=graph,
-            vocab_size=int(header["vocab_size"]),
+            vocab_size=header["vocab_size"],
             digest=hashlib.sha256(raw).hexdigest(),
         )
 
@@ -562,6 +562,9 @@ def ablate(
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"ablation seeds must be distinct, repeated: {repeated}")
     result = AblateResult(task=base.task, seeds=list(seeds), reports={},
                           dataset_digest=bundle.digest)
 

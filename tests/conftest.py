@@ -1,9 +1,12 @@
 """Shared fixtures. Heavy artifacts (the preset dataset) are session-scoped
 so the acceptance criteria and the unit tests pay for them once."""
 
+import json
+
 import numpy as np
 import pytest
 
+from microdiag import cli
 from microdiag.prng import prng_new
 from microdiag.simulator import (
     ScenarioSpec,
@@ -37,6 +40,20 @@ def tiny_bundle():
     """Preprocessed tiny dataset for fast end-to-end training tests."""
     bundle, result, raw = prepare_dataset(TINY_SPEC, dataset_seed=7)
     return bundle, result, raw
+
+
+@pytest.fixture(scope="session")
+def tiny_workdir(tmp_path_factory):
+    """TINY_SPEC at seed 7 staged by the CLI (`simulate`, then `preprocess`):
+    the work directory that `train`, `evaluate`, `ablate` and `report` read.
+    A test that runs a command writing into it works on a copy."""
+    spec = tmp_path_factory.mktemp("spec") / "tiny.json"
+    spec.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
+    out = tmp_path_factory.mktemp("staged")
+    for argv in (["simulate", "--scenario", str(spec), "--seed", "7", "--out", str(out)],
+                 ["preprocess", "--in", str(out)]):
+        assert cli.main(argv) == 0, argv
+    return out
 
 
 @pytest.fixture(scope="session")

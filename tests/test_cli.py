@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -100,15 +101,14 @@ REPORT_DIGESTS = {
 }
 
 
-def test_report_tables(tmp_path, capsys, tiny_bundle):
-    scenario = tmp_path / "tiny.json"
-    scenario.write_text(json.dumps(TINY_SPEC.to_dict()), "utf-8")
-
+def test_report_tables(tmp_path, capsys, tiny_bundle, tiny_workdir):
+    # `report` reads the staged windows of TINY_SPEC at seed 7 and writes its
+    # tables beside them; each run works on its own copy of the work directory
     def report(out):
-        argv = ["report", "--scenario", str(scenario), "--seed", "7", "--workdir", str(out),
-                "--d", "4", "--hidden", "8"]
+        shutil.copytree(tiny_workdir, out)
+        argv = ["report", "--seed", "7", "--workdir", str(out), "--d", "4", "--hidden", "8"]
         assert cli.main(argv) == 0
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return {name: (out / name).read_bytes() for name in REPORT_DIGESTS}
 
     first = report(tmp_path / "a")
     printed = capsys.readouterr().out.splitlines()
@@ -120,7 +120,7 @@ def test_report_tables(tmp_path, capsys, tiny_bundle):
     for name, (_, value) in zip(variants, scores[1:]):
         assert f"{name} silhouette: {float(value):.6f}" in printed
     # one 2D point per anomalous test window and variant
-    # (tiny_bundle is the dataset of TINY_SPEC at seed 7, as the report builds it)
+    # (tiny_bundle is the dataset of TINY_SPEC at seed 7, as tiny_workdir stages it)
     n_anomalous = sum(w.label_anomalous for w in tiny_bundle[0].split.test)
     points = list(csv.reader(io.StringIO(first["separability.csv"].decode())))
     assert points[0] == ["variant", "x", "y", "label"]
@@ -129,7 +129,8 @@ def test_report_tables(tmp_path, capsys, tiny_bundle):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in first.items()} == REPORT_DIGESTS
 
 
-@pytest.mark.parametrize("command", [["preprocess", "--in", "sim"], ["ablate"], ["report"]])
+@pytest.mark.parametrize("command", [["preprocess", "--in", "sim"], ["ablate", "--workdir", "x"],
+                                     ["report", "--workdir", "x"]])
 @pytest.mark.parametrize("flag", ["--window", "--stride"])
 def test_window_flags_are_rejected(command, flag, capsys):
     # window length and stride come from the scenario only
@@ -146,6 +147,28 @@ def test_train_and_evaluate_require_workdir(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "the following arguments are required: --workdir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ablate", "report"])
+def test_ablate_and_report_read_a_staged_workdir(command, capsys):
+    # both read the windows of an earlier preprocess, never a scenario
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --workdir" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--workdir", "x", "--scenario", "local"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scenario local" in capsys.readouterr().err
+
+
+def test_simulate_reads_the_scenario_json_it_wrote(tmp_path, capsys, tiny_workdir):
+    # --scenario takes the spec out of scenario.json; --seed still sets the seed
+    out = tmp_path / "again"
+    argv = ["simulate", "--scenario", str(tiny_workdir / "scenario.json"), "--seed", "7",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert (out / "telemetry.jsonl").read_bytes() == (tiny_workdir / "telemetry.jsonl").read_bytes()
 
 
 def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
@@ -168,14 +191,32 @@ def fake_ablation(failed: bool) -> AblateResult:
                         failures=failures)
 
 
+def test_ablate_scores_the_staged_dataset(tmp_path, monkeypatch, capsys, tiny_bundle,
+                                         tiny_workdir):
+    # the staged bundle is the one `prepare_dataset` builds in memory
+    seen = []
+
+    def fake(bundle, *args):
+        seen.append(bundle)
+        return fake_ablation(False)
+
+    monkeypatch.setattr(cli, "ablate", fake)
+    workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
+    assert cli.main(["ablate", "--seeds", "1,2", "--workdir", str(workdir)]) == 0
+    want = tiny_bundle[0]
+    assert [(b.digest, b.graph, b.nodes, b.vocab_size) for b in seen] == [
+        (want.digest, want.graph, want.nodes, want.vocab_size)]
+
+
 @pytest.mark.parametrize("failed", [False, True])
-def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, failed):
-    monkeypatch.setattr(cli, "prepare_dataset", lambda *a, **k: (None, None, None))
+def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, failed,
+                                               tiny_workdir):
     monkeypatch.setattr(cli, "ablate", lambda *a, **k: fake_ablation(failed))
-    code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(tmp_path), "--task", "detect"])
+    workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
+    code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(workdir), "--task", "detect"])
     out, err = capsys.readouterr()
-    assert (tmp_path / "results.csv").is_file() and (tmp_path / "summary.md").is_file()
-    with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+    assert (workdir / "results.csv").is_file() and (workdir / "summary.md").is_file()
+    with open(workdir / "results.csv", newline="", encoding="utf-8") as fh:
         statuses = [(r["backbone"], r["seed"], r["value"])
                     for r in csv.DictReader(fh) if r["metric"] == "status"]
     assert statuses == [("DIAGMLP", "1", "ok"), ("DIAGMLP", "2", "ok"), ("GCN", "1", "ok"),

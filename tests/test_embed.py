@@ -28,7 +28,7 @@ D, VOCAB = 3, 6
 def params():
     return init_encoder_params(
         prng_new(42).child("init"), d=D, metric_channels=2, log_channels=4,
-        trace_channels=3, vocab_size=VOCAB, tcn_hidden=4,
+        trace_channels=3, vocab_size=VOCAB,
     )
 
 
@@ -64,7 +64,7 @@ class TestInit:
         # long as the per-tensor init streams are named, not positional
         again = init_encoder_params(
             prng_new(42).child("init"), d=D, metric_channels=2, log_channels=4,
-            trace_channels=3, vocab_size=VOCAB, tcn_hidden=4,
+            trace_channels=3, vocab_size=VOCAB,
         )
         for k, v in params.items():
             assert np.array_equal(v, again[k]), k

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microdiag import autodiff as ad
+from microdiag import embed
 from microdiag.models import (
     LN_EPS,
     _fusion_block,
@@ -50,11 +51,13 @@ def make_windows(rng, n_windows=4, n_nodes=3, T=8, anomalous_from=0, channels=(2
 
 
 def tiny_params(backbone, task=Task.LOCALIZE, n_nodes=3, d=2, hidden=3, vocab=4):
-    return init_params(
-        prng_new(11).child("init"), task, backbone, n_nodes, d, hidden,
-        vocab_size=vocab, metric_channels=2, log_channels=2, trace_channels=3,
-        tcn_hidden=2,
-    )
+    # two TCN channels instead of TCN_HIDDEN keep the finite differences cheap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embed, "TCN_HIDDEN", 2)
+        return init_params(
+            prng_new(11).child("init"), task, backbone, n_nodes, d, hidden,
+            vocab_size=vocab, metric_channels=2, log_channels=2, trace_channels=3,
+        )
 
 
 STAR = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=((0, 1), (0, 2)))
@@ -408,7 +411,7 @@ class TestCountParams:
             params = init_params(
                 prng_new(1).child("init"), Task.LOCALIZE, Backbone.DIAGMLP, n,
                 d=2, hidden=3, vocab_size=4, metric_channels=2, log_channels=2,
-                trace_channels=3, tcn_hidden=2,
+                trace_channels=3,
             )
             h = 3
             assert count_params(params, "node_fusion") == 2 * h * (n * h) + 2 * h

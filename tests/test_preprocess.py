@@ -673,6 +673,34 @@ class TestWindowsFromBytes:
         err = self.parse_error(b"\n".join(lines))
         assert str(err) == "line 4, field 'end_ms': missing"
 
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("nodes", "abcde", "expected a list of strings, got 'abcde'"),
+            ("nodes", 5, "expected a list of strings, got 5"),
+            ("nodes", ["a", "b", "c", "d", "a"],
+             "duplicate node names in ['a', 'b', 'c', 'd', 'a']"),
+            ("nodes", [1, 2, 3, 4, 5], "expected a list of strings, got [1, 2, 3, 4, 5]"),
+            ("vocab_size", None, "missing"),
+            ("vocab_size", True, "expected an integer >= 2, got True"),
+            ("vocab_size", 1, "expected an integer >= 2, got 1"),
+            ("vocab_size", 6.0, "expected an integer >= 2, got 6.0"),
+        ],
+        ids=["nodes-string", "nodes-int", "nodes-duplicate", "nodes-int-names",
+             "vocab-missing", "vocab-true", "vocab-1", "vocab-float"],
+    )
+    def test_header_is_checked_like_records(self, tiny_bundle, field, value, detail):
+        # a header field of the wrong type or range is a ParseError of line
+        # 1, never a node list read letter by letter or a bare KeyError
+        header, rest = tiny_bundle[2].split(b"\n", 1)
+        obj = json.loads(header)
+        if value is None:
+            del obj[field]
+        else:
+            obj[field] = value
+        err = self.parse_error(json.dumps(obj).encode() + b"\n" + rest)
+        assert str(err) == f"line 1, field {field!r}: {detail}"
+
 
 class TestDatasetPremise:
     def test_root_cause_has_max_metric_z_mass(self, local_bundle):

@@ -398,6 +398,11 @@ def test_stream_values_survive_at_micro_resolution():
             b'{"kind":"log","t_ms":0,"node":"zz","text":"x"}',
             "node",
         ),
+        # the header's node list is a list of distinct strings
+        (b'{"kind":"header","version":1,"nodes":"ab"}', "nodes"),
+        (b'{"kind":"header","version":1,"nodes":5}', "nodes"),
+        (b'{"kind":"header","version":1,"nodes":["a","b","a"]}', "nodes"),
+        (b'{"kind":"header","version":1,"nodes":["a",1]}', "nodes"),
     ],
 )
 def test_malformed_inputs_raise_parse_error(data, field):

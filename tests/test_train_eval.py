@@ -30,6 +30,14 @@ def quick_config(task=Task.DETECT, backbone=Backbone.DIAGMLP, **kw):
     return RunConfig(seed=1, task=task, backbone=backbone, d=4, hidden=8, **kw)
 
 
+def test_ablate_rejects_repeated_seeds(tiny_bundle, monkeypatch):
+    # a repeated seed would train its cells twice and report a spread of 0
+    # over what is one run; the check comes before any training
+    monkeypatch.setattr(train_eval, "train", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ValueError, match=r"ablation seeds must be distinct, repeated: \[1\]"):
+        ablate(tiny_bundle[0], quick_config(), [1, 2, 1])
+
+
 def test_bundle_graph_must_follow_window_nodes(tiny_bundle):
     bundle, _, raw = tiny_bundle
     assert DatasetBundle.from_bytes(raw, bundle.graph).graph.node_names == bundle.nodes
