@@ -63,14 +63,10 @@ def _load_scenario(value: str) -> ScenarioSpec:
 
 
 def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
-    return RunConfig(
-        seed=seed,
-        task=Task(args.task.upper()),
-        backbone=Backbone(args.backbone.upper()),
-        d=args.d,
-        hidden=args.hidden,
-        dropout_rate=args.dropout,
-    )
+    # ablate and report train both backbones, so they take no --backbone
+    backbone = Backbone(args.backbone.upper()) if "backbone" in args else RunConfig.backbone
+    return RunConfig(seed=seed, task=Task(args.task.upper()), backbone=backbone, d=args.d,
+                     hidden=args.hidden)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -225,19 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_model_flags(p):
-        p.add_argument("--backbone", choices=["diagmlp", "gcn"], default="diagmlp",
-                       help="model backbone (default diagmlp)")
-        p.add_argument("--task", choices=["detect", "localize", "classify"],
-                       default="localize", help="diagnosis task (default localize)")
-        p.add_argument("--d", type=int, default=16, help="embedding width (default 16)")
-        p.add_argument("--hidden", type=int, default=64, help="fusion width (default 64)")
-        p.add_argument("--dropout", type=float, default=0.1,
-                       help="dropout rate (default 0.1)")
+        p.add_argument("--task", choices=[t.value.lower() for t in Task],
+                       default=RunConfig.task.value.lower(),
+                       help="diagnosis task (default %(default)s)")
+        p.add_argument("--d", type=int, default=RunConfig.d,
+                       help="embedding width (default %(default)s)")
+        p.add_argument("--hidden", type=int, default=RunConfig.hidden,
+                       help="fusion width (default %(default)s)")
 
     p = sub.add_parser("simulate", help="generate telemetry for a scenario")
     p.add_argument("--scenario", default="local",
                    help=f"preset name ({', '.join(PRESETS)}) or scenario JSON file")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="simulation seed (default %(default)s)")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -250,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on staged windows")
     p.add_argument("--workdir", required=True,
                    help="directory with windows.jsonl + scaler.json from preprocess")
-    p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
+    p.add_argument("--backbone", choices=[b.value.lower() for b in Backbone],
+                   default=RunConfig.backbone.value.lower(),
+                   help="model backbone (default %(default)s)")
     common_model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the backbone comparison over seeds")
     p.add_argument("--seeds", default="1,2,3,4,5",
-                   help="comma-separated distinct run seeds (default 1,2,3,4,5)")
+                   help="comma-separated distinct run seeds (default %(default)s)")
     p.add_argument("--workdir", required=True,
                    help="directory from preprocess; results.csv and summary.md go there")
     common_model_flags(p)
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="emit 2D separability tables for raw and trunk features")
     p.add_argument("--seed", type=int, default=1,
-                   help="run seed of both trained backbones (default 1)")
+                   help="run seed of both trained backbones (default %(default)s)")
     p.add_argument("--workdir", required=True,
                    help="directory from preprocess; the separability tables go there")
     common_model_flags(p)

@@ -12,9 +12,10 @@ ablation swaps one stage and holds everything else fixed.
 
 Losses are mean softmax cross-entropy; gradients come from the reverse-mode
 tape and cover heads, fusion blocks, message passing, encoders, and position
-embeddings. A training step's tape runs in its batch's dtype, float32 or
-float64, while parameters and the gradients returned stay float64. A batch
-holds its series time-major, (T, B*N, C): each conv tap is a block of rows.
+embeddings. Dropout needs a step PRNG, which only training passes. A
+training step's tape runs in its batch's dtype, float32 or float64, while
+parameters and the gradients returned stay float64. A batch holds its
+series time-major, (T, B*N, C): each conv tap is a block of rows.
 """
 
 from __future__ import annotations
@@ -116,13 +117,13 @@ def _fusion_block(
     w: ad.Tensor,
     b: ad.Tensor,
     dropout_rate: float,
-    training: bool,
     prng,
 ) -> ad.Tensor:
-    """Dropout(ReLU(LN(Wx + b))) over the rows of a (B, in) tensor."""
+    """Dropout(ReLU(LN(Wx + b))) over the rows of a (B, in) tensor, the
+    mask drawn from `prng`; with no prng, no dropout."""
     z = ad.add(ad.matmul(x, ad.transpose(w)), b)
     h = ad.relu(ad.layer_norm(z, LN_EPS))
-    if training and dropout_rate > 0.0:
+    if prng is not None and dropout_rate > 0.0:
         mask = ad.dropout_mask(prng, dropout_rate, h.data.shape, h.data.dtype)
         return ad.apply_dropout(h, mask)
     return h
@@ -215,15 +216,14 @@ def trunk(
     backbone: Backbone,
     adj: np.ndarray | None,
     dropout_rate: float = 0.0,
-    training: bool = False,
     prng=None,
 ) -> ad.Tensor:
     """Encoded nodes (B*N, 3d) -> pre-head representation (B, h_out):
     position embedding, modal fusion, two message-passing layers for the
     GCN, node fusion.
 
-    Dropout masks, when active, are drawn modal stage first, then node
-    stage, so training runs are reproducible from the step PRNG.
+    Given a step PRNG, dropout masks are drawn from it modal stage first,
+    then node stage, so training runs are reproducible from it.
     """
     N = p["pos_embed"].data.shape[0]
     B = x.data.shape[0] // N
@@ -234,7 +234,7 @@ def trunk(
     )
     h = _fusion_block(
         ad.concat([x, pos], axis=1), p["modal_fusion/w"], p["modal_fusion/b"],
-        dropout_rate, training, prng,
+        dropout_rate, prng,
     )  # (B*N, h)
     hidden = h.data.shape[1]
     if backbone is Backbone.GCN:
@@ -245,7 +245,7 @@ def trunk(
             h = ad.relu(ad.matmul(ad.matmul(ad.constant(adj), h), p[w_name]))
     return _fusion_block(
         ad.reshape(h, (B, N * hidden)), p["node_fusion/w"], p["node_fusion/b"],
-        dropout_rate, training, prng,
+        dropout_rate, prng,
     )
 
 
@@ -272,10 +272,10 @@ def forward_graph(
     backbone: Backbone,
     adj: np.ndarray | None,
     dropout_rate: float = 0.0,
-    training: bool = False,
     prng=None,
 ) -> ad.Tensor:
-    """Tape graph from raw segments to logits (B, c): encoders, trunk, head.
+    """Tape graph from raw segments to logits (B, c): encoders, trunk, head,
+    with dropout when `prng` is given (see `trunk`).
 
     The head check depends on the parameters alone, so it wins over any
     input-shape mismatch; the graph size is checked after the node count.
@@ -283,10 +283,8 @@ def forward_graph(
     if f"{head_name(task)}/w" not in p:
         raise ValueError(f"parameters carry no {task.value} head")
     check_batch(p, batch, adj)
-    if training and dropout_rate > 0.0 and prng is None:
-        raise ValueError("training-mode dropout requires a prng")
     x = embed.encode_nodes(p, batch.metric, batch.log, batch.trace, batch.event_w)
-    return head(p, trunk(p, x, backbone, adj, dropout_rate, training, prng), task)
+    return head(p, trunk(p, x, backbone, adj, dropout_rate, prng), task)
 
 
 def loss_and_grads(
@@ -296,11 +294,11 @@ def loss_and_grads(
     backbone: Backbone,
     adj: np.ndarray | None,
     dropout_rate: float = 0.0,
-    training: bool = True,
     prng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a batch plus float64 gradients for every
-    parameter tensor. Every row must carry a label for the task.
+    parameter tensor. Every row must carry a label for the task; dropout
+    applies when `prng` is given.
 
     The tape runs in the batch's dtype: parameters and the adjacency are
     cast to it at the leaves, and `params` itself is left as it is."""
@@ -314,7 +312,7 @@ def loss_and_grads(
     if adj is not None:
         adj = adj.astype(dtype, copy=False)
     loss = ad.cross_entropy(
-        forward_graph(p, batch, task, backbone, adj, dropout_rate, training, prng), labels
+        forward_graph(p, batch, task, backbone, adj, dropout_rate, prng), labels
     )
     ad.backward(loss)
     grads = {

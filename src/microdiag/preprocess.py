@@ -42,6 +42,7 @@ from .prng import Prng
 from .serialize import (
     ParseError,
     _records,
+    _require,
     atomic_write_bytes,
     atomic_write_text,
     graph_to_dict,
@@ -58,6 +59,7 @@ from .types import (
     NodeSegments,
     ServiceGraph,
     TelemetryStream,
+    is_int,
 )
 
 __all__ = [
@@ -195,18 +197,11 @@ class WindowPlan:
     """Tiled window placement with guarded chronological split assignment."""
 
     window_ms: int
-    stride_ms: int
     starts: tuple[int, ...]
     train_idx: tuple[int, ...]
     valid_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
-    boundary1_ms: int
-    boundary2_ms: int
-
-    @property
-    def train_end_ms(self) -> int:
-        """Transforms may only read telemetry before this time."""
-        return self.boundary1_ms
+    train_end_ms: int  # the first split boundary; transforms read only before it
 
 
 def plan_windows(duration_ms: int, window_ms: int, stride_ms: int) -> WindowPlan:
@@ -220,6 +215,8 @@ def plan_windows(duration_ms: int, window_ms: int, stride_ms: int) -> WindowPlan
         raise ValueError("window and stride must be positive")
     if stride_ms > window_ms:
         raise ValueError("stride must not exceed window length (gaps would drop faults)")
+    if window_ms % BUCKET_MS or stride_ms % BUCKET_MS:
+        raise ValueError("window and stride must align to the bucket grid")
 
     starts = tuple(range(0, duration_ms - window_ms + 1, stride_ms))
     m = len(starts)
@@ -251,13 +248,11 @@ def plan_windows(duration_ms: int, window_ms: int, stride_ms: int) -> WindowPlan
             )
     return WindowPlan(
         window_ms=window_ms,
-        stride_ms=stride_ms,
         starts=starts,
         train_idx=tuple(train),
         valid_idx=tuple(valid),
         test_idx=tuple(test),
-        boundary1_ms=b1,
-        boundary2_ms=b2,
+        train_end_ms=b1,
     )
 
 
@@ -513,8 +508,6 @@ def build_windows(
     faults: list[FaultSpec],
 ) -> DatasetSplit:
     """Cut full-timeline arrays into labeled windows under a split plan."""
-    if plan.window_ms % BUCKET_MS or plan.stride_ms % BUCKET_MS:
-        raise ValueError("window and stride must align to the bucket grid")
     unk = vocab[UNK_TOKEN]
     alert_ids = [(times, [vocab.get(tok, unk) for tok in tokens.tolist()])
                  for times, tokens in alerts]
@@ -560,7 +553,10 @@ def build_windows(
 class PreprocessResult:
     split: DatasetSplit
     transforms: Transforms
-    nodes: tuple[str, ...]
+
+    @property
+    def nodes(self) -> tuple[str, ...]:  # the stream's, in window segment order
+        return self.transforms.graph.node_names
 
 
 def preprocess_stream(
@@ -572,12 +568,16 @@ def preprocess_stream(
 ) -> PreprocessResult:
     """Full preprocessing pipeline: plan windows, fit transforms on the
     train range, apply them to the whole timeline, cut labeled windows."""
+    for i, f in enumerate(faults):
+        if f.target_node >= len(stream.nodes):
+            raise ValueError(f"fault {i} ({f.fault_type.value} at {f.start_ms} ms) targets "
+                             f"node {f.target_node}, but the stream has {len(stream.nodes)} nodes")
     grid, channels = _metric_grid(stream)
     plan = plan_windows(grid.shape[-1] * BUCKET_MS, window_ms, stride_ms)
     tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng)
     del grid  # the full-timeline grid is not needed to cut windows
     split = build_windows(plan, *inputs, tf.alert_vocab, faults)
-    return PreprocessResult(split=split, transforms=tf, nodes=stream.nodes)
+    return PreprocessResult(split=split, transforms=tf)
 
 
 def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
@@ -616,13 +616,30 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _check_labels(rec: dict, line_no: int, n_nodes: int) -> None:
+    """A record's `anomalous` is a JSON bool and, when it is true, its
+    `root_cause` an int in [0, n_nodes) and its `fault_type` one in
+    [0, len(FAULT_TYPES))."""
+    anomalous = _require(rec, "anomalous", line_no)
+    if type(anomalous) is not bool:
+        raise ParseError(line_no, "anomalous", f"expected true or false, got {anomalous!r}")
+    if anomalous:
+        for field, size in (("root_cause", n_nodes), ("fault_type", len(FAULT_TYPES))):
+            value = _require(rec, field, line_no)
+            if not is_int(value) or not 0 <= value < size:
+                raise ParseError(line_no, field,
+                                 f"expected an integer in [0, {size}), got {value!r}")
+
+
 def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict]:
     """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header).
 
     Lines are read as telemetry lines are (`serialize.header_line` and
     `_records`): split at b"\\n", b"\\r\\n" and b"\\r" only, blank lines
     skipped. Malformed input, the header's node list and `vocab_size`
-    included, raises `ParseError`, which names the line and field."""
+    included, raises `ParseError`, which names the line and field; so do
+    labels outside `_check_labels`' ranges and alert ids that are not ints
+    in [0, vocab_size)."""
     header = header_line(data)
     nodes = tuple(header["nodes"])
     vocab_size = header.get("vocab_size")
@@ -634,6 +651,7 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
         split = rec.get("split")
         if split not in ("train", "valid", "test"):
             raise ParseError(line_no, "split", f"unknown split {split!r}")
+        _check_labels(rec, line_no, len(nodes))
         try:
             segments = [
                 NodeSegments(
@@ -663,6 +681,11 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
         if len(segments) != len(nodes):
             raise ParseError(line_no, "nodes",
                              f"window has {len(segments)} nodes, expected {len(nodes)}")
+        bad = [a for seg in segments for a in seg.alerts
+               if not is_int(a) or not 0 <= a < vocab_size]
+        if bad:
+            raise ParseError(line_no, "alerts",
+                             f"expected alert ids in [0, {vocab_size}), got {bad[0]!r}")
         parts[split].append(window)
     return nodes, DatasetSplit(**parts), header
 

@@ -49,7 +49,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
+from .types import (SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream,
+                    is_int)
 
 __all__ = [
     "ParseError",
@@ -364,11 +365,23 @@ def graph_to_dict(graph: ServiceGraph) -> dict:
 
 
 def graph_from_dict(obj: dict) -> ServiceGraph:
-    return ServiceGraph(
-        n_nodes=obj["n_nodes"],
-        node_names=tuple(obj["node_names"]),
-        edges=tuple((int(u), int(v)) for u, v in obj["edges"]),
-    )
+    """The graph of `graph_to_dict`, read from JSON; a missing or mistyped
+    field raises a ValueError that names it."""
+    def field(name: str, ok, expected: str):
+        if name not in obj:
+            raise ValueError(f"graph field {name!r}: missing")
+        if not ok(obj[name]):
+            raise ValueError(f"graph field {name!r}: expected {expected}, got {obj[name]!r}")
+        return obj[name]
+
+    n_nodes = field("n_nodes", is_int, "an integer")
+    names = field("node_names", lambda v: type(v) is list and all(type(s) is str for s in v)
+                  and len(set(v)) == len(v), "a list of distinct strings")
+    edges = field("edges", lambda v: type(v) is list and all(
+        type(e) is list and len(e) == 2 and all(map(is_int, e)) for e in v),
+        "a list of [caller, callee] integer pairs")
+    return ServiceGraph(n_nodes=n_nodes, node_names=tuple(names),
+                        edges=tuple((u, v) for u, v in edges))
 
 
 def graph_to_json(graph: ServiceGraph) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 from .prng import Prng
 from .serialize import round6
 from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
-                    TelemetryStream)
+                    TelemetryStream, is_int)
 
 __all__ = [
     "ScenarioSpec",
@@ -116,6 +116,14 @@ class ScenarioSpec:
     stride_s: int = 30
 
     def __post_init__(self):
+        for name in ("n_nodes", "duration_s", "n_faults", "window_len_s", "stride_s"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("edge_density", "propagation_factor"):
+            value = getattr(self, name)
+            if not (is_int(value) or isinstance(value, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if self.edge_density <= 0:
@@ -138,11 +146,11 @@ class ScenarioSpec:
 
     @property
     def window_ms(self) -> int:
-        return int(round(self.window_len_s * 1000))
+        return self.window_len_s * 1000
 
     @property
     def stride_ms(self) -> int:
-        return int(round(self.stride_s * 1000))
+        return self.stride_s * 1000
 
     def to_dict(self) -> dict:
         return {

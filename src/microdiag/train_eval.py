@@ -74,15 +74,18 @@ TOPK_KS = (1, 3, 5)
 class DatasetBundle:
     """A parsed dataset plus everything a training run needs with it."""
 
-    nodes: tuple[str, ...]
     split: DatasetSplit
     graph: ServiceGraph
     vocab_size: int
     digest: str  # sha256 of the serialized windows bytes
 
     @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.graph.node_names
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.graph.n_nodes
 
     def dims(self) -> tuple[int, int, int]:
         seg = self.split.train[0].segments[0]
@@ -95,7 +98,6 @@ class DatasetBundle:
         if graph.node_names != nodes:
             raise ValueError(f"graph nodes {graph.node_names} differ from the windows' {nodes}")
         return cls(
-            nodes=nodes,
             split=split,
             graph=graph,
             vocab_size=header["vocab_size"],
@@ -253,8 +255,7 @@ def train(
             rows = order[lo : lo + config.batch_size]
             loss, grads = models.loss_and_grads(
                 params, train_batch.select(rows), task, backbone, adj,
-                dropout_rate=config.dropout_rate, training=True,
-                prng=erng.child(f"step:{lo // config.batch_size}"),
+                config.dropout_rate, erng.child(f"step:{lo // config.batch_size}"),
             )
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -380,8 +381,11 @@ class MetricsReport:
     """Evaluation metrics for one or more runs of one task."""
 
     task: Task
-    n_runs: int
     per_run: dict[str, list[float]]
+
+    @property
+    def n_runs(self) -> int:
+        return len(next(iter(self.per_run.values()), ()))
 
     def __post_init__(self):
         for name, values in self.per_run.items():
@@ -434,7 +438,7 @@ def evaluate(
     metrics = TASK_METRICS[task][0](
         _eval_logits(params, batch, task, backbone, adj), batch.labels(task)
     )
-    return MetricsReport(task=task, n_runs=1, per_run={k: [v] for k, v in metrics.items()})
+    return MetricsReport(task=task, per_run={k: [v] for k, v in metrics.items()})
 
 
 class SeparabilityMode(str, Enum):

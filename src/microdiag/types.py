@@ -33,11 +33,17 @@ __all__ = [
     "DiagnosisWindow",
     "DatasetSplit",
     "RunConfig",
+    "is_int",
 ]
 
 # width of one series bucket: metrics are sampled, and log lines, spans and
 # alerts counted, per BUCKET_MS
 BUCKET_MS = 1000
+
+
+def is_int(value) -> bool:
+    """An int and not a bool, as a JSON integer reads."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class FaultType(str, Enum):
@@ -146,6 +152,13 @@ class FaultSpec:
     propagation_factor: float
 
     def __post_init__(self):
+        for name in ("target_node", "start_ms", "duration_ms"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.target_node < 0 or self.start_ms < 0:
+            raise ValueError(f"target_node and start_ms must be non-negative, got "
+                             f"{self.target_node} and {self.start_ms} ms")
         if self.duration_ms <= 0:
             raise ValueError(f"duration must be positive, got {self.duration_ms} ms")
         if not (0.0 < self.severity <= 1.0):

@@ -1,6 +1,7 @@
 """The command-line chain end to end on the tiny scenario, the separability
 report, and the exit status of an ablation with failed cells."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -14,7 +15,7 @@ from microdiag import autodiff as ad
 from microdiag import cli, models
 from microdiag.serialize import faults_to_json, load_checkpoint, serialize_stream
 from microdiag.train_eval import AblateResult, MetricsReport
-from microdiag.types import Backbone, Task
+from microdiag.types import Backbone, RunConfig, Task
 
 from conftest import TINY_SPEC
 
@@ -140,6 +141,52 @@ def test_window_flags_are_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 60" in capsys.readouterr().err
 
 
+# every option of each command; each one changes what the command does
+OPTIONS = {
+    "simulate": ["--out", "--scenario", "--seed"],
+    "preprocess": ["--in", "--out"],
+    "train": ["--backbone", "--d", "--hidden", "--seed", "--task", "--workdir"],
+    "evaluate": ["--workdir"],
+    "ablate": ["--d", "--hidden", "--seeds", "--task", "--workdir"],
+    "report": ["--d", "--hidden", "--seed", "--task", "--workdir"],
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    # an option with no effect (a --backbone that ablate overwrites, a
+    # --dropout no caller sets) cannot come back unnoticed
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    got = {name: sorted(s for a in p._actions for s in a.option_strings
+                        if s not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 22
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "report"])
+def test_model_flags_default_to_run_config(command):
+    args = cli.build_parser().parse_args([command, "--workdir", "x"])
+    assert cli._run_config(args, 3) == RunConfig(seed=3)
+
+
+@pytest.mark.parametrize("target, detail", [
+    (99, "fault 0 (CRASH at 60000 ms) targets node 99, but the stream has 5 nodes"),
+    (-1, "target_node and start_ms must be non-negative, got -1 and 60000 ms"),
+    (1.0, "target_node must be an int, got 1.0"),
+])
+def test_preprocess_names_a_bad_fault(tmp_path, capsys, tiny_workdir, target, detail):
+    # checked when faults.json is read, not left to fail inside training
+    for name in ("telemetry.jsonl", "scenario.json"):
+        shutil.copy(tiny_workdir / name, tmp_path / name)
+    fault = {"target_node": target, "fault_type": "CRASH", "start_ms": 60_000,
+             "duration_ms": 45_000, "severity": 0.9, "propagation_factor": 0.0}
+    (tmp_path / "faults.json").write_text(json.dumps([fault]), "utf-8")
+    assert cli.main(["preprocess", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {detail}\n"
+    assert not (tmp_path / "windows.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [["train", "--seed", "3"], ["evaluate"]])
 def test_train_and_evaluate_require_workdir(argv, capsys):
     # the windows come from an earlier preprocess, so no default could name them
@@ -182,7 +229,7 @@ def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
 
 def fake_ablation(failed: bool) -> AblateResult:
     def report(f1):
-        return MetricsReport(Task.DETECT, 1, {"precision": [f1], "recall": [f1], "f1": [f1]})
+        return MetricsReport(Task.DETECT, {"precision": [f1], "recall": [f1], "f1": [f1]})
 
     reports = {("DIAGMLP", 1): report(0.5), ("DIAGMLP", 2): report(0.75),
                ("GCN", 1): report(1.0), ("GCN", 2): None if failed else report(0.5)}

@@ -63,10 +63,10 @@ def tiny_params(backbone, task=Task.LOCALIZE, n_nodes=3, d=2, hidden=3, vocab=4)
 STAR = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=((0, 1), (0, 2)))
 
 
-def fusion(x, w, b, dropout_rate=0.0, training=False, prng=None):
-    """One fusion block on one vector."""
+def fusion(x, w, b, dropout_rate=0.0, prng=None):
+    """One fusion block on one vector; dropout only with a prng."""
     out = _fusion_block(ad.constant(np.asarray(x, dtype=np.float64)[None]), ad.constant(w),
-                        ad.constant(b), dropout_rate, training, prng)
+                        ad.constant(b), dropout_rate, prng)
     return out.data[0]
 
 
@@ -86,31 +86,30 @@ class TestFusionMlp:
 
     def test_training_dropout_requires_prng(self):
         # the fusion blocks draw their dropout masks from the step prng, so
-        # the forward graph refuses training-mode dropout without one; a
-        # wrong graph size is reported first
+        # without one there is no dropout; a wrong graph size is reported first
         rng = np.random.default_rng(14)
         batch = windows_to_batch(make_windows(rng), 4)
         t = {k: ad.parameter(v) for k, v in tiny_params(Backbone.GCN).items()}
         with pytest.raises(ValueError, match="graph has 2 nodes"):
             forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(2),
-                          dropout_rate=0.5, training=True)
-        with pytest.raises(ValueError, match="training-mode dropout requires a prng"):
-            forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3),
-                          dropout_rate=0.5, training=True)
-        # without dropout, or outside training, no prng is needed
-        forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), training=True)
-        forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), dropout_rate=0.5)
+                          dropout_rate=0.5, prng=prng_new(1))
+        plain = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3)).data
+        unset = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), dropout_rate=0.5)
+        dropped = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3),
+                                dropout_rate=0.5, prng=prng_new(1))
+        assert np.array_equal(unset.data, plain)
+        assert not np.array_equal(dropped.data, plain)
 
     def test_eval_mode_ignores_dropout_rate(self):
         x, w, b = np.array([5.0, 1.0, -2.0]), np.eye(3), np.zeros(3)
-        a = fusion(x, w, b, dropout_rate=0.9, training=False)
+        a = fusion(x, w, b, dropout_rate=0.9)
         assert np.array_equal(a, fusion(x, w, b))
 
     def test_training_dropout_reproducible_per_path(self):
         x, w, b = np.array([5.0, 1.0, -2.0, 7.0]), np.eye(4), np.zeros(4)
-        a = fusion(x, w, b, 0.5, True, prng_new(2).child("step:0"))
-        b2 = fusion(x, w, b, 0.5, True, prng_new(2).child("step:0"))
-        c = fusion(x, w, b, 0.5, True, prng_new(2).child("step:1"))
+        a = fusion(x, w, b, 0.5, prng_new(2).child("step:0"))
+        b2 = fusion(x, w, b, 0.5, prng_new(2).child("step:0"))
+        c = fusion(x, w, b, 0.5, prng_new(2).child("step:1"))
         assert np.array_equal(a, b2) and not np.array_equal(a, c)
 
 
@@ -226,11 +225,10 @@ class TestForward:
         p_gcn["gcn/w1"] = np.eye(hidden)
         p_gcn["gcn/w2"] = np.eye(hidden)
         batch = windows_to_batch(windows, 4)
-        l1, g1 = loss_and_grads(p_mlp, batch, Task.LOCALIZE, Backbone.DIAGMLP,
-                                None, training=False)
+        l1, g1 = loss_and_grads(p_mlp, batch, Task.LOCALIZE, Backbone.DIAGMLP, None)
         eye_graph = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=())
         l2, g2 = loss_and_grads(p_gcn, batch, Task.LOCALIZE, Backbone.GCN,
-                                normalized_adjacency(eye_graph), training=False)
+                                normalized_adjacency(eye_graph))
         assert l1 == l2
         for k in g1:
             assert np.array_equal(g1[k], g2[k]), k
@@ -258,7 +256,7 @@ class TestForward:
         windows = make_windows(rng)
         params = {k: np.zeros_like(v) for k, v in tiny_params(Backbone.DIAGMLP).items()}
         loss, _ = loss_and_grads(params, windows_to_batch(windows, 4), Task.LOCALIZE,
-                                 Backbone.DIAGMLP, None, training=False)
+                                 Backbone.DIAGMLP, None)
         assert loss == pytest.approx(np.log(3.0), rel=1e-12)
 
     def test_trunk_stage_dimensions(self):
@@ -328,10 +326,10 @@ class TestLossAndGrads:
         batch = windows_to_batch(make_windows(rng, n_windows=4, anomalous_from=2), 4)
         with pytest.raises(ValueError, match=r"rows \[0, 1\] carry no LOCALIZE label"):
             loss_and_grads(tiny_params(Backbone.DIAGMLP), batch, Task.LOCALIZE,
-                           Backbone.DIAGMLP, None, training=False)
+                           Backbone.DIAGMLP, None)
         # the labelled rows alone are accepted
         loss, _ = loss_and_grads(tiny_params(Backbone.DIAGMLP), batch.select(np.array([2, 3])),
-                                 Task.LOCALIZE, Backbone.DIAGMLP, None, training=False)
+                                 Task.LOCALIZE, Backbone.DIAGMLP, None)
         assert np.isfinite(loss)
 
     def test_all_unlabeled_raises(self):
@@ -339,10 +337,10 @@ class TestLossAndGrads:
         batch = windows_to_batch(make_windows(rng, anomalous_from=99), 4)
         with pytest.raises(ValueError, match="carry no LOCALIZE label"):
             loss_and_grads(tiny_params(Backbone.DIAGMLP), batch, Task.LOCALIZE,
-                           Backbone.DIAGMLP, None, training=False)
+                           Backbone.DIAGMLP, None)
         # DETECT labels every window
         loss, _ = loss_and_grads(tiny_params(Backbone.DIAGMLP, Task.DETECT), batch,
-                                 Task.DETECT, Backbone.DIAGMLP, None, training=False)
+                                 Task.DETECT, Backbone.DIAGMLP, None)
         assert np.isfinite(loss)
 
     @pytest.mark.parametrize("backbone", [Backbone.DIAGMLP, Backbone.GCN])
@@ -351,11 +349,9 @@ class TestLossAndGrads:
         batch = windows_to_batch(make_windows(rng, n_windows=2, T=6), 4)
         params = tiny_params(backbone)
         adj = adjacency(STAR, backbone)
-        _, grads = loss_and_grads(params, batch, Task.LOCALIZE, backbone,
-                                  adj, training=False)
+        _, grads = loss_and_grads(params, batch, Task.LOCALIZE, backbone, adj)
         fd = finite_difference(
-            lambda: loss_and_grads(params, batch, Task.LOCALIZE, backbone,
-                                   adj, training=False)[0],
+            lambda: loss_and_grads(params, batch, Task.LOCALIZE, backbone, adj)[0],
             params,
         )
         worst = 0.0
@@ -381,7 +377,7 @@ class TestLossAndGrads:
 
         def step(dtype):
             return loss_and_grads(params, windows_to_batch(windows, 4, dtype), task, backbone,
-                                  adj, dropout_rate=0.1, training=True, prng=prng_new(5))
+                                  adj, dropout_rate=0.1, prng=prng_new(5))
 
         loss64, g64 = step(np.float64)
         tapes = []

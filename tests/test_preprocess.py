@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -270,8 +271,9 @@ class TestPlanWindows:
         assert (len(plan.train_idx), len(plan.valid_idx), len(plan.test_idx)) == (59, 18, 19)
         assert plan.train_idx[-1] == 58 and plan.valid_idx[0] == 61
         assert plan.valid_idx[-1] == 78 and plan.test_idx[0] == 81
-        assert plan.boundary1_ms == 60 * w and plan.boundary2_ms == 80 * w
-        assert plan.train_end_ms == plan.boundary1_ms
+        # the split boundaries: the first ends the train range, the second
+        # is the tile at 4m // 5
+        assert plan.train_end_ms == 60 * w and plan.starts[4 * 100 // 5] == 80 * w
 
     def test_local_preset_tiling(self):
         plan = plan_windows(10_800_000, 30_000, 30_000)
@@ -285,15 +287,16 @@ class TestPlanWindows:
             s = int(rng.integers(max(1, w // 3000), w // 1000 + 1)) * 1000
             duration = w * int(rng.integers(70, 201))
             plan = plan_windows(duration, w, s)
-            for b in (plan.boundary1_ms, plan.boundary2_ms):
+            b1, b2 = plan.train_end_ms, plan.starts[4 * len(plan.starts) // 5]
+            for b in (b1, b2):
                 for idx in plan.train_idx + plan.valid_idx + plan.test_idx:
                     st = plan.starts[idx]
                     assert not (st < b + w and st + w > b - w), (w, s, duration, st, b)
             # one window length of clearance on each side of each boundary
-            assert max(plan.starts[i] + w for i in plan.train_idx) <= plan.boundary1_ms - w
-            assert min(plan.starts[i] for i in plan.valid_idx) >= plan.boundary1_ms + w
-            assert max(plan.starts[i] + w for i in plan.valid_idx) <= plan.boundary2_ms - w
-            assert min(plan.starts[i] for i in plan.test_idx) >= plan.boundary2_ms + w
+            assert max(plan.starts[i] + w for i in plan.train_idx) <= b1 - w
+            assert min(plan.starts[i] for i in plan.valid_idx) >= b1 + w
+            assert max(plan.starts[i] + w for i in plan.valid_idx) <= b2 - w
+            assert min(plan.starts[i] for i in plan.test_idx) >= b2 + w
 
     def test_split_matches_the_benchmark_oracle(self):
         # perfbench/checks.py states the 60/20/20 split on its own; it is
@@ -323,6 +326,11 @@ class TestPlanWindows:
     def test_stride_above_window_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             plan_windows(600_000, 30_000, 60_000)
+
+    @pytest.mark.parametrize("window_ms, stride_ms", [(30_500, 30_000), (30_000, 15_500)])
+    def test_window_off_the_bucket_grid_rejected(self, window_ms, stride_ms):
+        with pytest.raises(ValueError, match="align to the bucket grid"):
+            plan_windows(10_800_000, window_ms, stride_ms)
 
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError, match="too few"):
@@ -593,6 +601,14 @@ class TestPreprocessStream:
         with pytest.raises(ValueError, match="inconsistent lengths"):
             _metric_grid(stream)
 
+    def test_fault_target_outside_the_stream_is_named(self):
+        # the label would index node 99 of 3 only once training runs
+        faults = [FaultSpec(1, FaultType.CRASH, 10_000, 4_000, 0.9, 0.0),
+                  FaultSpec(99, FaultType.NET_DELAY, 60_000, 4_000, 0.9, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                "fault 1 (NET_DELAY at 60000 ms) targets node 99, but the stream has 3 nodes")):
+            preprocess_stream(quiet_stream(), faults, 2000, 2000, prng_new(0).child("p"))
+
     def test_splits_meet_minimum_size(self):
         stream = quiet_stream(duration_s=240)
         faults = []
@@ -700,6 +716,41 @@ class TestWindowsFromBytes:
             obj[field] = value
         err = self.parse_error(json.dumps(obj).encode() + b"\n" + rest)
         assert str(err) == f"line 1, field {field!r}: {detail}"
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("root_cause", 99, "expected an integer in [0, 5), got 99"),
+            ("root_cause", -3, "expected an integer in [0, 5), got -3"),
+            ("root_cause", 1.5, "expected an integer in [0, 5), got 1.5"),
+            ("root_cause", True, "expected an integer in [0, 5), got True"),
+            ("fault_type", 9, "expected an integer in [0, 4), got 9"),
+            ("fault_type", None, "expected an integer in [0, 4), got None"),
+            ("anomalous", 1, "expected true or false, got 1"),
+            ("alerts", "7", "expected alert ids in [0, {vocab}), got '7'"),
+            ("alerts", -1, "expected alert ids in [0, {vocab}), got -1"),
+            ("alerts", 10**6, "expected alert ids in [0, {vocab}), got 1000000"),
+            ("alerts", False, "expected alert ids in [0, {vocab}), got False"),
+        ],
+        ids=["root-99", "root-negative", "root-float", "root-true", "type-9", "type-null",
+             "anomalous-1", "alert-string", "alert-negative", "alert-past-vocab",
+             "alert-false"],
+    )
+    def test_labels_and_alert_ids_are_checked(self, tiny_bundle, field, value, detail):
+        # a label or alert id the model would index with is checked at its
+        # line, not left to fail inside numpy during training
+        lines = tiny_bundle[2].split(b"\n")
+        vocab = json.loads(lines[0])["vocab_size"]
+        i = next(i for i, line in enumerate(lines[1:], 1)
+                 if json.loads(line)["anomalous"])
+        rec = json.loads(lines[i])
+        if field == "alerts":
+            rec["nodes"][1]["alerts"].append(value)
+        else:
+            rec[field] = value
+        lines[i] = json.dumps(rec).encode()
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == f"line {i + 1}, field {field!r}: " + detail.format(vocab=vocab)
 
 
 class TestDatasetPremise:

@@ -1,6 +1,7 @@
 """Topology generation and fault scheduling contracts."""
 
 import json
+import re
 
 import pytest
 
@@ -161,6 +162,30 @@ class TestScenarioSpec:
             "n_nodes", "edge_density", "duration_s", "n_faults", "fault_mix",
             "propagation_factor", "window_len_s", "stride_s",
         ]
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("n_nodes", 5.5, "n_nodes must be an int, got 5.5"),
+            ("duration_s", 1800.5, "duration_s must be an int, got 1800.5"),
+            ("duration_s", "1800", "duration_s must be an int, got '1800'"),
+            ("n_faults", 12.0, "n_faults must be an int, got 12.0"),
+            ("window_len_s", 30.5, "window_len_s must be an int, got 30.5"),
+            ("stride_s", True, "stride_s must be an int, got True"),
+            ("edge_density", "2", "edge_density must be a real number, got '2'"),
+            ("propagation_factor", False, "propagation_factor must be a real number, got False"),
+        ],
+        ids=["nodes-float", "duration-float", "duration-string", "faults-float",
+             "window-float", "stride-bool", "density-string", "propagation-bool"],
+    )
+    def test_fields_are_typed(self, field, value, detail):
+        # each fails by name here, not inside numpy or as a short split later
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), field: value})
+
+    def test_real_fields_take_json_integers(self):
+        spec = ScenarioSpec(edge_density=2, propagation_factor=0)
+        assert (spec.edge_density, spec.propagation_factor) == (2, 0)
 
     def test_duration_floor(self):
         with pytest.raises(ValueError, match="too short"):

@@ -59,7 +59,7 @@ class TestMetrics:
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         preds = np.array([0, 1, 1, 1, 2, 0, 3, 2])
         metrics = TASK_METRICS[Task.CLASSIFY][0](np.eye(4)[preds], labels)
-        report = MetricsReport(Task.CLASSIFY, 1, {k: [v] for k, v in metrics.items()})
+        report = MetricsReport(Task.CLASSIFY, {k: [v] for k, v in metrics.items()})
         # per-class F1 by hand: 1/2, 4/5, 1/2, 2/3
         assert report.metric("f1") == pytest.approx((0.5 + 0.8 + 0.5 + 2 / 3) / 4, abs=1e-15)
         assert report.metric("precision") == pytest.approx((0.5 + 2 / 3 + 0.5 + 1.0) / 4,
@@ -67,7 +67,7 @@ class TestMetrics:
         assert report.metric("recall") == pytest.approx((0.5 + 1.0 + 0.5 + 0.5) / 4, abs=1e-15)
         # the same figures in a binary report break the F1 identity
         with pytest.raises(ValueError, match="violates"):
-            MetricsReport(Task.DETECT, 1, {k: [v] for k, v in metrics.items()})
+            MetricsReport(Task.DETECT, {k: [v] for k, v in metrics.items()})
 
     def test_detect_without_positives_warns_and_reports_zero(self, tiny_bundle):
         bundle, _, _ = tiny_bundle
@@ -201,7 +201,7 @@ class TestTrain:
         batch = models.windows_to_batch(bundle.split.train, bundle.vocab_size, np.float32)
         batch = batch.select(order)
         _, grads = models.loss_and_grads(theta, batch, config.task, Backbone.GCN,
-                                         np.eye(bundle.n_nodes), training=False)
+                                         np.eye(bundle.n_nodes))
         beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
         assert set(result.params) == set(theta)
         for name, g in grads.items():
@@ -239,7 +239,7 @@ class TestTrain:
 
 def hand_built_ablation(gcn_seed2_fails=True):
     def report(f1):
-        return MetricsReport(Task.DETECT, 1, {"precision": [f1], "recall": [f1], "f1": [f1]})
+        return MetricsReport(Task.DETECT, {"precision": [f1], "recall": [f1], "f1": [f1]})
 
     reports = {
         ("DIAGMLP", 1): report(0.5),

@@ -1,6 +1,7 @@
 """Construction-time invariants of the domain types."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,48 @@ class TestFaultSpec:
     def test_propagation_range(self):
         with pytest.raises(ValueError, match="propagation"):
             FaultSpec(0, FaultType.CRASH, 0, 1, 0.9, 1.2)
+
+    @pytest.mark.parametrize(
+        "target, start, duration, detail",
+        [
+            (1.0, 0, 1, "target_node must be an int, got 1.0"),
+            (True, 0, 1, "target_node must be an int, got True"),
+            (0, 5000.0, 1, "start_ms must be an int, got 5000.0"),
+            (0, 0, 1.5, "duration_ms must be an int, got 1.5"),
+            (-1, 0, 1, "must be non-negative, got -1 and 0 ms"),
+            (0, -5000, 1, "must be non-negative, got 0 and -5000 ms"),
+        ],
+        ids=["target-float", "target-bool", "start-float", "duration-float",
+             "target-negative", "start-negative"],
+    )
+    def test_target_and_times_are_non_negative_ints(self, target, start, duration, detail):
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            FaultSpec(target, FaultType.CRASH, start, duration, 0.9, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("n_nodes", None, "'n_nodes': missing"),
+            ("n_nodes", "3", "'n_nodes': expected an integer, got '3'"),
+            ("node_names", "abc", "'node_names': expected a list of distinct strings, got 'abc'"),
+            ("node_names", ["a", "b", "a"], "'node_names': expected a list of distinct strings"),
+            ("edges", [[0, 1.7]], "'edges': expected a list of [caller, callee] integer pairs"),
+            ("edges", [[0, True]], "'edges': expected a list of [caller, callee] integer pairs"),
+            ("edges", [[0, 1, 2]], "'edges': expected a list of [caller, callee] integer pairs"),
+        ],
+        ids=["n-missing", "n-string", "names-string", "names-duplicate", "edge-float",
+             "edge-true", "edge-triple"],
+    )
+    def test_graph_from_dict_names_a_bad_field(self, field, value, detail):
+        # graph.json and scaler.json's "graph" are read field by field: no
+        # name list read letter by letter, no truncated edge, no bare TypeError
+        obj = {"n_nodes": 3, "node_names": ["a", "b", "c"], "edges": [[0, 1], [0, 2]]}
+        if value is None:
+            del obj[field]
+        else:
+            obj[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"graph field {detail}")):
+            graph_from_dict(obj)
 
 
 class TestTelemetryStream:
