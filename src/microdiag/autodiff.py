@@ -277,15 +277,11 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
 def dropout_mask(prng, rate: float, shape, dtype=np.float64) -> np.ndarray:
     """Inverted-dropout mask of `dtype`: survivors scaled by 1/(1-rate)."""
-    if rate <= 0.0:
-        return np.ones(shape, dtype=dtype)
     keep = prng.uniform(size=shape) >= rate
     return (keep / (1.0 - rate)).astype(dtype, copy=False)
 
 
-def apply_dropout(x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
-    if mask is None:
-        return x
+def apply_dropout(x: Tensor, mask: np.ndarray) -> Tensor:
     return mul(x, constant(mask))
 
 

@@ -9,6 +9,9 @@ Re-running a command in one directory overwrites its outputs (`ablate` its
 tables, as `train` its checkpoint.json); every command is deterministic given
 its flags and writes atomically, so reruns are byte-identical.
 
+A command that fails prints `error: <cause>` and exits 1. For `ablate` the
+cause names the failing cell's backbone and seed, and no table is written.
+
 Only `simulate` takes --scenario; it writes to runs/<scenario>-s<seed> unless
 told otherwise. Window length and stride come from the scenario, never from
 a flag: `preprocess` reads them from the scenario.json that `simulate` wrote.
@@ -165,10 +168,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     write_csv(workdir / "results.csv", header, rows)
     atomic_write_text(workdir / "summary.md", train_eval.render_summary(result))
     print(f"ablation over seeds {seeds} -> {workdir / 'results.csv'}")
-    if result.failures:
-        for (backbone, seed), cause in sorted(result.failures.items()):
-            print(f"{backbone} {seed}: {cause}", file=sys.stderr)
-        return 1
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
         for name in sorted({m for r in result.reports.values() for m in r.per_run}):
             print(f"{backbone.value} {name}: {result.mean(backbone, name):.6f}")

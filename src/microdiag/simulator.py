@@ -33,7 +33,7 @@ import numpy as np
 from .prng import Prng
 from .serialize import round6
 from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
-                    TelemetryStream, is_int)
+                    TelemetryStream, is_int, is_real)
 
 __all__ = [
     "ScenarioSpec",
@@ -122,12 +122,12 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("edge_density", "propagation_factor"):
             value = getattr(self, name)
-            if not (is_int(value) or isinstance(value, float)):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if self.edge_density <= 0:
-            raise ValueError("edge_density must be positive")
+        if not self.edge_density > 0:  # NaN included
+            raise ValueError(f"edge_density must be positive, got {self.edge_density}")
         if self.window_len_s <= 0 or self.stride_s <= 0:
             raise ValueError("window_len_s and stride_s must be positive")
         if self.duration_s < 10 * self.window_len_s:

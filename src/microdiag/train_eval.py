@@ -8,7 +8,8 @@ Everything is deterministic given a RunConfig.
 The ablation harness trains both backbones on byte-identical preprocessed
 dataset bytes with identical shared-tensor initialization and batch
 schedules, so the only degree of freedom is the message-passing stage. Stage
-digests record this and are asserted, not assumed.
+digests record this and are asserted, not assumed. A cell that fails stops
+the ablation with an error naming its backbone and seed.
 """
 
 from __future__ import annotations
@@ -332,12 +333,9 @@ def topk_accuracy(scores: np.ndarray, true_nodes: np.ndarray, k: int) -> float:
     descending, ties resolved in favor of the lower node index."""
     scores = np.asarray(scores, dtype=np.float64)
     true_nodes = np.asarray(true_nodes, dtype=np.int64)
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = scores.shape[1]
-    if k > n:
-        warnings.warn(f"k={k} exceeds {n} nodes; clamped")
-        k = n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}] for {n} nodes, got {k}")
     hits = 0
     for row, t in zip(scores, true_nodes):
         s_t = row[t]
@@ -532,23 +530,21 @@ def separability_report(
 class AblateResult:
     task: Task
     seeds: list[int]
-    reports: dict[tuple[str, int], Optional[MetricsReport]]
+    reports: dict[tuple[str, int], MetricsReport]
     checkpoints: dict[tuple[str, int], dict[str, np.ndarray]] = field(repr=False, default_factory=dict)
     histories: dict[tuple[str, int], list[tuple]] = field(repr=False, default_factory=dict)
     stage_digests: dict[tuple[str, int], dict[str, str]] = field(default_factory=dict)
     dataset_digest: str = ""
-    failures: dict[tuple[str, int], str] = field(default_factory=dict)
 
-    def failed_seeds(self, backbone: Backbone) -> list[int]:
-        return [s for s in self.seeds if (backbone.value, s) in self.failures]
+    @property
+    def failures(self) -> dict[tuple[str, int], str]:
+        # always empty, since a failing cell raises inside `ablate`;
+        # perfbench/checks.py::check_ablation and perfbench/run.py::Ablate.round
+        # still read it, and it goes with the next edit of perfbench/
+        return {}
 
     def mean(self, backbone: Backbone, metric: str) -> float:
-        """Mean over every seed; raises when a seed of the backbone failed."""
-        failed = self.failed_seeds(backbone)
-        if failed:
-            raise ValueError(
-                f"{backbone.value} failed at seeds {failed}; no mean over seeds {self.seeds}"
-            )
+        """Mean over every seed."""
         return float(np.mean([self.reports[(backbone.value, s)].metric(metric) for s in self.seeds]))
 
 
@@ -563,6 +559,9 @@ def ablate(
     With disable_message_passing, the GCN runs with identity adjacency and
     fixed identity message-passing weights — the controlled-equivalence
     configuration where the two backbones must coincide.
+
+    A cell that fails raises a RuntimeError naming its backbone and seed,
+    chained from the cause.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
@@ -575,7 +574,6 @@ def ablate(
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
         for seed in seeds:
             config = dataclasses.replace(base, seed=seed, backbone=backbone)
-            key = (backbone.value, seed)
             try:
                 tr = train(bundle, config, disable_message_passing)
                 report = evaluate(
@@ -583,22 +581,23 @@ def ablate(
                     backbone=backbone, graph=bundle.graph,
                     disable_message_passing=disable_message_passing,
                 )
-                result.reports[key] = report
-                result.checkpoints[key] = tr.params
-                result.histories[key] = tr.history
-                result.stage_digests[key] = {
-                    "dataset": bundle.digest,
-                    "shared_init": tr.shared_init_digest,
-                    "schedule": tr.schedule_digest,
-                }
-            except Exception as exc:  # keep the harness running per contract
-                result.reports[key] = None
-                result.failures[key] = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:
+                raise RuntimeError(f"ablation cell {backbone.value} seed {seed}: "
+                                   f"{type(exc).__name__}: {exc}") from exc
+            key = (backbone.value, seed)
+            result.reports[key] = report
+            result.checkpoints[key] = tr.params
+            result.histories[key] = tr.history
+            result.stage_digests[key] = {
+                "dataset": bundle.digest,
+                "shared_init": tr.shared_init_digest,
+                "schedule": tr.schedule_digest,
+            }
 
     for seed in seeds:
-        a = result.stage_digests.get((Backbone.DIAGMLP.value, seed))
-        b = result.stage_digests.get((Backbone.GCN.value, seed))
-        if a and b and a != b:
+        a = result.stage_digests[(Backbone.DIAGMLP.value, seed)]
+        b = result.stage_digests[(Backbone.GCN.value, seed)]
+        if a != b:
             raise AssertionError(
                 f"fairness violated at seed {seed}: stage digests differ {a} vs {b}"
             )
@@ -607,14 +606,13 @@ def ablate(
 
 def results_csv_rows(result: AblateResult) -> tuple[list[str], list[list]]:
     """results.csv: per cell, in the order of `result.reports`, a status row
-    ("ok", or "failed" for a None report) and one row per metric."""
+    ("ok": a cell that fails stops `ablate`) and one row per metric."""
     header = ["backbone", "seed", "task", "metric", "value"]
     rows = []
     for (backbone, seed), report in result.reports.items():
         cell = [backbone, seed, result.task.value]
-        rows.append(cell + ["status", "failed" if report is None else "ok"])
-        if report is not None:
-            rows += [cell + [name, report.per_run[name][0]] for name in sorted(report.per_run)]
+        rows.append(cell + ["status", "ok"])
+        rows += [cell + [name, report.per_run[name][0]] for name in sorted(report.per_run)]
     return header, rows
 
 
@@ -624,10 +622,8 @@ def _fmt(x: float) -> str:
 
 def render_summary(result: AblateResult) -> str:
     """Deterministic markdown summary: per-backbone mean ± std and paired
-    per-seed deltas."""
-    metric_names = sorted(
-        {m for r in result.reports.values() if r is not None for m in r.per_run}
-    )
+    per-seed deltas, the mean delta taken over the printed deltas."""
+    metric_names = sorted({m for r in result.reports.values() for m in r.per_run})
     lines = [
         "# Backbone ablation",
         "",
@@ -639,12 +635,8 @@ def render_summary(result: AblateResult) -> str:
     ]
     n = len(result.seeds)
     for backbone in (Backbone.DIAGMLP, Backbone.GCN):
-        failed = result.failed_seeds(backbone)
         cells = []
         for name in metric_names:
-            if failed:
-                cells.append(f"failed ({len(failed)} of {n} seeds)")
-                continue
             vals = np.array([result.reports[(backbone.value, s)].metric(name) for s in result.seeds])
             std = vals.std(ddof=1) if n > 1 else 0.0
             cells.append(f"{_fmt(vals.mean())} ± {_fmt(std)}")
@@ -654,20 +646,9 @@ def render_summary(result: AblateResult) -> str:
     lines.append("| metric | " + " | ".join(f"seed {s}" for s in result.seeds) + " | mean |")
     lines.append("|---" * (n + 2) + "|")
     for name in metric_names:
-        deltas = []
-        for seed in result.seeds:
-            a = result.reports.get((Backbone.DIAGMLP.value, seed))
-            b = result.reports.get((Backbone.GCN.value, seed))
-            if a is None or b is None or name not in a.per_run or name not in b.per_run:
-                deltas.append("failed")
-            else:
-                deltas.append(_fmt(a.metric(name) - b.metric(name)))
-        k = deltas.count("failed")
-        mean = f"failed ({k} of {n} seeds)" if k else _fmt(float(np.mean([float(d) for d in deltas])))
+        deltas = [_fmt(result.reports[(Backbone.DIAGMLP.value, s)].metric(name)
+                       - result.reports[(Backbone.GCN.value, s)].metric(name))
+                  for s in result.seeds]
+        mean = _fmt(float(np.mean([float(d) for d in deltas])))
         lines.append(f"| {name} | " + " | ".join(deltas) + f" | {mean} |")
-
-    if result.failures:
-        lines += ["", "## Failures", ""]
-        for (backbone, seed), msg in sorted(result.failures.items()):
-            lines.append(f"- {backbone} seed {seed}: {msg}")
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ __all__ = [
     "DatasetSplit",
     "RunConfig",
     "is_int",
+    "is_real",
 ]
 
 # width of one series bucket: metrics are sampled, and log lines, spans and
@@ -44,6 +45,11 @@ BUCKET_MS = 1000
 def is_int(value) -> bool:
     """An int and not a bool, as a JSON integer reads."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int that is not a bool, or a float, as a JSON number reads."""
+    return is_int(value) or isinstance(value, float)
 
 
 class FaultType(str, Enum):
@@ -156,6 +162,10 @@ class FaultSpec:
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("severity", "propagation_factor"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.target_node < 0 or self.start_ms < 0:
             raise ValueError(f"target_node and start_ms must be non-negative, got "
                              f"{self.target_node} and {self.start_ms} ms")
@@ -262,10 +272,11 @@ class DiagnosisWindow:
     def __post_init__(self):
         if self.end_ms <= self.start_ms:
             raise ValueError("window_end must exceed window_start")
-        has_labels = self.label_root_cause is not None and self.label_fault_type is not None
-        if self.label_anomalous != has_labels:
+        labels = (self.label_root_cause, self.label_fault_type)
+        if labels.count(None) != (0 if self.label_anomalous else 2):
             raise ValueError(
-                "root-cause and fault-type labels must be present iff anomalous"
+                f"root-cause and fault-type labels must be present iff anomalous, got "
+                f"{labels} with anomalous={self.label_anomalous}"
             )
 
     @property

@@ -1,6 +1,7 @@
 """The statistics of `tools/bench_pairs.py` on fixed numbers."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,23 @@ def test_src_lines_counts_like_wc(tmp_path):
     (pkg / "b.py").write_text("z = 3")  # no final newline, as wc -l counts
     (pkg / "notes.txt").write_text("ignored\n")
     assert bench_pairs.src_lines(tmp_path) == {"a.py": 2, "b.py": 0, "total": 2}
+
+
+@pytest.mark.parametrize("stdout", ["", "round 0: 1.000 s\n"], ids=["no-stdout", "not-json"])
+def test_a_crashed_run_is_named(tmp_path, stdout):
+    # a run that dies before its JSON line names the command, the checkout,
+    # the exit code and the end of stderr, whatever it printed to stdout
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"sys.stdout.write({stdout!r})\n"
+        "sys.stderr.write('Traceback (most recent call last):\\n"
+        "RuntimeError: ablation cell GCN seed 2: ValueError: boom\\n')\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as info:
+        bench_pairs.run_benchmark(tmp_path, "ablate", 3, 1.0, 0)
+    message = str(info.value)
+    assert message.startswith(f"{sys.executable} perfbench/run.py --workload ablate --seed 3 "
+                              f"--seconds 1.0 --trace 0 in {tmp_path} printed no JSON result "
+                              "(exit 1): Traceback (most recent call last):")
+    assert message.endswith("RuntimeError: ablation cell GCN seed 2: ValueError: boom\n")

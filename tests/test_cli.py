@@ -1,8 +1,9 @@
 """The command-line chain end to end on the tiny scenario, the separability
-report, and the exit status of an ablation with failed cells."""
+report, and the exit status of an ablation with a failing cell."""
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from microdiag import autodiff as ad
-from microdiag import cli, models
+from microdiag import cli, models, train_eval
 from microdiag.serialize import faults_to_json, load_checkpoint, serialize_stream
 from microdiag.train_eval import AblateResult, MetricsReport
 from microdiag.types import Backbone, RunConfig, Task
@@ -227,15 +228,13 @@ def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
     assert not (tmp_path / "windows.jsonl").exists()
 
 
-def fake_ablation(failed: bool) -> AblateResult:
+def fake_ablation() -> AblateResult:
     def report(f1):
         return MetricsReport(Task.DETECT, {"precision": [f1], "recall": [f1], "f1": [f1]})
 
     reports = {("DIAGMLP", 1): report(0.5), ("DIAGMLP", 2): report(0.75),
-               ("GCN", 1): report(1.0), ("GCN", 2): None if failed else report(0.5)}
-    failures = {("GCN", 2): "ValueError: boom"} if failed else {}
-    return AblateResult(task=Task.DETECT, seeds=[1, 2], reports=reports,
-                        failures=failures)
+               ("GCN", 1): report(1.0), ("GCN", 2): report(0.5)}
+    return AblateResult(task=Task.DETECT, seeds=[1, 2], reports=reports)
 
 
 def test_ablate_scores_the_staged_dataset(tmp_path, monkeypatch, capsys, tiny_bundle,
@@ -245,7 +244,7 @@ def test_ablate_scores_the_staged_dataset(tmp_path, monkeypatch, capsys, tiny_bu
 
     def fake(bundle, *args):
         seen.append(bundle)
-        return fake_ablation(False)
+        return fake_ablation()
 
     monkeypatch.setattr(cli, "ablate", fake)
     workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
@@ -255,10 +254,8 @@ def test_ablate_scores_the_staged_dataset(tmp_path, monkeypatch, capsys, tiny_bu
         (want.digest, want.graph, want.nodes, want.vocab_size)]
 
 
-@pytest.mark.parametrize("failed", [False, True])
-def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, failed,
-                                               tiny_workdir):
-    monkeypatch.setattr(cli, "ablate", lambda *a, **k: fake_ablation(failed))
+def test_ablate_writes_ok_cells_and_prints_means(tmp_path, monkeypatch, capsys, tiny_workdir):
+    monkeypatch.setattr(cli, "ablate", lambda *a, **k: fake_ablation())
     workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
     code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(workdir), "--task", "detect"])
     out, err = capsys.readouterr()
@@ -267,11 +264,27 @@ def test_ablate_exit_status_names_failed_cells(tmp_path, monkeypatch, capsys, fa
         statuses = [(r["backbone"], r["seed"], r["value"])
                     for r in csv.DictReader(fh) if r["metric"] == "status"]
     assert statuses == [("DIAGMLP", "1", "ok"), ("DIAGMLP", "2", "ok"), ("GCN", "1", "ok"),
-                        ("GCN", "2", "failed" if failed else "ok")]
-    if failed:
-        assert code == 1
-        assert err == "GCN 2: ValueError: boom\n"
-        assert "GCN f1" not in out
-    else:
-        assert code == 0 and err == ""
-        assert "DIAGMLP f1: 0.625000" in out and "GCN f1: 0.750000" in out
+                        ("GCN", "2", "ok")]
+    assert code == 0 and err == ""
+    assert "DIAGMLP f1: 0.625000" in out and "GCN f1: 0.750000" in out
+
+
+def test_ablate_failing_cell_exits_1_and_writes_no_tables(tmp_path, monkeypatch, capsys,
+                                                          tiny_workdir):
+    # the real `ablate` over one-epoch runs, whose GCN seed 2 cell fails
+    real = train_eval.train
+
+    def flaky(bundle, config, *args):
+        if (config.backbone, config.seed) == (Backbone.GCN, 2):
+            raise ValueError("boom")
+        return real(bundle, dataclasses.replace(config, max_epochs=1), *args)
+
+    monkeypatch.setattr(train_eval, "train", flaky)
+    workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
+    code = cli.main(["ablate", "--seeds", "1,2", "--workdir", str(workdir), "--task", "detect",
+                     "--d", "4", "--hidden", "8"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: ablation cell GCN seed 2: ValueError: boom\n"
+    assert out == ""
+    assert not (workdir / "results.csv").exists() and not (workdir / "summary.md").exists()

@@ -752,6 +752,17 @@ class TestWindowsFromBytes:
         err = self.parse_error(b"\n".join(lines))
         assert str(err) == f"line {i + 1}, field {field!r}: " + detail.format(vocab=vocab)
 
+    def test_normal_window_with_a_stray_label(self, tiny_bundle):
+        lines = tiny_bundle[2].split(b"\n")
+        i = next(i for i, line in enumerate(lines[1:], 1)
+                 if not json.loads(line)["anomalous"])
+        rec = json.loads(lines[i])
+        rec["root_cause"] = 3
+        lines[i] = json.dumps(rec).encode()
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == (f"line {i + 1}, field 'record': root-cause and fault-type labels "
+                            "must be present iff anomalous, got (3, None) with anomalous=False")
+
 
 class TestDatasetPremise:
     def test_root_cause_has_max_metric_z_mass(self, local_bundle):

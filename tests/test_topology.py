@@ -174,9 +174,11 @@ class TestScenarioSpec:
             ("stride_s", True, "stride_s must be an int, got True"),
             ("edge_density", "2", "edge_density must be a real number, got '2'"),
             ("propagation_factor", False, "propagation_factor must be a real number, got False"),
+            ("edge_density", float("nan"), "edge_density must be positive, got nan"),
         ],
         ids=["nodes-float", "duration-float", "duration-string", "faults-float",
-             "window-float", "stride-bool", "density-string", "propagation-bool"],
+             "window-float", "stride-bool", "density-string", "propagation-bool",
+             "density-nan"],
     )
     def test_fields_are_typed(self, field, value, detail):
         # each fails by name here, not inside numpy or as a short split later

@@ -55,6 +55,12 @@ class TestMetrics:
         assert topk_accuracy(scores, np.array([2, 3]), 2) == 0.5
         assert topk_accuracy(scores, np.array([2, 3]), 4) == 1.0
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_topk_rejects_k_outside_one_to_n(self, k):
+        scores = np.array([[1.0, 3.0, 3.0, 0.0]])
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 4\] for 4 nodes, got {k}"):
+            topk_accuracy(scores, np.array([1]), k)
+
     def test_imperfect_macro_report_builds(self):
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         preds = np.array([0, 1, 1, 1, 2, 0, 3, 2])
@@ -165,7 +171,6 @@ class TestTrain:
     def test_disabled_message_passing_gives_identical_backbones(self, tiny_bundle):
         bundle, _, _ = tiny_bundle
         result = ablate(bundle, quick_config(), [1, 2], disable_message_passing=True)
-        assert not result.failures
         for seed in (1, 2):
             mlp, gcn = (Backbone.DIAGMLP.value, seed), (Backbone.GCN.value, seed)
             assert result.reports[mlp].per_run == result.reports[gcn].per_run
@@ -237,36 +242,40 @@ class TestTrain:
         assert seen == [{np.dtype(np.float64)}] * 3
 
 
-def hand_built_ablation(gcn_seed2_fails=True):
+def hand_built_ablation(diagmlp_f1=(0.5, 0.75), gcn_f1=(1.0, 0.5)):
     def report(f1):
         return MetricsReport(Task.DETECT, {"precision": [f1], "recall": [f1], "f1": [f1]})
 
-    reports = {
-        ("DIAGMLP", 1): report(0.5),
-        ("DIAGMLP", 2): report(0.75),
-        ("GCN", 1): report(1.0),
-        ("GCN", 2): None if gcn_seed2_fails else report(0.5),
-    }
-    failures = {("GCN", 2): "ValueError: boom"} if gcn_seed2_fails else {}
-    return AblateResult(task=Task.DETECT, seeds=[1, 2], reports=reports,
-                        failures=failures)
+    seeds = list(range(1, len(diagmlp_f1) + 1))
+    reports = {(backbone, seed): report(f1)
+               for backbone, f1s in (("DIAGMLP", diagmlp_f1), ("GCN", gcn_f1))
+               for seed, f1 in zip(seeds, f1s)}
+    return AblateResult(task=Task.DETECT, seeds=seeds, reports=reports)
+
+
+def test_a_failing_cell_raises_naming_itself(tiny_bundle, monkeypatch):
+    # the third cell fails; `ablate` stops there, chained from the cause
+    real, trained = train_eval.train, []
+
+    def flaky(bundle, config, *args):
+        if (config.backbone, config.seed) == (Backbone.GCN, 2):
+            raise ValueError("boom")
+        trained.append((config.backbone.value, config.seed))
+        return real(bundle, config, *args)
+
+    monkeypatch.setattr(train_eval, "train", flaky)
+    with pytest.raises(RuntimeError) as info:
+        ablate(tiny_bundle[0], quick_config(max_epochs=1), [1, 2, 3])
+    assert str(info.value) == "ablation cell GCN seed 2: ValueError: boom"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert trained == [("DIAGMLP", 1), ("DIAGMLP", 2), ("DIAGMLP", 3), ("GCN", 1)]
 
 
 class TestAblateResult:
     def test_mean_over_every_seed(self):
-        result = hand_built_ablation(gcn_seed2_fails=False)
-        assert result.mean(Backbone.DIAGMLP, "f1") == 0.625
-        assert result.mean(Backbone.GCN, "f1") == 0.75
-
-    def test_mean_raises_naming_the_failed_seeds(self):
         result = hand_built_ablation()
         assert result.mean(Backbone.DIAGMLP, "f1") == 0.625
-        with pytest.raises(ValueError, match=r"GCN failed at seeds \[2\]"):
-            result.mean(Backbone.GCN, "f1")
-        result.reports[("GCN", 1)] = None
-        result.failures[("GCN", 1)] = "ValueError: boom"
-        with pytest.raises(ValueError, match=r"GCN failed at seeds \[1, 2\]"):
-            result.mean(Backbone.GCN, "f1")
+        assert result.mean(Backbone.GCN, "f1") == 0.75
 
     def test_results_rows_give_each_cell_a_status_row(self):
         header, rows = results_csv_rows(hand_built_ablation())
@@ -275,17 +284,23 @@ class TestAblateResult:
             ["DIAGMLP", 1, "DETECT", "status", "ok"],
             ["DIAGMLP", 2, "DETECT", "status", "ok"],
             ["GCN", 1, "DETECT", "status", "ok"],
-            ["GCN", 2, "DETECT", "status", "failed"],
+            ["GCN", 2, "DETECT", "status", "ok"],
         ]
         assert rows[:4] == [["DIAGMLP", 1, "DETECT", "status", "ok"],
                             ["DIAGMLP", 1, "DETECT", "f1", 0.5],
                             ["DIAGMLP", 1, "DETECT", "precision", 0.5],
                             ["DIAGMLP", 1, "DETECT", "recall", 0.5]]
-        assert len(rows) == 3 * 4 + 1
+        assert len(rows) == 4 * 4
 
-    def test_summary_shows_metrics_only_for_complete_backbones(self):
+    def test_summary_pins_means_and_paired_deltas(self):
         text = render_summary(hand_built_ablation())
         assert "| DIAGMLP | 0.625000 ± 0.176777 | 0.625000 ± 0.176777 | 0.625000 ± 0.176777 |" in text
-        assert "| GCN | failed (1 of 2 seeds) | failed (1 of 2 seeds) | failed (1 of 2 seeds) |" in text
-        assert "| f1 | -0.500000 | failed | failed (1 of 2 seeds) |" in text
-        assert "- GCN seed 2: ValueError: boom" in text
+        assert "| GCN | 0.750000 ± 0.353553 | 0.750000 ± 0.353553 | 0.750000 ± 0.353553 |" in text
+        assert "| metric | seed 1 | seed 2 | mean |" in text
+        assert "| f1 | -0.500000 | 0.250000 | -0.125000 |" in text
+
+    def test_summary_mean_delta_is_over_the_printed_deltas(self):
+        # deltas 6e-7, 6e-7, 0 print as 0.000001, 0.000001, 0.000000, whose
+        # mean prints 0.000001; the unrounded mean, 4e-7, would print 0.000000
+        text = render_summary(hand_built_ablation((0.5000006, 0.5000006, 0.5), (0.5,) * 3))
+        assert "| f1 | 0.000001 | 0.000001 | 0.000000 | 0.000001 |" in text

@@ -86,7 +86,7 @@ class TestFaultSpec:
         f = FaultSpec(0, FaultType.CRASH, 1000, 500, 0.9, 0.0)
         assert f.end_ms == 1500
 
-    @pytest.mark.parametrize("sev", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("sev", [0.0, -0.1, 1.5, float("nan"), "0.9", True])
     def test_severity_range(self, sev):
         with pytest.raises(ValueError, match="severity"):
             FaultSpec(0, FaultType.CRASH, 0, 1, sev, 0.0)
@@ -95,9 +95,14 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="duration"):
             FaultSpec(0, FaultType.CRASH, 0, 0, 0.9, 0.0)
 
-    def test_propagation_range(self):
+    @pytest.mark.parametrize("factor", [1.2, "0", False])
+    def test_propagation_range(self, factor):
         with pytest.raises(ValueError, match="propagation"):
-            FaultSpec(0, FaultType.CRASH, 0, 1, 0.9, 1.2)
+            FaultSpec(0, FaultType.CRASH, 0, 1, 0.9, factor)
+
+    def test_real_fields_take_json_integers(self):
+        f = FaultSpec(0, FaultType.CRASH, 0, 1, 1, 0)
+        assert (f.severity, f.propagation_factor) == (1, 0)
 
     @pytest.mark.parametrize(
         "target, start, duration, detail",
@@ -208,6 +213,11 @@ class TestDiagnosisWindow:
             make_window(anomalous=True)
         with pytest.raises(ValueError, match="iff anomalous"):
             make_window(anomalous=False, root=1, ftype=0)
+        # one stray label on a normal window, or one missing on an anomalous one
+        for root, ftype, anomalous in ((5, None, False), (None, 2, False), (1, None, True)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"iff anomalous, got {(root, ftype)} with anomalous={anomalous}")):
+                make_window(anomalous=anomalous, root=root, ftype=ftype)
         w = make_window(anomalous=True, root=1, ftype=2)
         assert w.n_nodes == 2
 

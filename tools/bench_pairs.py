@@ -92,15 +92,19 @@ def src_lines(checkout: Path) -> dict[str, int]:
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` process in `checkout`; its last stdout line."""
+    """One `perfbench/run.py` process in `checkout`; its last stdout line,
+    which must be JSON. A run that crashed before printing it (no stdout, or a
+    last line that is not JSON) raises a RuntimeError naming the command, the
+    checkout, the exit code and the end of stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} printed nothing "
-                           f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError) as exc:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} printed no JSON result "
+                           f"(exit {proc.returncode}): {proc.stderr[-2000:]}") from exc
 
 
 def flat(result: dict) -> dict:
