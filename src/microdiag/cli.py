@@ -94,14 +94,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     meta_path = indir / "scenario.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"{meta_path} not found: preprocess takes the window "
-                                "length, stride and seed from the scenario.json of simulate")
-    meta = json.loads(meta_path.read_text("utf-8"))
+                                "length and stride from the scenario.json of simulate")
+    scenario = _load_scenario(str(meta_path))
     faults = faults_from_json((indir / "faults.json").read_text("utf-8"))
     # the stream is not named here, so it is freed before the windows are serialized
     result, raw = preprocess_scenario(
-        deserialize_stream((indir / "telemetry.jsonl").read_bytes()), faults,
-        ScenarioSpec.from_dict(meta["scenario"]), int(meta["seed"]),
-    )
+        deserialize_stream((indir / "telemetry.jsonl").read_bytes()), faults, scenario)
     write_preprocess_outputs(result, raw, out)
     split = result.split
     print(

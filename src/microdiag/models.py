@@ -12,10 +12,11 @@ ablation swaps one stage and holds everything else fixed.
 
 Losses are mean softmax cross-entropy; gradients come from the reverse-mode
 tape and cover heads, fusion blocks, message passing, encoders, and position
-embeddings. Dropout needs a step PRNG, which only training passes. A
-training step's tape runs in its batch's dtype, float32 or float64, while
-parameters and the gradients returned stay float64. A batch holds its
-series time-major, (T, B*N, C): each conv tap is a block of rows.
+embeddings. Dropout, at the protocol's DROPOUT_RATE, applies exactly when
+a step PRNG is passed, which only training does. A training step's tape runs
+in its batch's dtype, float32 or float64, while parameters and the gradients
+returned stay float64. A batch holds its series time-major, (T, B*N, C):
+each conv tap is a block of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .types import FAULT_TYPES, Backbone, ServiceGraph, Task
 
 __all__ = [
     "LN_EPS",
+    "DROPOUT_RATE",
     "init_params",
     "normalized_adjacency",
     "loss_and_grads",
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 LN_EPS = 1e-5
+DROPOUT_RATE = 0.1
 
 
 def head_name(task: Task) -> str:
@@ -116,15 +119,14 @@ def _fusion_block(
     x: ad.Tensor,
     w: ad.Tensor,
     b: ad.Tensor,
-    dropout_rate: float,
     prng,
 ) -> ad.Tensor:
     """Dropout(ReLU(LN(Wx + b))) over the rows of a (B, in) tensor, the
-    mask drawn from `prng`; with no prng, no dropout."""
+    mask drawn from `prng` at DROPOUT_RATE; with no prng, no dropout."""
     z = ad.add(ad.matmul(x, ad.transpose(w)), b)
     h = ad.relu(ad.layer_norm(z, LN_EPS))
-    if prng is not None and dropout_rate > 0.0:
-        mask = ad.dropout_mask(prng, dropout_rate, h.data.shape, h.data.dtype)
+    if prng is not None:
+        mask = ad.dropout_mask(prng, DROPOUT_RATE, h.data.shape, h.data.dtype)
         return ad.apply_dropout(h, mask)
     return h
 
@@ -215,7 +217,6 @@ def trunk(
     x: ad.Tensor,
     backbone: Backbone,
     adj: np.ndarray | None,
-    dropout_rate: float = 0.0,
     prng=None,
 ) -> ad.Tensor:
     """Encoded nodes (B*N, 3d) -> pre-head representation (B, h_out):
@@ -233,8 +234,7 @@ def trunk(
         lambda g: (g.reshape(B, N, -1).sum(axis=0),),
     )
     h = _fusion_block(
-        ad.concat([x, pos], axis=1), p["modal_fusion/w"], p["modal_fusion/b"],
-        dropout_rate, prng,
+        ad.concat([x, pos], axis=1), p["modal_fusion/w"], p["modal_fusion/b"], prng,
     )  # (B*N, h)
     hidden = h.data.shape[1]
     if backbone is Backbone.GCN:
@@ -244,8 +244,7 @@ def trunk(
         for w_name in ("gcn/w1", "gcn/w2"):
             h = ad.relu(ad.matmul(ad.matmul(ad.constant(adj), h), p[w_name]))
     return _fusion_block(
-        ad.reshape(h, (B, N * hidden)), p["node_fusion/w"], p["node_fusion/b"],
-        dropout_rate, prng,
+        ad.reshape(h, (B, N * hidden)), p["node_fusion/w"], p["node_fusion/b"], prng,
     )
 
 
@@ -271,7 +270,6 @@ def forward_graph(
     task: Task,
     backbone: Backbone,
     adj: np.ndarray | None,
-    dropout_rate: float = 0.0,
     prng=None,
 ) -> ad.Tensor:
     """Tape graph from raw segments to logits (B, c): encoders, trunk, head,
@@ -284,7 +282,7 @@ def forward_graph(
         raise ValueError(f"parameters carry no {task.value} head")
     check_batch(p, batch, adj)
     x = embed.encode_nodes(p, batch.metric, batch.log, batch.trace, batch.event_w)
-    return head(p, trunk(p, x, backbone, adj, dropout_rate, prng), task)
+    return head(p, trunk(p, x, backbone, adj, prng), task)
 
 
 def loss_and_grads(
@@ -293,7 +291,6 @@ def loss_and_grads(
     task: Task,
     backbone: Backbone,
     adj: np.ndarray | None,
-    dropout_rate: float = 0.0,
     prng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a batch plus float64 gradients for every
@@ -311,9 +308,7 @@ def loss_and_grads(
     p = {k: ad.parameter(v.astype(dtype, copy=False)) for k, v in params.items()}
     if adj is not None:
         adj = adj.astype(dtype, copy=False)
-    loss = ad.cross_entropy(
-        forward_graph(p, batch, task, backbone, adj, dropout_rate, prng), labels
-    )
+    loss = ad.cross_entropy(forward_graph(p, batch, task, backbone, adj, prng), labels)
     ad.backward(loss)
     grads = {
         k: (np.zeros(t.shape) if t.grad is None else t.grad.astype(np.float64, copy=False))

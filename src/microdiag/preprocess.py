@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from .prng import Prng
 from .serialize import (
     ParseError,
     _records,
@@ -113,11 +112,11 @@ def _zscore(values: np.ndarray, stats: np.ndarray) -> np.ndarray:
     return np.divide(values - mu, sigma, out=np.zeros(values.shape), where=sigma > 0)
 
 
-def compress_metrics(rows: np.ndarray, k: int, prng: Prng) -> list[int]:
+def compress_metrics(rows: np.ndarray, k: int) -> list[int]:
     """The metric channels to keep, as indices into `rows`, whose axis 0 is
     the channel: all C of them, with k equal to C. Every channel reaches the
-    model; the function keeps its name and signature because the benchmark
-    times the channel step by them. `prng` is unused."""
+    model; the function keeps its name because the benchmark times the
+    channel step by it. It draws nothing, so it takes no PRNG."""
     if k != len(rows):
         raise ValueError(f"k={k} must equal the channel count {len(rows)}")
     return list(range(k))
@@ -432,7 +431,6 @@ def fit_transforms(
     grid: np.ndarray,
     channels: list[str],
     train_end_ms: int,
-    prng: Prng,
 ) -> tuple[Transforms, tuple[np.ndarray, np.ndarray, np.ndarray, list]]:
     """Fit every train-derived transform, and return it with the model
     inputs that `apply_transforms` makes of the whole timeline.
@@ -451,7 +449,7 @@ def fit_transforms(
 
     metric_train = grid[..., :train_sec]
     # the channel step keeps every channel; see `compress_metrics`
-    compress_metrics(metric_train.transpose(1, 0, 2), len(channels), prng)
+    compress_metrics(metric_train.transpose(1, 0, 2), len(channels))
 
     table = mine_templates(_train_log_lines(stream, train_end_ms))
     n_buckets = grid.shape[-1]
@@ -564,17 +562,18 @@ def preprocess_stream(
     faults: list[FaultSpec],
     window_ms: int,
     stride_ms: int,
-    prng: Prng,
+    prng=None,
 ) -> PreprocessResult:
     """Full preprocessing pipeline: plan windows, fit transforms on the
-    train range, apply them to the whole timeline, cut labeled windows."""
+    train range, apply them to the whole timeline, cut labeled windows.
+    `prng` is not used; it stays only because the benchmark passes one."""
     for i, f in enumerate(faults):
         if f.target_node >= len(stream.nodes):
             raise ValueError(f"fault {i} ({f.fault_type.value} at {f.start_ms} ms) targets "
                              f"node {f.target_node}, but the stream has {len(stream.nodes)} nodes")
     grid, channels = _metric_grid(stream)
     plan = plan_windows(grid.shape[-1] * BUCKET_MS, window_ms, stride_ms)
-    tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms, prng)
+    tf, inputs = fit_transforms(stream, grid, channels, plan.train_end_ms)
     del grid  # the full-timeline grid is not needed to cut windows
     split = build_windows(plan, *inputs, tf.alert_vocab, faults)
     return PreprocessResult(split=split, transforms=tf)

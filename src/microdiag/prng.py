@@ -24,8 +24,9 @@ def _label_words(label: str) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12))
 
 
-class Prng:
-    """A deterministic generator tree rooted at an integer seed.
+class Prng(np.random.Generator):
+    """A deterministic generator tree rooted at an integer seed: a numpy
+    `Generator` over Philox, whose draw methods it is.
 
     Instances are single-owner: never share one across threads. Use
     :meth:`child` to split off an independent stream for a named stage;
@@ -41,36 +42,17 @@ class Prng:
         entropy = [self.seed]
         for label in _path:
             entropy.extend(_label_words(label))
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        super().__init__(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def child(self, label: str) -> "Prng":
         """Split off an independent stream for the given stage label."""
         return Prng(self.seed, self.path + (label,))
 
-    # Draw helpers; all delegate to the wrapped numpy Generator.
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def poisson(self, lam, size=None):
-        return self._gen.poisson(lam, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def choice(self, n: int, p=None) -> int:
-        """Pick an index in [0, n) with optional weights."""
-        return int(self._gen.choice(n, p=p))
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     def __repr__(self) -> str:
         path = "/".join(self.path) or "<root>"
         return f"Prng(seed={self.seed}, path={path!r})"
+
+    __str__ = __repr__  # not Generator's, which names only the bit generator
 
 
 def prng_new(seed: int) -> Prng:

@@ -3,6 +3,8 @@
 Training is plain Adam over mini-batches with per-epoch shuffling from the
 run PRNG and early stopping on a validation objective: binary F1 for
 detection, macro F1 for classification, Top-1 accuracy for localization.
+Both backbones share one protocol of constants, not run settings:
+LEARNING_RATE, BATCH_SIZE, the ADAM_* terms and `models.DROPOUT_RATE`.
 Everything is deterministic given a RunConfig.
 
 The ablation harness trains both backbones on byte-identical preprocessed
@@ -67,6 +69,8 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 32
 EVAL_CHUNK = 128
 TOPK_KS = (1, 3, 5)
 
@@ -120,15 +124,13 @@ def preprocess_scenario(
     stream: TelemetryStream,
     faults: list[FaultSpec],
     scenario: ScenarioSpec,
-    dataset_seed: int,
 ) -> tuple[PreprocessResult, bytes]:
     """Preprocess a scenario's telemetry into windows, with the window length
     and stride the scenario's faults were scheduled for, and serialize them.
 
     A caller that passes the stream as a call's value, naming it nowhere,
     has it freed once `preprocess_stream` returns, before serializing."""
-    result = preprocess_stream(stream, faults, scenario.window_ms, scenario.stride_ms,
-                               prng_new(dataset_seed).child("preprocess"))
+    result = preprocess_stream(stream, faults, scenario.window_ms, scenario.stride_ms)
     del stream
     raw = windows_to_bytes(result.nodes, result.split, scenario.window_ms,
                            scenario.stride_ms, result.transforms.vocab_size)
@@ -138,14 +140,14 @@ def preprocess_scenario(
 def prepare_dataset(
     scenario: ScenarioSpec, dataset_seed: int
 ) -> tuple[DatasetBundle, PreprocessResult, bytes]:
-    """Simulate a scenario and preprocess it into a canonical dataset.
+    """Simulate a scenario from a seed and preprocess it into a canonical dataset.
 
     The bundle is parsed back from the serialized windows bytes, so
     in-memory runs and file-staged CLI runs consume identical inputs.
     """
     sim = list(simulate_scenario(scenario, dataset_seed))
     # popped, the stream's one reference goes to preprocess_scenario
-    result, raw = preprocess_scenario(sim.pop(), sim[1], scenario, dataset_seed)
+    result, raw = preprocess_scenario(sim.pop(), sim[1], scenario)
     return DatasetBundle.from_bytes(raw, result.transforms.graph), result, raw
 
 
@@ -252,16 +254,16 @@ def train(
         if epoch == 0:
             schedule_digest.update(order.tobytes())
         loss_sum = 0.0
-        for lo in range(0, n_train, config.batch_size):
-            rows = order[lo : lo + config.batch_size]
+        for lo in range(0, n_train, BATCH_SIZE):
+            rows = order[lo : lo + BATCH_SIZE]
             loss, grads = models.loss_and_grads(
                 params, train_batch.select(rows), task, backbone, adj,
-                config.dropout_rate, erng.child(f"step:{lo // config.batch_size}"),
+                erng.child(f"step:{lo // BATCH_SIZE}"),
             )
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, "
-                    f"step {lo // config.batch_size}"
+                    f"step {lo // BATCH_SIZE}"
                 )
             loss_sum += loss * len(rows)
             step += 1
@@ -280,7 +282,7 @@ def train(
                 v2[k] *= ADAM_BETA2
                 v2[k] += a
                 b = np.divide(m[k], bc1)
-                b *= config.learning_rate
+                b *= LEARNING_RATE
                 np.divide(v2[k], bc2, out=a)
                 np.sqrt(a, out=a)
                 a += ADAM_EPS

@@ -312,30 +312,30 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs for one training/evaluation run. Serializes to flat JSON."""
+    """What one training/evaluation run varies; the optimizer protocol both
+    backbones share is fixed in `train_eval` and `models`. Flat JSON."""
 
     seed: int
     task: Task = Task.LOCALIZE
     backbone: Backbone = Backbone.DIAGMLP
     d: int = 16
     hidden: int = 64
-    dropout_rate: float = 0.1
-    learning_rate: float = 1e-3
-    batch_size: int = 32
     max_epochs: int = 200
     patience: int = 20
 
     def __post_init__(self):
+        for name in ("seed", "d", "hidden", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("d", "hidden", "learning_rate", "batch_size", "max_epochs"):
+        for name in ("d", "hidden", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         # patience=0 is meaningful: stop after the first epoch.
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -345,6 +345,12 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        """The inverse of `to_dict`: every field, and no other, must be there."""
+        known = set(RunConfig.__dataclass_fields__)
+        if set(data) - known:
+            raise ValueError(f"unknown run config fields: {sorted(set(data) - known)}")
+        if known - set(data):
+            raise ValueError(f"missing run config fields: {sorted(known - set(data))}")
         data = dict(data)
         data["task"] = Task(data["task"])
         data["backbone"] = Backbone(data["backbone"])

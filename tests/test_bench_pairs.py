@@ -28,7 +28,7 @@ def test_higher_is_better_gain_holds():
     change = [p * 1.2 for p in parent]
     change[3] = 90.0  # one lost pair of ten still holds
     s = bench_pairs.summarize(pairs_of(parent, change, "items_per_s"),
-                              {"items_per_s": "higher"})["items_per_s"]
+                              {"items_per_s": "higher"}, {"items_per_s": 0.25})["items_per_s"]
     assert s["parent"] == {"q1": 98.25, "median": 100.0, "q3": 101.75}
     assert s["change_better_pairs"] == "9/10"
     assert s["median_ratio_change_over_parent"] == pytest.approx(s["change"]["median"] / 100.0)
@@ -38,7 +38,8 @@ def test_higher_is_better_gain_holds():
 def test_lower_is_better_counts_falls_as_wins_and_ties_for_neither():
     parent = [10.0, 10.0, 10.0, 10.0]
     change = [9.0, 10.0, 11.0, 8.0]
-    s = bench_pairs.summarize(pairs_of(parent, change, "wall_s"), {"wall_s": "lower"})["wall_s"]
+    s = bench_pairs.summarize(pairs_of(parent, change, "wall_s"), {"wall_s": "lower"},
+                              {"wall_s": 0.25})["wall_s"]
     assert s["change_better_pairs"] == "2/4"
     assert not s["gain_holds"]
 
@@ -47,10 +48,46 @@ def test_gain_needs_a_median_gap_wider_than_the_parent_spread():
     # every pair won, but by less than the parent's own interquartile range
     parent = [80.0, 90.0, 100.0, 110.0, 120.0]
     change = [p + 5.0 for p in parent]
-    s = bench_pairs.summarize(pairs_of(parent, change, "x"), {"x": "higher"})["x"]
+    s = bench_pairs.summarize(pairs_of(parent, change, "x"), {"x": "higher"}, {"x": 0.25})["x"]
     assert s["change_better_pairs"] == "5/5"
     assert s["parent"]["q3"] - s["parent"]["q1"] == 20.0
     assert not s["gain_holds"]
+
+
+@pytest.mark.parametrize("shift, want", [(2.0, "within_bound"), (2.2, "worse_than_bound")])
+def test_verdict_bounds_the_median_by_a_share_of_the_parent_median(shift, want):
+    # lower is better: median 8.4, so a bound of 0.25 allows 2.1 s more;
+    # the parent's interquartile range, 0.4, is narrower than that
+    parent = [8.0, 8.2, 8.4, 8.6, 8.8]
+    change = [p + shift for p in parent]
+    assert bench_pairs.verdict(parent, change, "lower", 0.25) == want
+    # higher is better: a fall is worse, a rise of any size is not
+    assert bench_pairs.verdict([100.0] * 5, [76.0] * 5, "higher", 0.25) == "within_bound"
+    assert bench_pairs.verdict([100.0] * 5, [74.0] * 5, "higher", 0.25) == "worse_than_bound"
+    assert bench_pairs.verdict([100.0] * 5, [900.0] * 5, "higher", 0.25) == "within_bound"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # q1 80, q3 120: an interquartile range of 40 against 0.25 x 100
+    parent = [50.0, 80.0, 100.0, 120.0, 150.0]
+    assert bench_pairs.verdict(parent, list(parent), "higher", 0.25) == "unresolved"
+    assert bench_pairs.verdict(parent, list(parent), "lower", 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(parent, [151.0, 160.0, 170.0], "higher", 0.25) == "within_bound"
+    assert bench_pairs.verdict(parent, [10.0, 49.0, 20.0], "lower", 0.25) == "within_bound"
+    assert bench_pairs.verdict(parent, [10.0, 50.0, 20.0], "lower", 0.25) == "unresolved"
+    # a worse median is named as such, however wide the spread
+    assert bench_pairs.verdict(parent, [p + 30.0 for p in parent], "lower", 0.25) == \
+        "worse_than_bound"
+
+
+def test_summary_gives_a_verdict_per_bounded_metric():
+    pairs = [{"parent": {"wall_s": p, "peak_rss_mb": 100.0},
+              "change": {"wall_s": p, "peak_rss_mb": 111.0}} for p in (8.0, 8.4, 8.8)]
+    metrics = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    out = bench_pairs.summarize(pairs, metrics, {"wall_s": 0.25, "peak_rss_mb": 0.1})
+    assert out["wall_s"]["verdict"] == "within_bound"
+    assert out["peak_rss_mb"]["verdict"] == "worse_than_bound"
 
 
 def test_run_outcomes_count_correct_runs_and_flag_a_growing_failed_share():

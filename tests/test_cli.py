@@ -288,3 +288,28 @@ def test_ablate_failing_cell_exits_1_and_writes_no_tables(tmp_path, monkeypatch,
     assert err == "error: ablation cell GCN seed 2: ValueError: boom\n"
     assert out == ""
     assert not (workdir / "results.csv").exists() and not (workdir / "summary.md").exists()
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["under-scenario", "bare-spec"])
+def test_preprocess_reads_no_seed(tmp_path, capsys, tiny_workdir, wrapped):
+    # preprocessing draws nothing, so scenario.json needs only the spec; it is
+    # read as `simulate --scenario` reads it, under "scenario" or bare
+    for name in ("telemetry.jsonl", "faults.json"):
+        shutil.copy(tiny_workdir / name, tmp_path / name)
+    spec = json.loads((tiny_workdir / "scenario.json").read_text("utf-8"))["scenario"]
+    (tmp_path / "scenario.json").write_text(
+        json.dumps({"scenario": spec} if wrapped else spec), "utf-8")
+    assert cli.main(["preprocess", "--in", str(tmp_path)]) == 0
+    assert (tmp_path / "windows.jsonl").read_bytes() == (tiny_workdir / "windows.jsonl").read_bytes()
+
+
+def test_run_config_holds_what_a_run_varies(tmp_path, capsys, tiny_workdir):
+    # the optimizer protocol is constants of the code, not fields of a run
+    out = tmp_path / "w"
+    shutil.copytree(tiny_workdir, out)
+    argv = ["train", "--workdir", str(out), "--seed", "1", "--task", "detect", "--d", "4",
+            "--hidden", "8"]
+    assert cli.main(argv) == 0
+    saved = json.loads((out / "run_config.json").read_text("utf-8"))
+    assert saved == {"seed": 1, "task": "DETECT", "backbone": "DIAGMLP", "d": 4, "hidden": 8,
+                     "max_epochs": 200, "patience": 20}

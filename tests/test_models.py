@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from microdiag import autodiff as ad
-from microdiag import embed
+from microdiag import embed, models
 from microdiag.models import (
     LN_EPS,
     _fusion_block,
@@ -63,10 +63,10 @@ def tiny_params(backbone, task=Task.LOCALIZE, n_nodes=3, d=2, hidden=3, vocab=4)
 STAR = ServiceGraph(n_nodes=3, node_names=("a", "b", "c"), edges=((0, 1), (0, 2)))
 
 
-def fusion(x, w, b, dropout_rate=0.0, prng=None):
+def fusion(x, w, b, prng=None):
     """One fusion block on one vector; dropout only with a prng."""
     out = _fusion_block(ad.constant(np.asarray(x, dtype=np.float64)[None]), ad.constant(w),
-                        ad.constant(b), dropout_rate, prng)
+                        ad.constant(b), prng)
     return out.data[0]
 
 
@@ -84,32 +84,35 @@ class TestFusionMlp:
         with pytest.raises(ValueError, match="mismatch"):
             fusion(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
 
-    def test_training_dropout_requires_prng(self):
+    def test_training_dropout_requires_prng(self, monkeypatch):
         # the fusion blocks draw their dropout masks from the step prng, so
         # without one there is no dropout; a wrong graph size is reported first
         rng = np.random.default_rng(14)
         batch = windows_to_batch(make_windows(rng), 4)
         t = {k: ad.parameter(v) for k, v in tiny_params(Backbone.GCN).items()}
         with pytest.raises(ValueError, match="graph has 2 nodes"):
-            forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(2),
-                          dropout_rate=0.5, prng=prng_new(1))
-        plain = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3)).data
-        unset = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), dropout_rate=0.5)
-        dropped = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3),
-                                dropout_rate=0.5, prng=prng_new(1))
-        assert np.array_equal(unset.data, plain)
-        assert not np.array_equal(dropped.data, plain)
+            forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(2), prng_new(1))
+        unset = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3)).data
+        dropped = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), prng_new(1))
+        # a rate of 0 draws a mask of ones: the plain forward, bit for bit
+        monkeypatch.setattr(models, "DROPOUT_RATE", 0.0)
+        plain = forward_graph(t, batch, Task.LOCALIZE, Backbone.GCN, np.eye(3), prng_new(1))
+        assert np.array_equal(unset, plain.data)
+        assert not np.array_equal(dropped.data, plain.data)
 
-    def test_eval_mode_ignores_dropout_rate(self):
+    def test_eval_mode_ignores_dropout_rate(self, monkeypatch):
+        # with no prng the block is ReLU(LN(Wx + b)) at any rate
+        monkeypatch.setattr(models, "DROPOUT_RATE", 0.9)
         x, w, b = np.array([5.0, 1.0, -2.0]), np.eye(3), np.zeros(3)
-        a = fusion(x, w, b, dropout_rate=0.9)
-        assert np.array_equal(a, fusion(x, w, b))
+        z = (x - x.mean()) / np.sqrt(x.var() + LN_EPS)
+        np.testing.assert_allclose(fusion(x, w, b), np.maximum(z, 0.0), rtol=0, atol=1e-15)
 
-    def test_training_dropout_reproducible_per_path(self):
+    def test_training_dropout_reproducible_per_path(self, monkeypatch):
+        monkeypatch.setattr(models, "DROPOUT_RATE", 0.5)
         x, w, b = np.array([5.0, 1.0, -2.0, 7.0]), np.eye(4), np.zeros(4)
-        a = fusion(x, w, b, 0.5, prng_new(2).child("step:0"))
-        b2 = fusion(x, w, b, 0.5, prng_new(2).child("step:0"))
-        c = fusion(x, w, b, 0.5, prng_new(2).child("step:1"))
+        a = fusion(x, w, b, prng_new(2).child("step:0"))
+        b2 = fusion(x, w, b, prng_new(2).child("step:0"))
+        c = fusion(x, w, b, prng_new(2).child("step:1"))
         assert np.array_equal(a, b2) and not np.array_equal(a, c)
 
 
@@ -377,7 +380,7 @@ class TestLossAndGrads:
 
         def step(dtype):
             return loss_and_grads(params, windows_to_batch(windows, 4, dtype), task, backbone,
-                                  adj, dropout_rate=0.1, prng=prng_new(5))
+                                  adj, prng_new(5))
 
         loss64, g64 = step(np.float64)
         tapes = []

@@ -73,14 +73,14 @@ class TestStandardize:
         _, _, _, stream = tiny_sim
         grid, channels = _metric_grid(stream)
         with pytest.raises(ValueError, match="empty training range"):
-            fit_transforms(stream, grid, channels, 0, prng_new(0))
+            fit_transforms(stream, grid, channels, 0)
         with pytest.raises(ValueError, match="align to the bucket grid"):
-            fit_transforms(stream, grid, channels, 1500, prng_new(0))
+            fit_transforms(stream, grid, channels, 1500)
 
     def test_metric_stats_come_from_the_train_slice(self, tiny_sim):
         _, _, _, stream = tiny_sim
         grid, channels = _metric_grid(stream)
-        tf, (metric_z, *_) = fit_transforms(stream, grid, channels, 600_000, prng_new(0))
+        tf, (metric_z, *_) = fit_transforms(stream, grid, channels, 600_000)
         for n, c in np.ndindex(grid.shape[:2]):
             row = grid[n, c, :600]
             assert tf.metric_stats[n, c].tolist() == [row.mean(), row.std()]
@@ -252,12 +252,12 @@ class TestTraceFeatures:
 class TestCompressMetrics:
     def test_k_equals_all_is_identity(self):
         rows = np.random.default_rng(0).normal(size=(3, 50))
-        assert compress_metrics(rows, 3, prng_new(0)) == [0, 1, 2]
+        assert compress_metrics(rows, 3) == [0, 1, 2]
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_k_other_than_the_channel_count_raises(self, k):
         with pytest.raises(ValueError, match=f"k={k} must equal the channel count 3"):
-            compress_metrics(np.zeros((3, 50)), k, prng_new(0))
+            compress_metrics(np.zeros((3, 50)), k)
 
 
 class TestPlanWindows:
@@ -389,16 +389,16 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
                            spans=span_array(spans, nodes))
 
 
-def fit(stream, train_end_ms, prng):
+def fit(stream, train_end_ms):
     """fit_transforms on the stream's own metric grid: (tf, model inputs)."""
-    return fit_transforms(stream, *_metric_grid(stream), train_end_ms, prng)
+    return fit_transforms(stream, *_metric_grid(stream), train_end_ms)
 
 
 class TestTransforms:
     def test_leakage_guard_byte_identical(self):
         stream = quiet_stream()
         train_end = 120_000
-        tf1, _ = fit(stream, train_end, prng_new(3).child("preprocess"))
+        tf1, _ = fit(stream, train_end)
 
         mutated = quiet_stream()
         for node in mutated.nodes:
@@ -410,7 +410,7 @@ class TestTransforms:
         late = mutated.spans["t_ms"] >= train_end
         mutated.spans["latency_ms"][late] = 999.0
         mutated.spans["error"][late] = True
-        tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
+        tf2, _ = fit(mutated, train_end)
         assert tf1.to_json() == tf2.to_json()
         assert tf1.table.to_json() == tf2.table.to_json()
 
@@ -419,28 +419,28 @@ class TestTransforms:
         # would gain that edge
         stream = quiet_stream()
         train_end = 120_000
-        tf1, _ = fit(stream, train_end, prng_new(3).child("preprocess"))
+        tf1, _ = fit(stream, train_end)
         mutated = quiet_stream()
         extra = span_array([(train_end + 150, "a", "c", 12.0, False)], mutated.nodes)
         spans = np.concatenate((mutated.spans, extra))
         mutated.spans = spans[np.argsort(spans["t_ms"], kind="stable")]
         assert _observed_graph(mutated, 240_000) != tf1.graph
-        tf2, _ = fit(mutated, train_end, prng_new(3).child("preprocess"))
+        tf2, _ = fit(mutated, train_end)
         assert tf2.graph == tf1.graph
         assert tf1.to_json() == tf2.to_json()
 
     def test_fit_reads_nothing_past_train_end(self):
         stream = quiet_stream()
         truncated = quiet_stream(duration_s=120)
-        a, _ = fit(stream, 120_000, prng_new(1).child("p"))
-        b, _ = fit(truncated, 120_000, prng_new(1).child("p"))
+        a, _ = fit(stream, 120_000)
+        b, _ = fit(truncated, 120_000)
         assert a.to_json() == b.to_json()
 
     def test_apply_shapes_and_trace_segment(self):
         stream = quiet_stream()
         grid, channels = _metric_grid(stream)
         assert channels == ["cpu", "qps"]
-        tf, inputs = fit_transforms(stream, grid, channels, 120_000, prng_new(1).child("p"))
+        tf, inputs = fit_transforms(stream, grid, channels, 120_000)
         metric_z, log_counts, trace_z, alerts = inputs
         n, T = len(stream.nodes), 240
         assert metric_z.shape == (n, len(tf.selected_channels), T)
@@ -472,7 +472,7 @@ class TestTransforms:
                 spans.append((t * 1000 + 1, "c", "a", 30.0 + (t % 4), False))
         stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
                                  spans=span_array(spans, nodes))
-        _, (_, _, trace_z, _) = fit(stream, 120_000, prng_new(1).child("p"))
+        _, (_, _, trace_z, _) = fit(stream, 120_000)
         ci = nodes.index("c")
         lat_rows = [TRACE_SEGMENT_STATS.index(s) for s in ("lat_mean", "lat_p95")]
         odd = np.arange(1, duration_s, 2)
@@ -483,13 +483,13 @@ class TestTransforms:
 
     def test_error_rate_uses_fixed_scale(self):
         stream = quiet_stream()
-        tf, _ = fit(stream, 120_000, prng_new(1).child("p"))
+        tf, _ = fit(stream, 120_000)
         err = tf.trace_stats[:, TRACE_STAT_NAMES.index("err_rate")]
         assert err.tolist() == [[0.0, 0.1]] * len(stream.nodes)
 
     def test_to_json_keys_follow_the_array_layout(self):
         stream = quiet_stream()
-        tf, _ = fit(stream, 120_000, prng_new(1).child("p"))
+        tf, _ = fit(stream, 120_000)
         scaler = json.loads(tf.to_json())
         nodes, K = stream.nodes, tf.table.n_templates
         assert tf.metric_stats.shape == (3, 2, 2)
@@ -546,7 +546,7 @@ class TestPreprocessStream:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(preprocess, name, counted)
-        preprocess_stream(quiet_stream(), [], 2000, 2000, prng_new(0).child("p"))
+        preprocess_stream(quiet_stream(), [], 2000, 2000)
         assert calls == dict.fromkeys(names, 1)
 
     def test_staged_stream_gives_identical_windows(self, tiny_sim, tiny_bundle):
@@ -555,7 +555,16 @@ class TestPreprocessStream:
         spec, _, faults, stream = tiny_sim
         _, _, raw = tiny_bundle
         staged = deserialize_stream(serialize_stream(stream))
-        assert preprocess_scenario(staged, faults, spec, 7)[1] == raw
+        assert preprocess_scenario(staged, faults, spec)[1] == raw
+
+    def test_windows_do_not_depend_on_a_prng(self, tiny_sim, tiny_bundle):
+        # preprocessing draws nothing: any PRNG, or none, gives the same bytes
+        spec, _, faults, stream = tiny_sim
+        _, _, raw = tiny_bundle
+        for prng in ((prng_new(0),), (prng_new(99),), ()):
+            r = preprocess_stream(stream, faults, spec.window_ms, spec.stride_ms, *prng)
+            assert windows_to_bytes(r.nodes, r.split, spec.window_ms, spec.stride_ms,
+                                    r.transforms.vocab_size) == raw
 
     @pytest.mark.parametrize("missing", [False, True])
     def test_node_without_log_lines(self, missing):
@@ -568,7 +577,7 @@ class TestPreprocessStream:
             stream.logs["c"] = []
 
         def windows(s):
-            r = preprocess_stream(s, [], 2000, 2000, prng_new(0).child("p"))
+            r = preprocess_stream(s, [], 2000, 2000)
             return windows_to_bytes(r.nodes, r.split, 2000, 2000, r.transforms.vocab_size)
 
         staged = deserialize_stream(serialize_stream(stream))
@@ -584,13 +593,13 @@ class TestPreprocessStream:
             stream = deserialize_stream(serialize_stream(stream))
             assert "c" not in stream.metrics
         with pytest.raises(ValueError, match=r"node 'c' has no metric records for \['cpu', 'qps'\]"):
-            preprocess_stream(stream, [], 2000, 2000, prng_new(0).child("p"))
+            preprocess_stream(stream, [], 2000, 2000)
 
     def test_node_missing_one_channel(self):
         stream = quiet_stream()
         del stream.metrics["c"]["qps"]
         with pytest.raises(ValueError, match=r"node 'c' has no metric records for \['qps'\]"):
-            preprocess_stream(stream, [], 2000, 2000, prng_new(0).child("p"))
+            preprocess_stream(stream, [], 2000, 2000)
 
     def test_metric_series_off_the_1hz_grid(self):
         stream = quiet_stream()
@@ -607,13 +616,13 @@ class TestPreprocessStream:
                   FaultSpec(99, FaultType.NET_DELAY, 60_000, 4_000, 0.9, 0.0)]
         with pytest.raises(ValueError, match=re.escape(
                 "fault 1 (NET_DELAY at 60000 ms) targets node 99, but the stream has 3 nodes")):
-            preprocess_stream(quiet_stream(), faults, 2000, 2000, prng_new(0).child("p"))
+            preprocess_stream(quiet_stream(), faults, 2000, 2000)
 
     def test_splits_meet_minimum_size(self):
         stream = quiet_stream(duration_s=240)
         faults = []
         with pytest.raises(ValueError, match="windows after guards|too few"):
-            preprocess_stream(stream, faults, 30_000, 30_000, prng_new(0).child("p"))
+            preprocess_stream(stream, faults, 30_000, 30_000)
 
 
 class TestWindowsFromBytes:

@@ -74,3 +74,8 @@ def test_instantiating_prng_directly_matches_factory():
     assert np.array_equal(
         Prng(11).child("z").normal(size=4), prng_new(11).child("z").normal(size=4)
     )
+
+
+def test_repr_and_str_name_seed_and_path():
+    assert repr(prng_new(3)) == "Prng(seed=3, path='<root>')"
+    assert str(prng_new(3).child("a").child("b")) == "Prng(seed=3, path='a/b')"

@@ -49,8 +49,7 @@ def test_training_step_peaks_below_a_multiple_of_its_input(tiny_bundle):
     config, params, adj = gcn_setup(bundle)
     batch = models.windows_to_batch(bundle.split.train[:32], bundle.vocab_size, np.float32)
     peak = traced_peak(lambda: models.loss_and_grads(
-        params, batch, config.task, config.backbone, adj,
-        dropout_rate=config.dropout_rate, prng=prng_new(2)))
+        params, batch, config.task, config.backbone, adj, prng_new(2)))
     assert peak <= 7.5 * input_bytes(batch), peak / input_bytes(batch)
 
 

@@ -143,7 +143,8 @@ class TestTrain:
         bundle, _, _ = tiny_bundle
         config = quick_config(max_epochs=1)
         n = len(bundle.split.train)
-        sizes = [min(config.batch_size, n - lo) for lo in range(0, n, config.batch_size)]
+        step = train_eval.BATCH_SIZE
+        sizes = [min(step, n - lo) for lo in range(0, n, step)]
         assert len(set(sizes)) == 2  # one full batch and a short last one
 
         def fake(params, batch, *args, **kwargs):
@@ -182,13 +183,15 @@ class TestTrain:
             assert np.array_equal(result.checkpoints[gcn]["gcn/w1"], eye)
             assert np.array_equal(result.checkpoints[gcn]["gcn/w2"], eye)
 
-    def test_one_adam_step_matches_hand_arithmetic(self, tiny_bundle):
+    def test_one_adam_step_matches_hand_arithmetic(self, tiny_bundle, monkeypatch):
         # one epoch of one full batch without dropout is one Adam step from
         # the initial tensors; the control's identity gcn/w* stay fixed
         bundle, _, _ = tiny_bundle
         n = len(bundle.split.train)
-        config = quick_config(backbone=Backbone.GCN, max_epochs=1, batch_size=n,
-                              dropout_rate=0.0, learning_rate=0.01)
+        monkeypatch.setattr(train_eval, "BATCH_SIZE", n)
+        monkeypatch.setattr(train_eval, "LEARNING_RATE", 0.01)
+        monkeypatch.setattr(models, "DROPOUT_RATE", 0.0)
+        config = quick_config(backbone=Backbone.GCN, max_epochs=1)
         result = train(bundle, config, disable_message_passing=True)
 
         mc, lc, tc = bundle.dims()
@@ -207,7 +210,7 @@ class TestTrain:
         batch = batch.select(order)
         _, grads = models.loss_and_grads(theta, batch, config.task, Backbone.GCN,
                                          np.eye(bundle.n_nodes))
-        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         assert set(result.params) == set(theta)
         for name, g in grads.items():
             if name.startswith("gcn/"):

@@ -271,9 +271,13 @@ class TestRunConfig:
         [
             {"seed": -1},
             {"seed": 0, "d": 0},
-            {"seed": 0, "dropout_rate": 1.0},
             {"seed": 0, "patience": -1},
-            {"seed": 0, "learning_rate": 0.0},
+            # a float or a bool is not an int, whatever its value
+            {"seed": 1.5},
+            {"seed": 0, "d": True},
+            {"seed": 0, "max_epochs": 3.0},
+            {"seed": 0, "hidden": "64"},
+            {"seed": 0, "patience": None},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -283,5 +287,25 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         data = RunConfig(seed=0).to_dict()
         data["mystery"] = 1
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"unknown run config fields: \['mystery'\]"):
+            RunConfig.from_dict(data)
+
+    def test_from_dict_names_the_removed_protocol_fields(self):
+        # a run_config.json that still carries the protocol's constants
+        data = {**RunConfig(seed=0).to_dict(),
+                "dropout_rate": 0.1, "learning_rate": 1e-3, "batch_size": 32}
+        with pytest.raises(ValueError, match=r"unknown run config fields: "
+                           r"\['batch_size', 'dropout_rate', 'learning_rate'\]"):
+            RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("missing", ["task", "seed", "patience"])
+    def test_from_dict_names_a_missing_field(self, missing):
+        data = RunConfig(seed=0).to_dict()
+        del data[missing]
+        with pytest.raises(ValueError, match=rf"missing run config fields: \['{missing}'\]"):
+            RunConfig.from_dict(data)
+
+    def test_from_dict_names_a_field_of_the_wrong_type(self):
+        data = {**RunConfig(seed=0).to_dict(), "d": "16"}
+        with pytest.raises(ValueError, match="d must be an int, got '16'"):
             RunConfig.from_dict(data)

@@ -10,12 +10,13 @@ one process at a time, the parent first when i is even. The run length S,
 the end-to-end metrics and their directions come from CHANGE_DIR's
 `BENCHMARK.json`. Per metric the summary gives each side's median and
 inclusive quartiles, the pairs the change won (ties count for neither
-side), and whether a gain holds: at least nine tenths of the pairs won and
-a median gap wider than the parent's interquartile range. Under "runs" it
-gives each side's count of runs whose checks passed and its share of failed
-operations (failed / attempted over every run), and whether the change's
-share grew, which rejects the change on its own. With `--trace`,
-one `--trace 1` run per side at seed 0 follows the pairs.
+side), whether a gain holds: at least nine tenths of the pairs won and a
+median gap wider than the parent's interquartile range, and a no-regression
+verdict against the metric's `bound` in `BENCHMARK.json` (see `verdict`).
+Under "runs" it gives each side's count of runs whose checks passed and its
+share of failed operations (failed / attempted over every run), and whether
+the change's share grew, which rejects the change on its own. With
+`--trace`, one `--trace 1` run per side at seed 0 follows the pairs.
 
 The result goes under `workloads[W]` (and `trace[W]`) of the `--out` file,
 together with both sides' `src/` line counts; the file's other keys are
@@ -46,10 +47,28 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict[str, dict]:
-    """Per metric (name -> "higher" or "lower" is better): both sides'
-    quartiles, the pairs the change won, the change's median over the
-    parent's, and whether a gain holds."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change keeps a metric within `bound`, a fraction of the
+    parent's median: "worse_than_bound" when the change's median is worse
+    than the parent's by more than that; "unresolved" when the parent's
+    interquartile range is wider than that, unless every change run beats
+    every parent run; "within_bound" otherwise."""
+    sign = 1.0 if better == "higher" else -1.0
+    qp, qc = quartiles(parent), quartiles(change)
+    allowed = bound * abs(qp["median"])
+    if sign * (qp["median"] - qc["median"]) > allowed:
+        return "worse_than_bound"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if qp["q3"] - qp["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, str],
+              bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric (name -> "higher" or "lower" is better, and name -> bound):
+    both sides' quartiles, the pairs the change won, the change's median
+    over the parent's, whether a gain holds, and its `verdict`."""
     out = {}
     for name, better in metrics.items():
         sign = 1.0 if better == "higher" else -1.0
@@ -64,6 +83,7 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict[str, dict]:
             "median_ratio_change_over_parent": qc["median"] / qp["median"],
             "gain_holds": (wins >= math.ceil(0.9 * len(pairs))
                            and sign * (qc["median"] - qp["median"]) > qp["q3"] - qp["q1"]),
+            "verdict": verdict(parent, change, better, bounds[name]),
         }
     return out
 
@@ -143,7 +163,8 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.out.read_text("utf-8")) if args.out and args.out.exists() else {}
     doc["src_lines"] = {side: src_lines(d) for side, d in dirs.items()}
-    summary = summarize(pairs, {m["name"]: m["better"] for m in spec["end_to_end"]})
+    summary = summarize(pairs, {m["name"]: m["better"] for m in spec["end_to_end"]},
+                        {m["name"]: m["bound"] for m in spec["end_to_end"]})
     summary["runs"] = run_outcomes(pairs)
     doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summary}
     if args.trace:
