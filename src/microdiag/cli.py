@@ -33,7 +33,6 @@ from .serialize import (
     deserialize_stream,
     faults_from_json,
     faults_to_json,
-    graph_from_dict,
     graph_to_json,
     load_checkpoint,
     save_checkpoint,
@@ -50,7 +49,7 @@ from .train_eval import (
     simulate_scenario,
     train,
 )
-from .types import Backbone, RunConfig, Task
+from .types import Backbone, RunConfig, ServiceGraph, Task
 
 
 def _load_scenario(value: str) -> ScenarioSpec:
@@ -62,7 +61,9 @@ def _load_scenario(value: str) -> ScenarioSpec:
             f"scenario '{value}' is neither a preset {sorted(PRESETS)} nor a file")
     spec = json.loads(path.read_text("utf-8"))
     # the scenario.json of `simulate` holds the spec under "scenario", beside its seed
-    return ScenarioSpec.from_dict(spec.get("scenario", spec))
+    if isinstance(spec, dict):
+        spec = spec.get("scenario", spec)
+    return ScenarioSpec.from_dict(spec)
 
 
 def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
@@ -113,7 +114,7 @@ def _load_bundle(workdir: Path) -> DatasetBundle:
     """Windows and the train-range graph that preprocessing observed."""
     scaler = json.loads((workdir / "scaler.json").read_text("utf-8"))
     return DatasetBundle.from_bytes((workdir / "windows.jsonl").read_bytes(),
-                                    graph_from_dict(scaler["graph"]))
+                                    ServiceGraph.from_dict(scaler["graph"]))
 
 
 def cmd_train(args: argparse.Namespace) -> int:

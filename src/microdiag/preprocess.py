@@ -44,7 +44,6 @@ from .serialize import (
     _require,
     atomic_write_bytes,
     atomic_write_text,
-    graph_to_dict,
     header_line,
     round6,
 )
@@ -328,7 +327,7 @@ class Transforms:
             "template_stats": keyed(range(self.table.n_templates + 1), self.template_stats),
             "trace_stats": keyed(TRACE_STAT_NAMES, self.trace_stats),
             "alert_vocab": dict(sorted(self.alert_vocab.items(), key=lambda kv: kv[1])),
-            "graph": graph_to_dict(self.graph),
+            "graph": self.graph.to_dict(),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -15,6 +15,8 @@ import hashlib
 
 import numpy as np
 
+from .types import is_int
+
 __all__ = ["Prng", "prng_new"]
 
 
@@ -35,9 +37,11 @@ class Prng(np.random.Generator):
     """
 
     def __init__(self, seed: int, _path: tuple[str, ...] = ()):
+        if not is_int(seed):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        self.seed = int(seed)
+        self.seed = seed
         self.path = _path
         entropy = [self.seed]
         for label in _path:

@@ -12,7 +12,9 @@ For spans, "node" is the reporting (caller) side; in memory a span is a
 `SPAN_DTYPE` record with node indices and an `error` flag, and a metric
 series one `SERIES_DTYPE` array per node and channel. Serialization is
 canonical: identical streams always produce identical bytes. All CSV reports
-are UTF-8 with a header row and LF line endings.
+are UTF-8 with a header row and LF line endings. Graph and fault JSON are
+the `to_dict` of `ServiceGraph` and `FaultSpec` and read back through their
+`from_dict` (see `types.JsonRecord`).
 
 The writer emits, for each record, the bytes `json.dumps(record_dict,
 separators=(",", ":"))` would: one string template per record kind, with
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import tempfile
 from array import array
@@ -49,8 +52,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import (SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream,
-                    is_int)
+from .types import SERIES_DTYPE, SPAN_DTYPE, FaultSpec, ServiceGraph, TelemetryStream, is_int
 
 __all__ = [
     "ParseError",
@@ -59,8 +61,6 @@ __all__ = [
     "header_line",
     "serialize_stream",
     "deserialize_stream",
-    "graph_to_dict",
-    "graph_from_dict",
     "graph_to_json",
     "faults_to_json",
     "faults_from_json",
@@ -359,51 +359,20 @@ def _structured(dtype: np.dtype, cols) -> np.ndarray:
     return out
 
 
-def graph_to_dict(graph: ServiceGraph) -> dict:
-    return {"n_nodes": graph.n_nodes, "node_names": list(graph.node_names),
-            "edges": [list(e) for e in graph.edges]}
-
-
-def graph_from_dict(obj: dict) -> ServiceGraph:
-    """The graph of `graph_to_dict`, read from JSON; a missing or mistyped
-    field raises a ValueError that names it."""
-    def field(name: str, ok, expected: str):
-        if name not in obj:
-            raise ValueError(f"graph field {name!r}: missing")
-        if not ok(obj[name]):
-            raise ValueError(f"graph field {name!r}: expected {expected}, got {obj[name]!r}")
-        return obj[name]
-
-    n_nodes = field("n_nodes", is_int, "an integer")
-    names = field("node_names", lambda v: type(v) is list and all(type(s) is str for s in v)
-                  and len(set(v)) == len(v), "a list of distinct strings")
-    edges = field("edges", lambda v: type(v) is list and all(
-        type(e) is list and len(e) == 2 and all(map(is_int, e)) for e in v),
-        "a list of [caller, callee] integer pairs")
-    return ServiceGraph(n_nodes=n_nodes, node_names=tuple(names),
-                        edges=tuple((u, v) for u, v in edges))
-
-
 def graph_to_json(graph: ServiceGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2) + "\n"
+    return json.dumps(graph.to_dict(), indent=2) + "\n"
 
 
 def faults_to_json(faults: Iterable[FaultSpec]) -> str:
-    return json.dumps(
-        [{"target_node": f.target_node, "fault_type": f.fault_type.value,
-          "start_ms": f.start_ms, "duration_ms": f.duration_ms,
-          "severity": f.severity, "propagation_factor": f.propagation_factor}
-         for f in faults],
-        indent=2) + "\n"
+    return json.dumps([f.to_dict() for f in faults], indent=2) + "\n"
 
 
 def faults_from_json(text: str) -> list[FaultSpec]:
-    return [
-        FaultSpec(target_node=o["target_node"], fault_type=FaultType(o["fault_type"]),
-                  start_ms=o["start_ms"], duration_ms=o["duration_ms"],
-                  severity=o["severity"], propagation_factor=o["propagation_factor"])
-        for o in json.loads(text)
-    ]
+    """The faults of `faults_to_json`: a JSON list of fault objects."""
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError(f"faults must be a JSON list, got {type(data).__name__}")
+    return [FaultSpec.from_dict(obj) for obj in data]
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
@@ -416,11 +385,36 @@ def save_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """The tensors of `save_checkpoint`; a malformed tensor raises a
+    ValueError that names it and its field."""
     payload = json.loads(Path(path).read_text("utf-8"))
-    return {
-        name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload.items()
-    }
+    if not isinstance(payload, dict):
+        raise ValueError(f"a checkpoint must be a JSON object, got {type(payload).__name__}")
+    params = {}
+    for name, entry in payload.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint tensor {name!r}: expected an object, "
+                             f"got {type(entry).__name__}")
+
+        def bad(field: str, detail: str) -> ValueError:
+            return ValueError(f"checkpoint tensor {name!r}, field {field!r}: {detail}")
+
+        for field in ("shape", "values"):
+            if field not in entry:
+                raise bad(field, "missing")
+        shape = entry["shape"]
+        if not (type(shape) is list and all(is_int(n) and n >= 0 for n in shape)):
+            raise bad("shape", f"expected a list of non-negative integers, got {shape!r}")
+        try:
+            values = np.array(entry["values"])
+        except ValueError:  # a ragged nesting
+            values = None
+        if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+            raise bad("values", "expected a list of numbers")
+        if values.size != math.prod(shape):
+            raise bad("values", f"{values.size} values do not fill shape {tuple(shape)}")
+        params[name] = values.astype(np.float64, copy=False).reshape(shape)
+    return params
 
 
 def _format_cell(value) -> str:

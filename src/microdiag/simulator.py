@@ -32,8 +32,8 @@ import numpy as np
 
 from .prng import Prng
 from .serialize import round6
-from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
-                    TelemetryStream, is_int, is_real)
+from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, JsonRecord,
+                    ServiceGraph, TelemetryStream, is_real)
 
 __all__ = [
     "ScenarioSpec",
@@ -100,11 +100,14 @@ VICTIM_LOG_TEMPLATE = FAULT_LOG_TEMPLATES[FaultType.NET_DELAY]
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonRecord):
     """Everything needed to regenerate a dataset from a seed, and the one
     source of its window length and stride (`window_ms`, `stride_ms`), which
     also space and size its faults. `propagation_factor` 0 means symptoms on
-    the fault target only."""
+    the fault target only. `fault_mix` maps fault types, or their names, to
+    real weights."""
+
+    RECORD = "scenario"
 
     n_nodes: int = 12
     edge_density: float = 2.0
@@ -116,14 +119,7 @@ class ScenarioSpec:
     stride_s: int = 30
 
     def __post_init__(self):
-        for name in ("n_nodes", "duration_s", "n_faults", "window_len_s", "stride_s"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("edge_density", "propagation_factor"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        self.check_types()
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if not self.edge_density > 0:  # NaN included
@@ -139,6 +135,9 @@ class ScenarioSpec:
             raise ValueError("n_faults must be >= 1")
         if not (0.0 <= self.propagation_factor <= 1.0):
             raise ValueError("propagation_factor must be in [0, 1]")
+        if not (isinstance(self.fault_mix, dict) and all(map(is_real, self.fault_mix.values()))):
+            raise ValueError(
+                f"fault_mix must map fault types to real numbers, got {self.fault_mix!r}")
         mix = {FaultType(k): float(v) for k, v in self.fault_mix.items()}
         if not mix or any(v < 0 for v in mix.values()) or sum(mix.values()) <= 0:
             raise ValueError("fault_mix weights must be non-negative with a positive sum")
@@ -151,26 +150,6 @@ class ScenarioSpec:
     @property
     def stride_ms(self) -> int:
         return self.stride_s * 1000
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "edge_density": self.edge_density,
-            "duration_s": self.duration_s,
-            "n_faults": self.n_faults,
-            "fault_mix": {t.value: w for t, w in sorted(self.fault_mix.items(), key=lambda kv: kv[0].value)},
-            "propagation_factor": self.propagation_factor,
-            "window_len_s": self.window_len_s,
-            "stride_s": self.stride_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown scenario fields: {sorted(extra)}")
-        return cls(**d)
 
 
 # Both presets weight the mix toward network and crash faults, echoing the

@@ -9,11 +9,17 @@ on construction; `TelemetryStream` checks its own only in an explicit
 `validate()`, which the simulator and `serialize_stream` call (the telemetry
 reader enforces the same rules line by line), and `NodeSegments` checks
 none. `NodeSegments` and `DiagnosisWindow` compare by identity.
+
+The JSON records `ServiceGraph`, `FaultSpec`, `RunConfig` and the
+simulator's `ScenarioSpec` share one codec, `JsonRecord`: `from_dict` takes
+an object with every field and no other, and names the record and the
+fields otherwise; `check_types` holds `int` fields to `is_int` and `float`
+fields to `is_real`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -33,6 +39,7 @@ __all__ = [
     "DiagnosisWindow",
     "DatasetSplit",
     "RunConfig",
+    "JsonRecord",
     "is_int",
     "is_real",
 ]
@@ -50,6 +57,47 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """An int that is not a bool, or a float, as a JSON number reads."""
     return is_int(value) or isinstance(value, float)
+
+
+def _plain(value):
+    """`value` as JSON holds it: an enum as its value, a tuple as a list,
+    a dict with sorted keys."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(sorted((_plain(k), _plain(v)) for k, v in value.items()))
+    return value
+
+
+class JsonRecord:
+    """A dataclass that is one JSON object; `RECORD` names it in errors."""
+
+    RECORD = "record"
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data):
+        """The inverse of `to_dict`: every field, and no other, must be there."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a {cls.RECORD} must be a JSON object, got {type(data).__name__}")
+        names = {f.name for f in fields(cls)}
+        for problem, found in (("unknown", set(data) - names), ("missing", names - set(data))):
+            if found:
+                raise ValueError(f"{problem} {cls.RECORD} fields: {sorted(found)}")
+        return cls(**data)
+
+    def check_types(self) -> None:
+        """Each `int` field must pass `is_int`, each `float` field `is_real`."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", int) and not is_int(value):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type in ("float", float) and not is_real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
 
 
 class FaultType(str, Enum):
@@ -74,19 +122,36 @@ class Backbone(str, Enum):
 
 
 @dataclass(frozen=True)
-class ServiceGraph:
+class ServiceGraph(JsonRecord):
     """Directed dependency graph over service instances; edge = caller -> callee.
 
     An edgeless graph is the explicit "no topology" graph: its nodes are
     known but no call relation is claimed, so GCN propagation over it mixes
     nothing between nodes. A graph with edges must be weakly connected.
+    Lists, as JSON reads them, become tuples.
     """
+
+    RECORD = "graph"
 
     n_nodes: int
     node_names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        seq, names, edges = (list, tuple), self.node_names, self.edges
+        for name, ok, expected in (
+            ("n_nodes", is_int(self.n_nodes), "an integer"),
+            ("node_names", isinstance(names, seq) and all(type(s) is str for s in names)
+             and len(set(names)) == len(names), "a list of distinct strings"),
+            ("edges", isinstance(edges, seq) and all(isinstance(e, seq) and len(e) == 2
+                                                     and all(map(is_int, e)) for e in edges),
+             "a list of [caller, callee] integer pairs"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"graph field {name!r}: expected {expected}, got {getattr(self, name)!r}")
+        object.__setattr__(self, "node_names", tuple(self.node_names))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if len(self.node_names) != self.n_nodes:
@@ -147,8 +212,10 @@ class ServiceGraph:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(JsonRecord):
     """One injected fault: target, type, interval, and propagation strength."""
+
+    RECORD = "fault"
 
     target_node: int
     fault_type: FaultType
@@ -158,14 +225,8 @@ class FaultSpec:
     propagation_factor: float
 
     def __post_init__(self):
-        for name in ("target_node", "start_ms", "duration_ms"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("severity", "propagation_factor"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        self.check_types()
+        object.__setattr__(self, "fault_type", FaultType(self.fault_type))
         if self.target_node < 0 or self.start_ms < 0:
             raise ValueError(f"target_node and start_ms must be non-negative, got "
                              f"{self.target_node} and {self.start_ms} ms")
@@ -311,9 +372,11 @@ class DatasetSplit:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonRecord):
     """What one training/evaluation run varies; the optimizer protocol both
     backbones share is fixed in `train_eval` and `models`. Flat JSON."""
+
+    RECORD = "run config"
 
     seed: int
     task: Task = Task.LOCALIZE
@@ -324,10 +387,9 @@ class RunConfig:
     patience: int = 20
 
     def __post_init__(self):
-        for name in ("seed", "d", "hidden", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        self.check_types()
+        object.__setattr__(self, "task", Task(self.task))
+        object.__setattr__(self, "backbone", Backbone(self.backbone))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for name in ("d", "hidden", "max_epochs"):
@@ -336,22 +398,3 @@ class RunConfig:
         # patience=0 is meaningful: stop after the first epoch.
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["task"] = self.task.value
-        out["backbone"] = self.backbone.value
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        """The inverse of `to_dict`: every field, and no other, must be there."""
-        known = set(RunConfig.__dataclass_fields__)
-        if set(data) - known:
-            raise ValueError(f"unknown run config fields: {sorted(set(data) - known)}")
-        if known - set(data):
-            raise ValueError(f"missing run config fields: {sorted(known - set(data))}")
-        data = dict(data)
-        data["task"] = Task(data["task"])
-        data["backbone"] = Backbone(data["backbone"])
-        return RunConfig(**data)

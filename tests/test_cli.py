@@ -228,6 +228,18 @@ def test_preprocess_requires_scenario_json(tmp_path, capsys, tiny_sim):
     assert not (tmp_path / "windows.jsonl").exists()
 
 
+def test_preprocess_names_a_missing_fault_field(tmp_path, capsys, tiny_workdir):
+    for name in ("telemetry.jsonl", "scenario.json"):
+        shutil.copy(tiny_workdir / name, tmp_path / name)
+    faults = json.loads((tiny_workdir / "faults.json").read_text("utf-8"))
+    for fault in faults:
+        del fault["severity"]
+    (tmp_path / "faults.json").write_text(json.dumps(faults), "utf-8")
+    assert cli.main(["preprocess", "--in", str(tmp_path)]) == 1
+    assert "error: missing fault fields: ['severity']" in capsys.readouterr().err
+    assert not (tmp_path / "windows.jsonl").exists()
+
+
 def fake_ablation() -> AblateResult:
     def report(f1):
         return MetricsReport(Task.DETECT, {"precision": [f1], "recall": [f1], "f1": [f1]})

@@ -1,6 +1,7 @@
 """Keyed PRNG stream properties: reproducibility, independence, stability."""
 
 import numpy as np
+import pytest
 
 from microdiag.prng import Prng, prng_new
 
@@ -79,3 +80,10 @@ def test_instantiating_prng_directly_matches_factory():
 def test_repr_and_str_name_seed_and_path():
     assert repr(prng_new(3)) == "Prng(seed=3, path='<root>')"
     assert str(prng_new(3).child("a").child("b")) == "Prng(seed=3, path='a/b')"
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_seed_must_be_an_int(seed):
+    # not int(seed): 1.5 and True would draw the stream of seed 1
+    with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+        prng_new(seed)

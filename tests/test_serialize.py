@@ -3,6 +3,7 @@ telemetry codec against the one-`json`-call-per-record codec it replaced."""
 
 import contextlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from microdiag.serialize import (
     deserialize_stream,
     faults_from_json,
     faults_to_json,
-    graph_from_dict,
     graph_to_json,
     load_checkpoint,
     round6,
@@ -711,7 +711,7 @@ def test_round6_equals_python_round_bit_for_bit():
 
 def test_graph_round_trip():
     graph = ServiceGraph(3, ("x", "y", "z"), ((0, 1), (1, 2), (2, 0)))
-    assert graph_from_dict(json.loads(graph_to_json(graph))) == graph
+    assert ServiceGraph.from_dict(json.loads(graph_to_json(graph))) == graph
 
 
 def test_faults_round_trip():
@@ -747,6 +747,45 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, shapes, seed):
         assert back[k].dtype == np.float64
         assert back[k].shape == params[k].shape
         assert np.array_equal(back[k], params[k])  # repr round-trips f64 exactly
+
+
+@pytest.mark.parametrize(
+    "payload, detail",
+    [
+        ([], "a checkpoint must be a JSON object, got list"),
+        ({"w": [1.0]}, "checkpoint tensor 'w': expected an object, got list"),
+        ({"w": {"values": [1.0]}}, "checkpoint tensor 'w', field 'shape': missing"),
+        ({"w": {"shape": [1]}}, "checkpoint tensor 'w', field 'values': missing"),
+        ({"w": {"shape": [1.0], "values": [1.0]}},
+         "checkpoint tensor 'w', field 'shape': expected a list of non-negative integers"),
+        ({"w": {"shape": [1], "values": ["x"]}},
+         "checkpoint tensor 'w', field 'values': expected a list of numbers"),
+        ({"w": {"shape": [2], "values": [[1.0], [2.0, 3.0]]}},
+         "checkpoint tensor 'w', field 'values': expected a list of numbers"),
+        ({"w": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}},
+         "checkpoint tensor 'w', field 'values': 3 values do not fill shape (2, 2)"),
+    ],
+    ids=["list", "entry-list", "no-shape", "no-values", "shape-float", "value-string",
+         "values-ragged", "values-short"],
+)
+def test_load_checkpoint_names_a_bad_tensor(tmp_path, payload, detail):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('{"faults": []}', "faults must be a JSON list, got dict"),
+        ("[1]", "a fault must be a JSON object, got int"),
+    ],
+    ids=["object", "entry-int"],
+)
+def test_faults_from_json_names_a_bad_file(text, detail):
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        faults_from_json(text)
 
 
 def test_write_csv_format(tmp_path):

@@ -175,10 +175,16 @@ class TestScenarioSpec:
             ("edge_density", "2", "edge_density must be a real number, got '2'"),
             ("propagation_factor", False, "propagation_factor must be a real number, got False"),
             ("edge_density", float("nan"), "edge_density must be positive, got nan"),
+            ("fault_mix", [1.0], "fault_mix must map fault types to real numbers, got [1.0]"),
+            ("fault_mix", {"CRASH": "x"},
+             "fault_mix must map fault types to real numbers, got {'CRASH': 'x'}"),
+            ("fault_mix", {"CRASH": True}, "fault_mix must map fault types to real numbers"),
+            ("fault_mix", {"BOGUS": 1.0}, "'BOGUS' is not a valid FaultType"),
         ],
         ids=["nodes-float", "duration-float", "duration-string", "faults-float",
              "window-float", "stride-bool", "density-string", "propagation-bool",
-             "density-nan"],
+             "density-nan", "mix-list", "mix-string-weight", "mix-bool-weight",
+             "mix-unknown-type"],
     )
     def test_fields_are_typed(self, field, value, detail):
         # each fails by name here, not inside numpy or as a short split later

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from microdiag.serialize import graph_from_dict, graph_to_json
+from microdiag.serialize import graph_to_json
+from microdiag.simulator import scenario_preset
 from microdiag.types import (
     Backbone,
     DatasetSplit,
@@ -69,7 +70,7 @@ class TestServiceGraph:
 
     def test_edgeless_graph_json_round_trip(self):
         graph = g(3, [])
-        assert graph_from_dict(json.loads(graph_to_json(graph))) == graph
+        assert ServiceGraph.from_dict(json.loads(graph_to_json(graph))) == graph
 
     def test_single_node_graph_allowed(self):
         assert g(1, []).n_nodes == 1
@@ -124,13 +125,18 @@ class TestFaultSpec:
     @pytest.mark.parametrize(
         "field, value, detail",
         [
-            ("n_nodes", None, "'n_nodes': missing"),
-            ("n_nodes", "3", "'n_nodes': expected an integer, got '3'"),
-            ("node_names", "abc", "'node_names': expected a list of distinct strings, got 'abc'"),
-            ("node_names", ["a", "b", "a"], "'node_names': expected a list of distinct strings"),
-            ("edges", [[0, 1.7]], "'edges': expected a list of [caller, callee] integer pairs"),
-            ("edges", [[0, True]], "'edges': expected a list of [caller, callee] integer pairs"),
-            ("edges", [[0, 1, 2]], "'edges': expected a list of [caller, callee] integer pairs"),
+            ("n_nodes", None, "missing graph fields: ['n_nodes']"),
+            ("n_nodes", "3", "graph field 'n_nodes': expected an integer, got '3'"),
+            ("node_names", "abc",
+             "graph field 'node_names': expected a list of distinct strings, got 'abc'"),
+            ("node_names", ["a", "b", "a"],
+             "graph field 'node_names': expected a list of distinct strings"),
+            ("edges", [[0, 1.7]],
+             "graph field 'edges': expected a list of [caller, callee] integer pairs"),
+            ("edges", [[0, True]],
+             "graph field 'edges': expected a list of [caller, callee] integer pairs"),
+            ("edges", [[0, 1, 2]],
+             "graph field 'edges': expected a list of [caller, callee] integer pairs"),
         ],
         ids=["n-missing", "n-string", "names-string", "names-duplicate", "edge-float",
              "edge-true", "edge-triple"],
@@ -143,8 +149,8 @@ class TestFaultSpec:
             del obj[field]
         else:
             obj[field] = value
-        with pytest.raises(ValueError, match=re.escape(f"graph field {detail}")):
-            graph_from_dict(obj)
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            ServiceGraph.from_dict(obj)
 
 
 class TestTelemetryStream:
@@ -309,3 +315,37 @@ class TestRunConfig:
         data = {**RunConfig(seed=0).to_dict(), "d": "16"}
         with pytest.raises(ValueError, match="d must be an int, got '16'"):
             RunConfig.from_dict(data)
+
+
+# one of each JSON record, with an enum, a tuple or a dict in it
+RECORDS = [
+    pytest.param(g(3, [(0, 1), (1, 2)]), id="graph"),
+    pytest.param(FaultSpec(2, FaultType.NET_DELAY, 5000, 1500, 1.0, 0.6), id="fault"),
+    pytest.param(scenario_preset("propagated"), id="scenario"),
+    pytest.param(RunConfig(seed=3, task=Task.CLASSIFY, backbone=Backbone.GCN, d=8),
+                 id="run-config"),
+]
+
+
+class TestJsonRecord:
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_round_trip_through_json(self, record):
+        assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+    @pytest.mark.parametrize("record", RECORDS)
+    @pytest.mark.parametrize("case", ["non-object", "unknown-field", "missing-field"])
+    def test_from_dict_names_a_bad_object(self, record, case):
+        # every field and no other, whichever record the file holds
+        data = record.to_dict()
+        name = record.RECORD
+        if case == "non-object":
+            data, want = [data], f"a {name} must be a JSON object, got list"
+        elif case == "unknown-field":
+            data["extra"] = 1
+            want = f"unknown {name} fields: ['extra']"
+        else:
+            last = list(data)[-1]
+            del data[last]
+            want = f"missing {name} fields: ['{last}']"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            type(record).from_dict(data)
