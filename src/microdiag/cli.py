@@ -25,8 +25,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import train_eval
+from . import models, train_eval
 from .preprocess import write_preprocess_outputs
+from .prng import prng_new
 from .serialize import (
     atomic_write_bytes,
     atomic_write_text,
@@ -112,9 +113,33 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _load_bundle(workdir: Path) -> DatasetBundle:
     """Windows and the train-range graph that preprocessing observed."""
-    scaler = json.loads((workdir / "scaler.json").read_text("utf-8"))
+    path = workdir / "scaler.json"
+    scaler = json.loads(path.read_text("utf-8"))
+    graph = scaler.get("graph") if isinstance(scaler, dict) else None
+    if not isinstance(graph, dict):
+        raise ValueError(f'{path}: expected a JSON object with a "graph" object')
     return DatasetBundle.from_bytes((workdir / "windows.jsonl").read_bytes(),
-                                    ServiceGraph.from_dict(scaler["graph"]))
+                                    ServiceGraph.from_dict(graph))
+
+
+def _check_checkpoint(params: dict, path: Path, config: RunConfig, bundle: DatasetBundle) -> None:
+    """`params` must hold exactly the tensors, of the same shapes, that
+    `init_params` makes for `config` over the bundle; the first that does not
+    is named."""
+    want = models.init_params(prng_new(config.seed), config.task, config.backbone,
+                              bundle.n_nodes, config.d, config.hidden, bundle.vocab_size,
+                              *bundle.dims())
+    model = f"the {config.backbone.value} {config.task.value} model of run_config.json"
+    for name, tensor in want.items():
+        if name not in params:
+            raise ValueError(f"{path}: tensor {name!r} is missing; {model} "
+                             f"needs it with shape {tensor.shape}")
+        if params[name].shape != tensor.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {params[name].shape}; "
+                             f"{model} needs {tensor.shape}")
+    for name in params:
+        if name not in want:
+            raise ValueError(f"{path}: unexpected tensor {name!r}; {model} has no such tensor")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -141,7 +166,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = RunConfig.from_dict(
         json.loads((workdir / "run_config.json").read_text("utf-8"))
     )
-    params = load_checkpoint(workdir / "checkpoint.json")
+    path = workdir / "checkpoint.json"
+    params = load_checkpoint(path)
+    _check_checkpoint(params, path, config, bundle)
     report = train_eval.evaluate(
         params, bundle.split.test, config.task, bundle.vocab_size,
         backbone=config.backbone, graph=bundle.graph,

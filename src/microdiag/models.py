@@ -132,10 +132,10 @@ def _fusion_block(
 
 
 class WindowBatch:
-    """Dense arrays for a list of windows: per-node segments stacked
-    time-major as (T, B*N, C), row b*N + n for node n of window b, plus
-    event-weight rows and any labels present. Segments and event weights
-    are of `dtype`, which a training step's tape follows."""
+    """Dense arrays for a list of windows: each modality's (N, C, T) window
+    arrays joined time-major as (T, B*N, C), row b*N + n for node n of window
+    b, plus event-weight rows and any labels present. Series and event
+    weights are of `dtype`, which a training step's tape follows."""
 
     def __init__(self, windows, vocab_size: int, dtype=np.float64):
         if not windows:
@@ -146,13 +146,12 @@ class WindowBatch:
                 raise ValueError("windows disagree on node count")
         self.n_nodes = n
         self.size = len(windows)
-        segments = [seg for w in windows for seg in w.segments]
-        # per modality one stack of the (C, T) segments, one transposing copy
+        # per modality one concatenation of the (N, C, T) arrays, one transposing copy
         self.metric, self.log, self.trace = (
-            np.stack(series, dtype=dtype).transpose(2, 0, 1).copy()
-            for series in zip(*((seg.metric, seg.log, seg.trace) for seg in segments)))
+            np.concatenate(series, dtype=dtype).transpose(2, 0, 1).copy()
+            for series in zip(*((w.metric, w.log, w.trace) for w in windows)))
         self.event_w = embed.event_weights(
-            [seg.alerts for seg in segments], vocab_size
+            [ids for w in windows for ids in w.alerts], vocab_size
         ).astype(dtype, copy=False)
         self.anomalous = np.array([int(w.label_anomalous) for w in windows])
         self.root_cause = np.array(

@@ -54,7 +54,6 @@ from .types import (
     DatasetSplit,
     DiagnosisWindow,
     FaultSpec,
-    NodeSegments,
     ServiceGraph,
     TelemetryStream,
     is_int,
@@ -515,23 +514,17 @@ def build_windows(
             st = plan.starts[i]
             en = st + plan.window_ms
             s0, s1 = st // BUCKET_MS, en // BUCKET_MS
-            segments = []
-            for ni, (times, ids) in enumerate(alert_ids):
-                lo, hi = np.searchsorted(times, (st, en))
-                segments.append(
-                    NodeSegments(
-                        metric=metric_z[ni, :, s0:s1].copy(),
-                        log=log_counts[ni, :, s0:s1].copy(),
-                        trace=trace_z[ni, :, s0:s1].copy(),
-                        alerts=tuple(ids[lo:hi]),
-                    )
-                )
+            alerts = tuple(tuple(ids[slice(*np.searchsorted(times, (st, en)))])
+                           for times, ids in alert_ids)
             fault = window_label(st, en, faults)
             out.append(
                 DiagnosisWindow(
                     start_ms=st,
                     end_ms=en,
-                    segments=segments,
+                    metric=metric_z[..., s0:s1].copy(),
+                    log=log_counts[..., s0:s1].copy(),
+                    trace=trace_z[..., s0:s1].copy(),
+                    alerts=alerts,
                     label_anomalous=fault is not None,
                     label_root_cause=None if fault is None else fault.target_node,
                     label_fault_type=None
@@ -601,13 +594,10 @@ def windows_to_bytes(result_nodes: tuple[str, ...], split: DatasetSplit,
                 "root_cause": w.label_root_cause,
                 "fault_type": w.label_fault_type,
                 "nodes": [
-                    {
-                        "metric": (round6(seg.metric) + 0.0).tolist(),  # no -0.0
-                        "log": seg.log.astype(np.int64).tolist(),
-                        "trace": (round6(seg.trace) + 0.0).tolist(),
-                        "alerts": list(seg.alerts),
-                    }
-                    for seg in w.segments
+                    {"metric": metric, "log": log, "trace": trace, "alerts": list(alerts)}
+                    for metric, log, trace, alerts in zip(
+                        (round6(w.metric) + 0.0).tolist(), w.log.astype(np.int64).tolist(),
+                        (round6(w.trace) + 0.0).tolist(), w.alerts)  # + 0.0: no -0.0
                 ],
             }
             lines.append(json.dumps(rec, separators=(",", ":"), sort_keys=True))
@@ -629,21 +619,48 @@ def _check_labels(rec: dict, line_no: int, n_nodes: int) -> None:
                                  f"expected an integer in [0, {size}), got {value!r}")
 
 
+def _node_arrays(per_node: list, line_no: int, n_nodes: int, steps: int,
+                 rows: dict[str, int]) -> dict[str, np.ndarray]:
+    """Each series modality of a record's node list as one float64
+    (n_nodes, rows, steps) array, where `rows` holds each modality's row
+    count once the first record has set it."""
+    if len(per_node) != n_nodes:
+        raise ParseError(line_no, "nodes", f"window has {len(per_node)} nodes, expected {n_nodes}")
+    out = {}
+    for field in ("metric", "log", "trace"):
+        try:  # ragged lists fail here
+            values = np.array([nd[field] for nd in per_node], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(line_no, field, str(exc)) from exc
+        if (values.ndim != 3 or values.shape[2] != steps
+                or values.shape[1] != rows.setdefault(field, values.shape[1])):
+            raise ParseError(line_no, field, f"expected shape ({n_nodes}, "
+                             f"{rows.get(field, 'rows')}, {steps}), got {values.shape}")
+        out[field] = values
+    return out
+
+
 def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict]:
     """Parse windows.jsonl bytes back into (nodes, DatasetSplit, header).
 
     Lines are read as telemetry lines are (`serialize.header_line` and
     `_records`): split at b"\\n", b"\\r\\n" and b"\\r" only, blank lines
-    skipped. Malformed input, the header's node list and `vocab_size`
-    included, raises `ParseError`, which names the line and field; so do
-    labels outside `_check_labels`' ranges and alert ids that are not ints
-    in [0, vocab_size)."""
+    skipped. Malformed input, the header's node list, `vocab_size` and
+    `window_ms` included, raises `ParseError`, which names the line and field;
+    so do labels outside `_check_labels`' ranges, alert ids that are not ints
+    in [0, vocab_size), and a modality that is not one (nodes, rows,
+    window_ms / BUCKET_MS) array with the first record's row count."""
     header = header_line(data)
     nodes = tuple(header["nodes"])
-    vocab_size = header.get("vocab_size")
-    if type(vocab_size) is not int or vocab_size < 2:  # a JSON true is no integer
-        raise ParseError(1, "vocab_size", "missing" if "vocab_size" not in header
-                         else f"expected an integer >= 2, got {vocab_size!r}")
+    for field, ok, expected in (
+        ("vocab_size", lambda v: v >= 2, "an integer >= 2"),
+        ("window_ms", lambda v: v > 0 and v % BUCKET_MS == 0, f"a positive multiple of {BUCKET_MS}"),
+    ):
+        value = header.get(field)
+        if type(value) is not int or not ok(value):  # a JSON true is no integer
+            raise ParseError(1, field, "missing" if field not in header
+                             else f"expected {expected}, got {value!r}")
+    vocab_size, steps, rows = header["vocab_size"], header["window_ms"] // BUCKET_MS, {}
     parts: dict[str, list[DiagnosisWindow]] = {"train": [], "valid": [], "test": []}
     for line_no, rec in _records(data):
         split = rec.get("split")
@@ -651,36 +668,23 @@ def windows_from_bytes(data: bytes) -> tuple[tuple[str, ...], DatasetSplit, dict
             raise ParseError(line_no, "split", f"unknown split {split!r}")
         _check_labels(rec, line_no, len(nodes))
         try:
-            segments = [
-                NodeSegments(
-                    metric=np.array(nd["metric"], dtype=np.float64).reshape(
-                        len(nd["metric"]), -1
-                    ),
-                    log=np.array(nd["log"], dtype=np.float64).reshape(len(nd["log"]), -1),
-                    trace=np.array(nd["trace"], dtype=np.float64).reshape(
-                        len(nd["trace"]), -1
-                    ),
-                    alerts=tuple(nd["alerts"]),
-                )
-                for nd in rec["nodes"]
-            ]
+            per_node = rec["nodes"]
             window = DiagnosisWindow(
                 start_ms=rec["start_ms"],
                 end_ms=rec["end_ms"],
-                segments=segments,
+                **_node_arrays(per_node, line_no, len(nodes), steps, rows),
+                alerts=tuple(tuple(nd["alerts"]) for nd in per_node),
                 label_anomalous=rec["anomalous"],
                 label_root_cause=rec["root_cause"],
                 label_fault_type=rec["fault_type"],
             )
+        except ParseError:
+            raise
         except KeyError as exc:
             raise ParseError(line_no, exc.args[0], "missing") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(line_no, "record", str(exc)) from exc
-        if len(segments) != len(nodes):
-            raise ParseError(line_no, "nodes",
-                             f"window has {len(segments)} nodes, expected {len(nodes)}")
-        bad = [a for seg in segments for a in seg.alerts
-               if not is_int(a) or not 0 <= a < vocab_size]
+        bad = [a for ids in window.alerts for a in ids if not is_int(a) or not 0 <= a < vocab_size]
         if bad:
             raise ParseError(line_no, "alerts",
                              f"expected alert ids in [0, {vocab_size}), got {bad[0]!r}")

@@ -93,8 +93,8 @@ class DatasetBundle:
         return self.graph.n_nodes
 
     def dims(self) -> tuple[int, int, int]:
-        seg = self.split.train[0].segments[0]
-        return seg.metric.shape[0], seg.log.shape[0], seg.trace.shape[0]
+        w = self.split.train[0]
+        return w.metric.shape[1], w.log.shape[1], w.trace.shape[1]
 
     @classmethod
     def from_bytes(cls, raw: bytes, graph: ServiceGraph) -> "DatasetBundle":

@@ -7,8 +7,10 @@ treated as immutable once built. `ServiceGraph`, `FaultSpec`,
 `DiagnosisWindow`, `DatasetSplit` and `RunConfig` validate their invariants
 on construction; `TelemetryStream` checks its own only in an explicit
 `validate()`, which the simulator and `serialize_stream` call (the telemetry
-reader enforces the same rules line by line), and `NodeSegments` checks
-none. `NodeSegments` and `DiagnosisWindow` compare by identity.
+reader enforces the same rules line by line). `DiagnosisWindow` compares by
+identity; it holds one float64 (N, rows, T) array per series modality, row i
+for node i in stream order, and one tuple of alert ids per node.
+`NodeSegments` is one node's view of a window: rows of its arrays, not copies.
 
 The JSON records `ServiceGraph`, `FaultSpec`, `RunConfig` and the
 simulator's `ScenarioSpec` share one codec, `JsonRecord`: `from_dict` takes
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -300,13 +302,8 @@ class TelemetryStream:
                 raise ValueError(f"span ({caller} -> {callee}) is not a graph edge")
 
 
-@dataclass(eq=False)
-class NodeSegments:
-    """Pre-embedding inputs for one node in one window.
-
-    metric/log/trace are (channels x T) arrays; alerts is the time-ordered
-    alert token id sequence for the window.
-    """
+class NodeSegments(NamedTuple):
+    """One node's (rows, T) views of a window's arrays, and its alert ids."""
 
     metric: np.ndarray
     log: np.ndarray
@@ -319,13 +316,16 @@ class DiagnosisWindow:
     """One fixed-length labeled window of preprocessed per-node inputs.
 
     Encoders are trained end-to-end, so windows carry the pre-embedding
-    segments; the d-vector features of each node are produced from these by
-    the embedding module at the current parameters.
+    series and alert ids; the d-vector features of each node are produced
+    from these by the embedding module at the current parameters.
     """
 
     start_ms: int
     end_ms: int
-    segments: list[NodeSegments]
+    metric: np.ndarray
+    log: np.ndarray
+    trace: np.ndarray
+    alerts: tuple[tuple[int, ...], ...]
     label_anomalous: bool
     label_root_cause: Optional[int] = None
     label_fault_type: Optional[int] = None
@@ -342,7 +342,12 @@ class DiagnosisWindow:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.segments)
+        return len(self.alerts)
+
+    @property
+    def segments(self) -> list[NodeSegments]:
+        """Per node, views of its rows; kept for the benchmark's checks."""
+        return [NodeSegments(*rows) for rows in zip(self.metric, self.log, self.trace, self.alerts)]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """The statistics of `tools/bench_pairs.py` on fixed numbers."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -141,3 +142,58 @@ def test_a_crashed_run_is_named(tmp_path, stdout):
                               f"--seconds 1.0 --trace 0 in {tmp_path} printed no JSON result "
                               "(exit 1): Traceback (most recent call last):")
     assert message.endswith("RuntimeError: ablation cell GCN seed 2: ValueError: boom\n")
+
+
+SPEC = {"run_seconds": 1, "end_to_end": [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "items_per_s", "better": "higher", "bound": 0.25}]}
+
+
+def run_main(tmp_path, monkeypatch, capsys, result):
+    """`main` over 4 pairs whose runs `result(side, seed)` gives; its exit
+    status, its stderr lines and the file it wrote."""
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(SPEC), "utf-8")
+    monkeypatch.setattr(bench_pairs, "run_benchmark",
+                        lambda checkout, workload, seed, seconds, trace:
+                        result(checkout.name, seed))
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "4", "--out", str(out)])
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("pair ")]
+    return code, lines, json.loads(out.read_text("utf-8"))
+
+
+def bench_run(wall_s, items_per_s=100.0, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s}, "items_per_s": {"value": items_per_s}}}
+
+
+@pytest.mark.parametrize(
+    "result, want",
+    [
+        (lambda side, seed: bench_run(10.0 if side == "parent" else 13.0),
+         ["w: wall_s: worse_than_bound, median 10 -> 13, parent IQR 0"]),
+        (lambda side, seed: bench_run(10.0, failed=int(side == "change")),
+         ["w: failed share grew: 0 -> 0.1"]),
+        (lambda side, seed: bench_run(10.0, correct=side == "parent" or seed != 2),
+         ["w: change: 3 of 4 runs correct"]),
+    ],
+    ids=["worse-metric", "failed-share-grew", "a-failed-check"],
+)
+def test_main_exits_1_on_what_rejects_the_change(tmp_path, monkeypatch, capsys, result, want):
+    code, lines, doc = run_main(tmp_path, monkeypatch, capsys, result)
+    assert (code, lines) == (1, want)
+    assert doc["workloads"]["w"]["summary"]["runs"]["parent"]["correct_runs"] == 4
+
+
+def test_main_prints_unresolved_metrics_and_exits_0(tmp_path, monkeypatch, capsys):
+    spread = (6.0, 9.0, 11.0, 14.0)  # parent IQR 3.5 against 0.25 x 10
+    code, lines, _ = run_main(tmp_path, monkeypatch, capsys,
+                              lambda side, seed: bench_run(spread[seed]))
+    assert (code, lines) == (0, ["w: wall_s: unresolved, median 10 -> 10, parent IQR 3.5"])
+    (tmp_path / "same").mkdir()
+    code, lines, _ = run_main(tmp_path / "same", monkeypatch, capsys,
+                              lambda side, seed: bench_run(10.0))
+    assert (code, lines) == (0, [])

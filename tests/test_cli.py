@@ -325,3 +325,56 @@ def test_run_config_holds_what_a_run_varies(tmp_path, capsys, tiny_workdir):
     saved = json.loads((out / "run_config.json").read_text("utf-8"))
     assert saved == {"seed": 1, "task": "DETECT", "backbone": "DIAGMLP", "d": 4, "hidden": 8,
                      "max_epochs": 200, "patience": 20}
+
+
+@pytest.mark.parametrize("edit", [lambda s: s.pop("graph"), lambda s: s.update(graph=5), None],
+                         ids=["no-graph", "graph-not-an-object", "not-an-object"])
+def test_scaler_json_without_a_graph_is_named(tmp_path, capsys, tiny_workdir, edit):
+    workdir = shutil.copytree(tiny_workdir, tmp_path / "w")
+    scaler = json.loads((workdir / "scaler.json").read_text("utf-8"))
+    if edit is None:
+        scaler = [scaler]
+    else:
+        edit(scaler)
+    (workdir / "scaler.json").write_text(json.dumps(scaler), "utf-8")
+    assert cli.main(["train", "--workdir", str(workdir), "--d", "4", "--hidden", "8"]) == 1
+    assert capsys.readouterr().err == (
+        f'error: {workdir / "scaler.json"}: expected a JSON object with a "graph" object\n')
+    assert not (workdir / "checkpoint.json").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_workdir(tiny_workdir, tmp_path_factory):
+    """A copy of the tiny work directory after `train` of a small DIAGMLP
+    on DETECT."""
+    workdir = shutil.copytree(tiny_workdir, tmp_path_factory.mktemp("trained") / "w")
+    assert cli.main(["train", "--workdir", str(workdir), "--task", "detect", "--d", "4",
+                     "--hidden", "8"]) == 0
+    return workdir
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda ck: ck.pop("enc_log/conv1_b"),
+         "tensor 'enc_log/conv1_b' is missing; the DIAGMLP DETECT model of run_config.json "
+         "needs it with shape (16,)"),
+        (lambda ck: ck["enc_log/conv1_b"].update(shape=[16, 1]),
+         "tensor 'enc_log/conv1_b' has shape (16, 1); the DIAGMLP DETECT model of "
+         "run_config.json needs (16,)"),
+        (lambda ck: ck.update({"gcn/w1": {"shape": [8, 8], "values": [0.0] * 64}}),
+         "unexpected tensor 'gcn/w1'; the DIAGMLP DETECT model of run_config.json has no "
+         "such tensor"),
+    ],
+    ids=["missing", "mis-shaped", "unexpected"],
+)
+def test_evaluate_names_a_checkpoint_tensor_the_model_does_not_fit(
+        tmp_path, capsys, trained_workdir, edit, detail):
+    workdir = shutil.copytree(trained_workdir, tmp_path / "w")
+    checkpoint = json.loads((workdir / "checkpoint.json").read_text("utf-8"))
+    edit(checkpoint)
+    (workdir / "checkpoint.json").write_text(json.dumps(checkpoint), "utf-8")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--workdir", str(workdir)]) == 1
+    assert capsys.readouterr().err == f"error: {workdir / 'checkpoint.json'}: {detail}\n"
+    assert not (workdir / "metrics.json").exists()

@@ -22,7 +22,7 @@ from microdiag.models import (
 from microdiag.embed import encode_nodes
 from microdiag.prng import prng_new
 from microdiag.train_eval import SeparabilityMode, separability_report
-from microdiag.types import Backbone, DiagnosisWindow, NodeSegments, ServiceGraph, Task
+from microdiag.types import Backbone, DiagnosisWindow, ServiceGraph, Task
 
 from conftest import finite_difference, watch_tape
 
@@ -31,18 +31,17 @@ def make_windows(rng, n_windows=4, n_nodes=3, T=8, anomalous_from=0, channels=(2
     mc, lc, tc = channels
     out = []
     for i in range(n_windows):
-        segs = [
-            NodeSegments(
-                metric=rng.normal(size=(mc, T)),
-                log=rng.integers(0, 3, size=(lc, T)).astype(float),
-                trace=rng.normal(size=(tc, T)),
-                alerts=(2,) if (i + j) % 2 else (),
-            )
-            for j in range(n_nodes)
+        # per node in turn, as the rows of each modality's (N, C, T) array
+        draws = [
+            (rng.normal(size=(mc, T)), rng.integers(0, 3, size=(lc, T)).astype(float),
+             rng.normal(size=(tc, T)))
+            for _ in range(n_nodes)
         ]
+        metric, log, trace = (np.stack(rows) for rows in zip(*draws))
         anom = i >= anomalous_from
         out.append(DiagnosisWindow(
-            start_ms=i * 1000, end_ms=(i + 1) * 1000, segments=segs,
+            start_ms=i * 1000, end_ms=(i + 1) * 1000, metric=metric, log=log, trace=trace,
+            alerts=tuple((2,) if (i + j) % 2 else () for j in range(n_nodes)),
             label_anomalous=anom,
             label_root_cause=i % n_nodes if anom else None,
             label_fault_type=i % 4 if anom else None,

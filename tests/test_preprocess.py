@@ -710,9 +710,14 @@ class TestWindowsFromBytes:
             ("vocab_size", True, "expected an integer >= 2, got True"),
             ("vocab_size", 1, "expected an integer >= 2, got 1"),
             ("vocab_size", 6.0, "expected an integer >= 2, got 6.0"),
+            ("window_ms", None, "missing"),
+            ("window_ms", 30_500, "expected a positive multiple of 1000, got 30500"),
+            ("window_ms", 0, "expected a positive multiple of 1000, got 0"),
+            ("window_ms", "30000", "expected a positive multiple of 1000, got '30000'"),
         ],
         ids=["nodes-string", "nodes-int", "nodes-duplicate", "nodes-int-names",
-             "vocab-missing", "vocab-true", "vocab-1", "vocab-float"],
+             "vocab-missing", "vocab-true", "vocab-1", "vocab-float", "window-missing",
+             "window-off-grid", "window-0", "window-string"],
     )
     def test_header_is_checked_like_records(self, tiny_bundle, field, value, detail):
         # a header field of the wrong type or range is a ParseError of line
@@ -760,6 +765,34 @@ class TestWindowsFromBytes:
         lines[i] = json.dumps(rec).encode()
         err = self.parse_error(b"\n".join(lines))
         assert str(err) == f"line {i + 1}, field {field!r}: " + detail.format(vocab=vocab)
+
+    @pytest.mark.parametrize(
+        "field, edit, detail",
+        [
+            ("metric", lambda nodes: nodes[1]["metric"].pop(),
+             "setting an array element with a sequence."),
+            ("trace", lambda nodes: [nd["trace"].pop() for nd in nodes],
+             "expected shape (5, 3, 30), got (5, 2, 30)"),
+            ("log", lambda nodes: [row.pop() for nd in nodes for row in nd["log"]],
+             "expected shape (5, {log_rows}, 30), got (5, {log_rows}, 29)"),
+            ("metric", lambda nodes: [nd.update(metric=nd["metric"][0]) for nd in nodes],
+             "expected shape (5, {metric_rows}, 30), got (5, 30)"),
+        ],
+        ids=["ragged-node", "one-row-fewer", "29-steps", "2-d"],
+    )
+    def test_each_modality_is_one_array_of_the_first_records_shape(
+            self, tiny_bundle, field, edit, detail):
+        # a record whose arrays differ from the header's window and the first
+        # record's rows fails at its line, not when training stacks windows
+        lines = tiny_bundle[2].split(b"\n")
+        first = json.loads(lines[1])["nodes"][0]
+        rec = json.loads(lines[4])
+        edit(rec["nodes"])
+        lines[4] = json.dumps(rec).encode()
+        err = self.parse_error(b"\n".join(lines))
+        assert (err.line_no, err.field) == (5, field)
+        assert str(err).startswith(f"line 5, field {field!r}: " + detail.format(
+            log_rows=len(first["log"]), metric_rows=len(first["metric"])))
 
     def test_normal_window_with_a_stray_label(self, tiny_bundle):
         lines = tiny_bundle[2].split(b"\n")

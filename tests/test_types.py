@@ -33,11 +33,9 @@ def g(n, edges):
 
 
 def make_window(start=0, end=1000, anomalous=False, root=None, ftype=None, n_nodes=2):
-    seg = NodeSegments(
-        metric=np.zeros((1, 1)), log=np.zeros((1, 1)), trace=np.zeros((1, 1)), alerts=()
-    )
     return DiagnosisWindow(
-        start_ms=start, end_ms=end, segments=[seg] * n_nodes,
+        start_ms=start, end_ms=end, metric=np.zeros((n_nodes, 1, 1)),
+        log=np.zeros((n_nodes, 1, 1)), trace=np.zeros((n_nodes, 1, 1)), alerts=((),) * n_nodes,
         label_anomalous=anomalous, label_root_cause=root, label_fault_type=ftype,
     )
 
@@ -230,6 +228,21 @@ class TestDiagnosisWindow:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             make_window(start=1000, end=1000)
+
+    def test_segments_are_views_of_each_nodes_rows(self):
+        # the read contract of the benchmark's checks: node i's segment
+        # holds row i of each modality array, not a copy, and its alert ids
+        rng = np.random.default_rng(0)
+        w = DiagnosisWindow(start_ms=0, end_ms=4000, metric=rng.normal(size=(3, 2, 4)),
+                            log=rng.normal(size=(3, 5, 4)), trace=rng.normal(size=(3, 3, 4)),
+                            alerts=((1, 2), (), (3,)), label_anomalous=False)
+        assert w.n_nodes == 3 and len(w.segments) == 3
+        for ni, seg in enumerate(w.segments):
+            assert isinstance(seg, NodeSegments)
+            for name in ("metric", "log", "trace"):
+                row, array = getattr(seg, name), getattr(w, name)
+                assert row.base is array and np.array_equal(row, array[ni])
+            assert seg.alerts == w.alerts[ni]
 
 
 class TestDatasetSplit:

@@ -21,7 +21,9 @@ the change's share grew, which rejects the change on its own. With
 The result goes under `workloads[W]` (and `trace[W]`) of the `--out` file,
 together with both sides' `src/` line counts; the file's other keys are
 kept, so one file gathers every workload. Without `--out` it is printed.
-Standard library only.
+Then each unresolved metric, and each cause that rejects the change (see
+`refusals`), is printed to stderr; the exit status is 1 when there is such a
+cause, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -134,6 +136,29 @@ def flat(result: dict) -> dict:
     return record
 
 
+def refusals(summary: dict, n_pairs: int) -> tuple[list[str], list[str]]:
+    """What rejects the change under the no-regression rule: a metric worse
+    than its bound, a grown share of failed operations, a side with fewer
+    correct runs than pairs; and, apart, the metrics left unresolved."""
+    refused, unresolved = [], []
+    for name, s in summary.items():
+        if name == "runs":
+            continue
+        qp, qc = s["parent"], s["change"]
+        detail = (f"{name}: {s['verdict']}, median {qp['median']:.4g} -> {qc['median']:.4g}, "
+                  f"parent IQR {qp['q3'] - qp['q1']:.4g}")
+        if s["verdict"] == "worse_than_bound":
+            refused.append(detail)
+        elif s["verdict"] == "unresolved":
+            unresolved.append(detail)
+    runs = summary["runs"]
+    if runs["failed_share_grew"]:
+        refused.append(f"failed share grew: {runs['parent']['failed_share']:.4g} -> "
+                       f"{runs['change']['failed_share']:.4g}")
+    for side in SIDES:
+        if runs[side]["correct_runs"] < n_pairs:
+            refused.append(f"{side}: {runs[side]['correct_runs']} of {n_pairs} runs correct")
+    return refused, unresolved
 
 
 def main(argv=None) -> int:
@@ -177,7 +202,10 @@ def main(argv=None) -> int:
         args.out.write_text(text, "utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    refused, unresolved = refusals(summary, args.pairs)
+    for line in unresolved + refused:
+        print(f"{args.workload}: {line}", file=sys.stderr)
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":
