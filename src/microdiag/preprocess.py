@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -351,17 +352,6 @@ def _metric_grid(stream: TelemetryStream) -> tuple[np.ndarray, list[str]]:
     return grid.reshape(len(stream.nodes), len(channels), -1), channels
 
 
-def _train_log_lines(stream: TelemetryStream, train_end_ms: int) -> list[str]:
-    """Train-range lines in global arrival order (stable across nodes)."""
-    merged = sorted(
-        (t, text)
-        for node in stream.nodes
-        for t, text in stream.logs.get(node, ())
-        if t < train_end_ms
-    )
-    return [text for _, text in merged]
-
-
 def _trace_stats(trace_train: np.ndarray) -> np.ndarray:
     """(N, len(TRACE_STAT_NAMES), 2) statistics of the train-range trace
     series. Latency is only defined where the bucket saw outgoing spans; a
@@ -449,9 +439,11 @@ def fit_transforms(
     # the channel step keeps every channel; see `compress_metrics`
     compress_metrics(metric_train.transpose(1, 0, 2), len(channels))
 
-    table = mine_templates(_train_log_lines(stream, train_end_ms))
+    train_logs = stream.logs[stream.logs["t_ms"] < train_end_ms]
+    table = mine_templates(text for _, text in sorted(zip(train_logs["t_ms"].tolist(),
+                                                          train_logs["text"].tolist())))
     n_buckets = grid.shape[-1]
-    counts = template_series(table, [stream.logs.get(node, []) for node in nodes], n_buckets)
+    counts = template_series(table, stream.logs, len(nodes), n_buckets)
     trace_raw = trace_features(stream.spans, len(nodes), n_buckets)
     tf = Transforms(
         table=table,
@@ -623,19 +615,24 @@ def _node_arrays(per_node: list, line_no: int, n_nodes: int, steps: int,
                  rows: dict[str, int]) -> dict[str, np.ndarray]:
     """Each series modality of a record's node list as one float64
     (n_nodes, rows, steps) array, where `rows` holds each modality's row
-    count once the first record has set it."""
+    count once the first record has set it. Every element must be a JSON
+    int or float: numpy would read a null as NaN and a boolean as 1 or 0."""
     if len(per_node) != n_nodes:
         raise ParseError(line_no, "nodes", f"window has {len(per_node)} nodes, expected {n_nodes}")
     out = {}
     for field in ("metric", "log", "trace"):
-        try:  # ragged lists fail here
+        try:  # ragged lists, and ints past the float range, fail here
             values = np.array([nd[field] for nd in per_node], dtype=np.float64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(line_no, field, str(exc)) from exc
         if (values.ndim != 3 or values.shape[2] != steps
                 or values.shape[1] != rows.setdefault(field, values.shape[1])):
             raise ParseError(line_no, field, f"expected shape ({n_nodes}, "
                              f"{rows.get(field, 'rows')}, {steps}), got {values.shape}")
+        series = list(chain.from_iterable(nd[field] for nd in per_node))  # one list per row
+        if not set(map(type, chain.from_iterable(series))) <= {float, int}:
+            bad = next(x for x in chain.from_iterable(series) if type(x) not in (float, int))
+            raise ParseError(line_no, field, f"expected numbers, got {bad!r}")
         out[field] = values
     return out
 

@@ -9,12 +9,13 @@ the node list; every following line is a record:
      "latency_ms": float, "status": "ok" | "error"}
 
 For spans, "node" is the reporting (caller) side; in memory a span is a
-`SPAN_DTYPE` record with node indices and an `error` flag, and a metric
-series one `SERIES_DTYPE` array per node and channel. Serialization is
-canonical: identical streams always produce identical bytes. All CSV reports
-are UTF-8 with a header row and LF line endings. Graph and fault JSON are
-the `to_dict` of `ServiceGraph` and `FaultSpec` and read back through their
-`from_dict` (see `types.JsonRecord`).
+`SPAN_DTYPE` record with node indices and an `error` flag, a log line a
+`LOG_DTYPE` record with a node index, and a metric series one `SERIES_DTYPE`
+array per node and channel. Serialization is canonical: identical streams
+always produce identical bytes. All CSV reports are UTF-8 with a header row
+and LF line endings. Graph and fault JSON are the `to_dict` of
+`ServiceGraph` and `FaultSpec` and read back through their `from_dict` (see
+`types.JsonRecord`).
 
 The writer emits, for each record, the bytes `json.dumps(record_dict,
 separators=(",", ":"))` would: one string template per record kind, with
@@ -34,9 +35,9 @@ after a b"\\n", so no line or b"\\r\\n" spans two slices and the file's line
 list is never built. It parses `_BLOCK_LINES` lines per `json.loads` call and
 reads a block line by line when that parse cannot vouch for one object per
 line; a malformed file raises the ParseError of its first bad line either way.
-Metric samples and spans go into typed columns (`array`), which become the
-stream's arrays once the file is read, so neither keeps a Python object per
-record.
+Metric samples, log lines and spans go into columns (typed `array`s, and
+a list of log texts), which become the stream's arrays once the file is
+read, so no Python object is kept per record beyond a log line's text.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import SERIES_DTYPE, SPAN_DTYPE, FaultSpec, ServiceGraph, TelemetryStream, is_int
+from .types import (LOG_DTYPE, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, ServiceGraph,
+                    TelemetryStream, is_int)
 
 __all__ = [
     "ParseError",
@@ -123,8 +125,8 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
     )
     quoted = [json.dumps(node) for node in stream.nodes]
     # Columns in construction order: metrics by node, channel, time (a mid-text
-    # per series); logs by node, time; spans in array order (a mid-text per
-    # pair). One stable sort by (t_ms, kind) then gives the file order.
+    # per series); logs and spans in array order (a mid-text per span pair).
+    # One stable sort by (t_ms, kind) then gives the file order.
     mids, sizes, times, values = [], [], [], [np.empty(0)]
     for node, q in zip(stream.nodes, quoted):
         channels = stream.metrics.get(node, {})
@@ -134,23 +136,16 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
             sizes.append(len(samples))
             times.append(samples["t_ms"])
             values.append(samples["value"])
-    log_times, log_node, log_text = [], [], []
-    for i, node in enumerate(stream.nodes):
-        if stream.logs.get(node):
-            ts, texts = zip(*stream.logs[node])
-            log_node += [i] * len(ts)
-            log_text += texts
-            log_times += ts
     series, values = np.repeat(np.arange(len(mids)), sizes), np.concatenate(values)
-    sp = stream.spans
+    lg, sp = stream.logs, stream.spans
     pairs, pair_of = np.unique(sp["caller"] * len(quoted) + sp["callee"], return_inverse=True)
     callers, callees = np.divmod(pairs, len(quoted))
     span_mids = [f',"node":{quoted[a]},"caller":{quoted[a]},"callee":{quoted[b]},"latency_ms":'
                  for a, b in zip(callers.tolist(), callees.tolist())]
     status = (',"status":"ok"}', ',"status":"error"}')
-    first = (0, len(values), len(values) + len(log_text))  # each kind's first record
-    kind = np.repeat(np.arange(3, dtype=np.int8), (len(values), len(log_text), len(sp)))
-    times = np.concatenate((*times, np.array(log_times, dtype=np.int64), sp["t_ms"]))
+    first = (0, len(values), len(values) + len(lg))  # each kind's first record
+    kind = np.repeat(np.arange(3, dtype=np.int8), (len(values), len(lg), len(sp)))
+    times = np.concatenate((*times, lg["t_ms"], sp["t_ms"]))
     order = np.lexsort((kind, times))
     out = io.BytesIO()
     out.write(header.encode("utf-8") + b"\n")
@@ -161,9 +156,9 @@ def serialize_stream(stream: TelemetryStream) -> bytes:
         lines = np.empty(len(block), dtype=object)
         lines[k == 0] = [f'{{"kind":"metric","t_ms":{a}{mids[b]}{v}}}' for a, b, v
                          in zip(t[k == 0].tolist(), series[mi].tolist(), _float_texts(values[mi]))]
-        lines[k == 1] = [f'{{"kind":"log","t_ms":{a},"node":{quoted[log_node[j]]},'
-                         f'"text":{json.dumps(log_text[j])}}}'
-                         for a, j in zip(t[k == 1].tolist(), li.tolist())]
+        lines[k == 1] = [f'{{"kind":"log","t_ms":{a},"node":{quoted[n]},"text":{json.dumps(x)}}}'
+                         for a, n, x in zip(t[k == 1].tolist(), lg["node"][li].tolist(),
+                                            lg["text"][li].tolist())]
         lines[k == 2] = [f'{{"kind":"span","t_ms":{a}{span_mids[p]}{lat}{status[e]}'
                          for a, p, lat, e in zip(t[k == 2].tolist(), pair_of[si].tolist(),
                                                  _float_texts(sp["latency_ms"][si]),
@@ -274,7 +269,7 @@ def _number(value, field: str, line_no: int) -> float:
 def deserialize_stream(data: bytes) -> TelemetryStream:
     """Decode JSONL bytes back into a TelemetryStream. Each record is held
     to the rules of `TelemetryStream.validate` as it is read (known node,
-    time order per metric series, per node's logs and over spans, known span
+    time order per metric series, over log lines and over spans, known span
     endpoints), and each field to its JSON type and range (an int64 `t_ms`,
     string names and text, values and latencies that a float holds; a boolean
     is no number), so a broken rule raises the ParseError of its line."""
@@ -282,8 +277,9 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     known = {name: i for i, name in enumerate(nodes)}
 
     metrics: dict[str, dict[str, tuple[array, array]]] = {}
-    logs: dict[str, list[tuple[int, str]]] = {}
-    # int64 and float64 columns: no Python object per metric sample or span is kept
+    # int64, float64 and bool columns: no Python object per metric sample or
+    # span is kept, and per log line only its text
+    log_cols = log_t, log_node, log_text = array("q"), array("q"), []
     span_cols = span_t, span_caller, span_callee, span_latency, span_error = (
         array("q"), array("q"), array("q"), array("d"), array("b"))
     for idx, obj in _records(data):
@@ -316,10 +312,11 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
                 text_field = obj["text"]
                 if type(text_field) is not str:
                     raise ParseError(idx, "text", f"expected string, got {text_field!r}")
-                series = logs.setdefault(node, [])
-                if series and t_ms < series[-1][0]:
-                    raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
-                series.append((t_ms, text_field))
+                if log_t and t_ms < log_t[-1]:
+                    raise ParseError(idx, "t_ms", "non-monotone timestamp in logs")
+                log_t.append(t_ms)
+                log_node.append(known[node])
+                log_text.append(text_field)
             elif kind == "span":
                 caller, callee = obj["caller"], obj["callee"]
                 if type(caller) is not str or type(callee) is not str:
@@ -347,7 +344,7 @@ def deserialize_stream(data: bytes) -> TelemetryStream:
     for channels in metrics.values():  # one series' columns and array alive at a time
         for channel, cols in channels.items():
             channels[channel] = _structured(SERIES_DTYPE, cols)
-    return TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=_structured(LOG_DTYPE, log_cols),
                            spans=_structured(SPAN_DTYPE, span_cols))
 
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .prng import Prng
 from .serialize import round6
-from .types import (FAULT_TYPES, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, JsonRecord,
-                    ServiceGraph, TelemetryStream, is_real)
+from .types import (FAULT_TYPES, LOG_DTYPE, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType,
+                    JsonRecord, ServiceGraph, TelemetryStream, is_real)
 
 __all__ = [
     "ScenarioSpec",
@@ -306,8 +306,9 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
     (metrics by node then channel, logs by node, spans by edge), so fault
     effects can never shift them. Each fault consumes its own `fault:<i>`
     child stream. Each metric series is one SERIES_DTYPE array on the 1 Hz
-    grid from t=0 and the spans one time-ordered SPAN_DTYPE array, their
-    floats rounded as the telemetry file writes them.
+    grid from t=0, the spans one time-ordered SPAN_DTYPE array, their floats
+    rounded as the telemetry file writes them, and the log lines one
+    LOG_DTYPE array ordered by (t_ms, node), ties in draw order.
     """
     for f in faults:
         if f.target_node >= graph.n_nodes:
@@ -335,14 +336,14 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
     }
 
     log_rng = base.child("logs")
-    logs: dict[str, list[tuple[int, str]]] = {name: [] for name in names}
+    lines: list[tuple[int, int, str]] = []  # (t_ms, node, text) in draw order
     for i in range(graph.n_nodes):
         hits = np.nonzero(log_rng.uniform(size=T) < LOG_RATE)[0]
         offs = log_rng.integers(0, 1000, size=hits.size)
         picks = log_rng.integers(0, len(BENIGN_TEMPLATES), size=hits.size)
         for sec, off, pick in zip(hits, offs, picks):
             text = _fill_template(BENIGN_TEMPLATES[pick], log_rng)
-            logs[names[i]].append((int(sec) * 1000 + int(off), text))
+            lines.append((int(sec) * 1000 + int(off), i, text))
 
     span_rng = base.child("spans")
     edge_base = {e: float(span_rng.uniform(*SPAN_BASE_RANGE)) for e in graph.edges}
@@ -410,10 +411,10 @@ def simulate(graph: ServiceGraph, faults: list[FaultSpec], spec: ScenarioSpec,
                 count = int(frng.poisson(FAULT_LOG_RATE * stress))
                 for _ in range(count):
                     t_ms = sec * 1000 + int(frng.integers(0, 1000))
-                    logs[names[node]].append((t_ms, _fill_template(template, frng)))
+                    lines.append((t_ms, node, _fill_template(template, frng)))
 
-    for name in names:
-        logs[name].sort(key=lambda rec: rec[0])
+    logs = np.array(lines, dtype=LOG_DTYPE)
+    logs = logs[np.lexsort((logs["node"], logs["t_ms"]))]  # stable: ties keep draw order
 
     metrics = {name: {} for name in names}
     for (i, ch), vals in values.items():

@@ -106,27 +106,26 @@ def mine_templates(lines) -> TemplateTable:
     return table
 
 
-def template_series(
-    table: TemplateTable, logs: list[list[tuple[int, str]]], n_buckets: int
-) -> np.ndarray:
-    """Count series of shape (len(logs), n_templates + 1, n_buckets), one
-    block per node's (t_ms, text) lines, one column per BUCKET_MS from t=0.
+def template_series(table: TemplateTable, logs: np.ndarray, n_nodes: int,
+                    n_buckets: int) -> np.ndarray:
+    """Count series of shape (n_nodes, n_templates + 1, n_buckets) of a
+    `LOG_DTYPE` array of log lines: block i counts node i's lines, one column
+    per BUCKET_MS from t=0.
 
     Row table.unk_id counts unmatched lines; empty buckets are explicit
     zeros. Total counts equal the number of lines, which must all fall in
-    [0, n_buckets * BUCKET_MS).
+    [0, n_buckets * BUCKET_MS) and name a node in [0, n_nodes), as
+    `TelemetryStream.validate` holds them.
     """
     if n_buckets <= 0:
         raise ValueError("n_buckets must be positive")
+    times, nodes = logs["t_ms"], logs["node"]
+    outside = (times < 0) | (times >= n_buckets * BUCKET_MS)
+    if outside.any():
+        raise ValueError(f"log line at {times[outside][0]} ms outside series range "
+                         f"[0, {n_buckets * BUCKET_MS})")
     n_rows = table.n_templates + 1
-    out = np.zeros((len(logs), n_rows * n_buckets))
-    for counts, lines in zip(out, logs):
-        times = np.array([t for t, _ in lines], dtype=np.int64)
-        outside = (times < 0) | (times >= n_buckets * BUCKET_MS)
-        if outside.any():
-            raise ValueError(f"log line at {times[outside][0]} ms outside series range "
-                             f"[0, {n_buckets * BUCKET_MS})")
-        tids = np.array([table.match(text) for _, text in lines], dtype=np.int64)
-        counts += np.bincount(tids * n_buckets + times // BUCKET_MS,
-                              minlength=n_rows * n_buckets)
-    return out.reshape(len(logs), n_rows, n_buckets)
+    tids = np.array([table.match(text) for text in logs["text"].tolist()], dtype=np.int64)
+    counts = np.bincount((nodes * n_rows + tids) * n_buckets + times // BUCKET_MS,
+                         minlength=n_nodes * n_rows * n_buckets)
+    return counts.reshape(n_nodes, n_rows, n_buckets).astype(np.float64)

@@ -93,7 +93,11 @@ class DatasetBundle:
         return self.graph.n_nodes
 
     def dims(self) -> tuple[int, int, int]:
-        w = self.split.train[0]
+        """Each modality's row count, read from the first window of any split."""
+        windows = self.split.all_windows
+        if not windows:
+            raise ValueError("the dataset holds no windows")
+        w = windows[0]
         return w.metric.shape[1], w.log.shape[1], w.trace.shape[1]
 
     @classmethod

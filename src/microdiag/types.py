@@ -35,6 +35,7 @@ __all__ = [
     "ServiceGraph",
     "FaultSpec",
     "SPAN_DTYPE",
+    "LOG_DTYPE",
     "SERIES_DTYPE",
     "TelemetryStream",
     "NodeSegments",
@@ -249,6 +250,8 @@ class FaultSpec(JsonRecord):
 # One trace span along a caller -> callee edge; endpoints index stream.nodes.
 SPAN_DTYPE = np.dtype([("t_ms", np.int64), ("caller", np.int64), ("callee", np.int64),
                        ("latency_ms", np.float64), ("error", np.bool_)])
+# One log line; node indexes stream.nodes.
+LOG_DTYPE = np.dtype([("t_ms", np.int64), ("node", np.int64), ("text", object)])
 # One sample of a metric series.
 SERIES_DTYPE = np.dtype([("t_ms", np.int64), ("value", np.float64)])
 
@@ -258,14 +261,15 @@ class TelemetryStream:
     """Raw multimodal telemetry for one simulated scenario.
 
     metrics: node -> channel -> 1-D SERIES_DTYPE array, non-decreasing t_ms.
-    logs:    node -> [(t_ms, text)], non-decreasing timestamps.
+    logs:    time-ordered LOG_DTYPE array; node indexes nodes.
     spans:   time-ordered SPAN_DTYPE array; caller and callee index nodes.
-             On disk (see `serialize`) a span names them, with "ok"/"error".
+             On disk (see `serialize`) a log line and a span name their
+             nodes, a span with "ok"/"error".
     """
 
     nodes: tuple[str, ...]
     metrics: dict[str, dict[str, np.ndarray]]
-    logs: dict[str, list[tuple[int, str]]]
+    logs: np.ndarray
     spans: np.ndarray
 
     def validate(self, graph: Optional[ServiceGraph] = None) -> None:
@@ -281,19 +285,19 @@ class TelemetryStream:
                     raise ValueError(
                         f"non-monotone timestamps in metric {node}/{channel}"
                     )
-        for node, lines in self.logs.items():
-            if node not in known:
-                raise ValueError(f"logs for unknown node {node!r}")
-            if any(b[0] < a[0] for a, b in zip(lines, lines[1:])):
-                raise ValueError(f"non-monotone timestamps in logs of {node}")
-        sp = self.spans
-        if np.any(sp["t_ms"][1:] < sp["t_ms"][:-1]):
-            raise ValueError("non-monotone timestamps in spans")
-        ends = np.stack((sp["caller"], sp["callee"]))
-        unknown = ((ends < 0) | (ends >= len(self.nodes))).any(axis=0)
-        if unknown.any():
-            raise ValueError(f"span references unknown node: {sp[unknown][0]}")
+        # one rule for logs and spans: a time-ordered 1-D array of its dtype
+        for name, rows, dtype, ends in (("logs", self.logs, LOG_DTYPE, ("node",)),
+                                        ("spans", self.spans, SPAN_DTYPE, ("caller", "callee"))):
+            if not (isinstance(rows, np.ndarray) and rows.dtype == dtype and rows.ndim == 1):
+                raise ValueError(f"{name} is not a 1-D {name[:-1].upper()}_DTYPE array")
+            if np.any(rows["t_ms"][1:] < rows["t_ms"][:-1]):
+                raise ValueError(f"non-monotone timestamps in {name}")
+            index = np.stack([rows[end] for end in ends])
+            unknown = ((index < 0) | (index >= len(self.nodes))).any(axis=0)
+            if unknown.any():
+                raise ValueError(f"{name[:-1]} references unknown node: {rows[unknown][0]}")
         if graph is not None:
+            sp = self.spans
             edges = {(graph.node_names[u], graph.node_names[v]) for u, v in graph.edges}
             allowed = np.array([[(u, v) in edges for v in self.nodes] for u in self.nodes])
             off = ~allowed[sp["caller"], sp["callee"]]

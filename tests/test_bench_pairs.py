@@ -197,3 +197,34 @@ def test_main_prints_unresolved_metrics_and_exits_0(tmp_path, monkeypatch, capsy
     code, lines, _ = run_main(tmp_path / "same", monkeypatch, capsys,
                               lambda side, seed: bench_run(10.0))
     assert (code, lines) == (0, [])
+
+
+def test_trace_takes_three_alternating_runs_per_side_and_their_spread(tmp_path, monkeypatch,
+                                                                     capsys):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(SPEC), "utf-8")
+    traced = []
+
+    def fake(checkout, workload, seed, seconds, trace):
+        if trace:
+            traced.append((checkout.name, seed))
+            return bench_run(10.0 + len(traced), items_per_s=100.0)
+        return bench_run(10.0)
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", fake)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "w", "--pairs", "2", "--trace", "--out", str(out)]) == 0
+    assert bench_pairs.TRACE_RUNS == 3
+    assert traced == [("parent", 0), ("change", 0), ("change", 0), ("parent", 0),
+                      ("parent", 0), ("change", 0)]
+    trace = json.loads(out.read_text("utf-8"))["trace"]["w"]
+    assert [r["wall_s"] for r in trace["runs"]["parent"]] == [11.0, 14.0, 15.0]
+    assert [r["wall_s"] for r in trace["runs"]["change"]] == [12.0, 13.0, 16.0]
+    assert trace["layers"] == {
+        "items_per_s": {side: {"median": 100.0, "min": 100.0, "max": 100.0}
+                        for side in ("parent", "change")},
+        "wall_s": {"parent": {"median": 14.0, "min": 11.0, "max": 15.0},
+                   "change": {"median": 13.0, "min": 12.0, "max": 16.0}},
+    }

@@ -378,3 +378,24 @@ def test_evaluate_names_a_checkpoint_tensor_the_model_does_not_fit(
     assert cli.main(["evaluate", "--workdir", str(workdir)]) == 1
     assert capsys.readouterr().err == f"error: {workdir / 'checkpoint.json'}: {detail}\n"
     assert not (workdir / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("keep", ["test", "none"])
+def test_evaluate_reads_a_windows_file_without_train_records(tmp_path, capsys, trained_workdir,
+                                                             keep):
+    # the model's input sizes come from any window, not from the first train window
+    workdir = shutil.copytree(trained_workdir, tmp_path / "w")
+    assert cli.main(["evaluate", "--workdir", str(workdir)]) == 0
+    full = json.loads((workdir / "metrics.json").read_text("utf-8"))
+    (workdir / "metrics.json").unlink()
+    header, *records = (workdir / "windows.jsonl").read_bytes().splitlines(keepends=True)
+    kept = [r for r in records if keep == "test" and json.loads(r)["split"] == "test"]
+    (workdir / "windows.jsonl").write_bytes(b"".join([header, *kept]))
+    capsys.readouterr()
+    if keep == "test":
+        assert cli.main(["evaluate", "--workdir", str(workdir)]) == 0
+        assert json.loads((workdir / "metrics.json").read_text("utf-8"))["metrics"] == full["metrics"]
+    else:
+        assert cli.main(["evaluate", "--workdir", str(workdir)]) == 1
+        assert capsys.readouterr().err == "error: the dataset holds no windows\n"
+        assert not (workdir / "metrics.json").exists()

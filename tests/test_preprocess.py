@@ -42,7 +42,7 @@ from microdiag.types import (
     TelemetryStream,
 )
 
-from helpers import series_array
+from helpers import log_array, series_array
 
 
 def standardize(series: np.ndarray, train_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +149,8 @@ def span_array(records, nodes=("a", "b")) -> np.ndarray:
 
 
 def span_stream(records, nodes=("a", "b")) -> TelemetryStream:
-    return TelemetryStream(nodes=nodes, metrics={}, logs={}, spans=span_array(records, nodes))
+    return TelemetryStream(nodes=nodes, metrics={}, logs=log_array([]),
+                           spans=span_array(records, nodes))
 
 
 class TestTraceFeatures:
@@ -376,10 +377,8 @@ def quiet_stream(duration_s=240, nodes=("a", "b", "c")) -> TelemetryStream:
             for i, ch in enumerate(chans)}
         for n in nodes
     }
-    logs = {
-        n: [(t * 1000 + 10, f"job {t} finished ok") for t in range(0, duration_s, 2)]
-        for n in nodes
-    }
+    logs = log_array((t * 1000 + 10, i, f"job {t} finished ok")
+                     for t in range(0, duration_s, 2) for i in range(len(nodes)))
     spans = []
     for t in range(duration_s):
         spans.append((t * 1000 + 100, "a", "b", 10.0 + (t % 5), False))
@@ -404,9 +403,10 @@ class TestTransforms:
         for node in mutated.nodes:
             for points in mutated.metrics[node].values():
                 points["value"][points["t_ms"] >= train_end] += 500.0
-            mutated.logs[node] = [
-                rec for rec in mutated.logs[node] if rec[0] < train_end
-            ] + [(train_end + 5, "totally new failure mode appeared")] * 30
+        mutated.logs = np.concatenate((
+            mutated.logs[mutated.logs["t_ms"] < train_end],
+            log_array([(train_end + 5, i, "totally new failure mode appeared")
+                       for i in range(len(mutated.nodes))] * 30)))
         late = mutated.spans["t_ms"] >= train_end
         mutated.spans["latency_ms"][late] = 999.0
         mutated.spans["error"][late] = True
@@ -464,7 +464,7 @@ class TestTransforms:
             n: {"cpu": series_array((t * 1000, 20.0 + (t % 3)) for t in range(duration_s))}
             for n in nodes
         }
-        logs = {n: [(0, "boot ok")] for n in nodes}
+        logs = log_array((0, i, "boot ok") for i in range(len(nodes)))
         spans = []
         for t in range(duration_s):
             spans.append((t * 1000, "a", "b", 10.0 + (t % 5), False))
@@ -568,20 +568,17 @@ class TestPreprocessStream:
 
     @pytest.mark.parametrize("missing", [False, True])
     def test_node_without_log_lines(self, missing):
-        # telemetry.jsonl has no log record for such a node, so the parsed
-        # stream has no logs entry for it at all
+        # telemetry.jsonl has no log record for such a node; with `missing`,
+        # no node has one, and the stream's logs are an empty array
         stream = quiet_stream()
-        if missing:
-            del stream.logs["c"]
-        else:
-            stream.logs["c"] = []
+        stream.logs = stream.logs[:0] if missing else stream.logs[stream.logs["node"] != 2]
 
         def windows(s):
             r = preprocess_stream(s, [], 2000, 2000)
             return windows_to_bytes(r.nodes, r.split, 2000, 2000, r.transforms.vocab_size)
 
         staged = deserialize_stream(serialize_stream(stream))
-        assert "c" not in staged.logs
+        assert 2 not in staged.logs["node"]
         assert windows(stream) == windows(staged)
 
     @pytest.mark.parametrize("staged", [False, True])
@@ -777,8 +774,10 @@ class TestWindowsFromBytes:
              "expected shape (5, {log_rows}, 30), got (5, {log_rows}, 29)"),
             ("metric", lambda nodes: [nd.update(metric=nd["metric"][0]) for nd in nodes],
              "expected shape (5, {metric_rows}, 30), got (5, 30)"),
+            ("trace", lambda nodes: nodes[0]["trace"][1].__setitem__(4, 10**400),
+             "int too large to convert to float"),
         ],
-        ids=["ragged-node", "one-row-fewer", "29-steps", "2-d"],
+        ids=["ragged-node", "one-row-fewer", "29-steps", "2-d", "int-past-float-range"],
     )
     def test_each_modality_is_one_array_of_the_first_records_shape(
             self, tiny_bundle, field, edit, detail):
@@ -793,6 +792,21 @@ class TestWindowsFromBytes:
         assert (err.line_no, err.field) == (5, field)
         assert str(err).startswith(f"line 5, field {field!r}: " + detail.format(
             log_rows=len(first["log"]), metric_rows=len(first["metric"])))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("metric", None), ("trace", True), ("log", False), ("metric", "1.5")],
+        ids=["metric-null", "trace-true", "log-false", "metric-string"],
+    )
+    def test_series_elements_must_be_numbers(self, tiny_bundle, field, value):
+        # numpy alone would read a null as NaN, a boolean as 1.0 or 0.0 and
+        # "1.5" as 1.5, and the window would reach training
+        lines = tiny_bundle[2].split(b"\n")
+        rec = json.loads(lines[3])
+        rec["nodes"][2][field][0][1] = value
+        lines[3] = json.dumps(rec).encode()
+        err = self.parse_error(b"\n".join(lines))
+        assert str(err) == f"line 4, field {field!r}: expected numbers, got {value!r}"
 
     def test_normal_window_with_a_stray_label(self, tiny_bundle):
         lines = tiny_bundle[2].split(b"\n")

@@ -28,10 +28,10 @@ from microdiag.serialize import (
 )
 from microdiag.simulator import PRESET_FAULT_MIX, ScenarioSpec
 from microdiag.train_eval import simulate_scenario
-from microdiag.types import (SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType, ServiceGraph,
-                             TelemetryStream)
+from microdiag.types import (LOG_DTYPE, SERIES_DTYPE, SPAN_DTYPE, FaultSpec, FaultType,
+                             ServiceGraph, TelemetryStream)
 
-from helpers import series_array
+from helpers import log_array, series_array
 
 # values stored at 6-decimal resolution survive the stream format exactly
 micro_floats = st.integers(min_value=-(10**9), max_value=10**9).map(lambda n: n / 1e6)
@@ -72,11 +72,9 @@ def streams(draw, wide=False):
             times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)))
             channels[ch] = series_array((t, draw(floats)) for t in times)
         metrics[node] = channels
-    logs = {}
-    for node in draw(st.sets(names, max_size=3)):
-        n = draw(st.integers(0, 4))
-        times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n)))
-        logs[node] = [(t, draw(texts)) for t in times]
+    n_logs = draw(st.integers(0, 8))
+    log_times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n_logs, max_size=n_logs)))
+    logs = log_array((t, draw(st.integers(0, 2)), draw(texts)) for t in log_times)
     n_spans = draw(st.integers(0, 5))
     span_times = sorted(draw(st.lists(st.integers(0, 10_000), min_size=n_spans, max_size=n_spans)))
     spans = []
@@ -105,11 +103,10 @@ def reference_serialize(stream: TelemetryStream) -> bytes:
                 obj = {"kind": "metric", "t_ms": t_ms, "node": node,
                        "channel": channel, "value": fnum(value)}
                 records.append((t_ms, 0, json.dumps(obj, separators=(",", ":"))))
-    for node in stream.nodes:
-        for t_ms, text in stream.logs.get(node, []):
-            obj = {"kind": "log", "t_ms": t_ms, "node": node, "text": text}
-            records.append((t_ms, 1, json.dumps(obj, separators=(",", ":"))))
     names = stream.nodes
+    for t_ms, node, text in stream.logs.tolist():
+        obj = {"kind": "log", "t_ms": t_ms, "node": names[node], "text": text}
+        records.append((t_ms, 1, json.dumps(obj, separators=(",", ":"))))
     for t_ms, caller, callee, latency_ms, error in stream.spans.tolist():
         obj = {"kind": "span", "t_ms": t_ms, "node": names[caller], "caller": names[caller],
                "callee": names[callee], "latency_ms": fnum(latency_ms),
@@ -145,7 +142,7 @@ def reference_deserialize(data: bytes) -> TelemetryStream:
         raise ParseError(1, "kind", "first line must be the header")
     nodes = tuple(require(header, "nodes", 1))
     known = {name: i for i, name in enumerate(nodes)}
-    metrics, logs, spans = {}, {}, []
+    metrics, logs, spans = {}, [], []
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -166,10 +163,9 @@ def reference_deserialize(data: bytes) -> TelemetryStream:
             series.append((t_ms, float(value)))
         elif kind == "log":
             text_field = require(obj, "text", idx)
-            series = logs.setdefault(node, [])
-            if series and t_ms < series[-1][0]:
-                raise ParseError(idx, "t_ms", f"non-monotone timestamp in logs of {node}")
-            series.append((t_ms, str(text_field)))
+            if logs and t_ms < logs[-1][0]:
+                raise ParseError(idx, "t_ms", "non-monotone timestamp in logs")
+            logs.append((t_ms, known[node], str(text_field)))
         elif kind == "span":
             caller = known.get(require(obj, "caller", idx))
             callee = known.get(require(obj, "callee", idx))
@@ -186,7 +182,7 @@ def reference_deserialize(data: bytes) -> TelemetryStream:
             raise ParseError(idx, "kind", f"unknown kind {kind!r}")
     metrics = {node: {ch: series_array(series) for ch, series in channels.items()}
                for node, channels in metrics.items()}
-    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=logs,
+    stream = TelemetryStream(nodes=nodes, metrics=metrics, logs=log_array(logs),
                              spans=np.array(spans, dtype=SPAN_DTYPE))
     stream.validate()
     return stream
@@ -209,9 +205,8 @@ def assert_field_equal(got: TelemetryStream, want: TelemetryStream):
         assert list(got.metrics[node]) == list(channels)
         for ch, series in channels.items():
             assert typed(got.metrics[node][ch]) == typed(series)
-    assert list(got.logs) == list(want.logs)
-    for node, lines in want.logs.items():
-        assert typed(got.logs[node]) == typed(lines)
+    assert got.logs.dtype == LOG_DTYPE and got.logs.shape == want.logs.shape
+    assert typed(got.logs.tolist()) == typed(want.logs.tolist())
     assert got.spans.dtype == SPAN_DTYPE and got.spans.shape == want.spans.shape
     assert got.spans.tobytes() == want.spans.tobytes()
 
@@ -227,9 +222,7 @@ def test_stream_round_trip_exact(stream):
         for ch, series in channels.items():
             if len(series):
                 assert typed(back.metrics[node][ch]) == typed(series)
-    for node, lines in stream.logs.items():
-        if lines:
-            assert back.logs[node] == lines
+    assert back.logs.dtype == LOG_DTYPE and back.logs.tolist() == stream.logs.tolist()
     assert back.spans.dtype == SPAN_DTYPE and np.array_equal(back.spans, stream.spans)
     # canonical form: a second pass is byte-identical
     assert serialize_stream(back) == data
@@ -355,7 +348,7 @@ def test_raw_line_separator_inside_a_string_is_read():
     data = HEADER + b'\n{"kind":"log","t_ms":0,"node":"a","text":"x\xe2\x80\xa8y\xc2\x85z"}\n'
     with pytest.raises(ParseError):
         reference_deserialize(data)
-    assert deserialize_stream(data).logs == {"a": [(0, "x\u2028y\x85z")]}
+    assert deserialize_stream(data).logs.tolist() == [(0, 0, "x\u2028y\x85z")]
 
 
 def test_invalid_utf8_fails_before_any_line():
@@ -368,14 +361,14 @@ def test_stream_values_survive_at_micro_resolution():
     stream = TelemetryStream(
         nodes=("a", "b"),
         metrics={"a": {"cpu": series_array([(0, 12.625), (1000, -3.000001)])}},
-        logs={"b": [(10, "hello world")]},
+        logs=log_array([(10, 1, "hello world")]),
         spans=np.array([(5, 0, 1, 17.25, False)], dtype=SPAN_DTYPE),
     )
     data = serialize_stream(stream)
     assert b'"caller":"a","callee":"b","latency_ms":17.25,"status":"ok"' in data
     back = deserialize_stream(data)
     assert back.metrics["a"]["cpu"].tolist() == [(0, 12.625), (1000, -3.000001)]
-    assert back.logs["b"] == [(10, "hello world")]
+    assert back.logs.tolist() == [(10, 1, "hello world")]
     assert np.array_equal(back.spans, stream.spans)
 
 
@@ -447,8 +440,8 @@ LOG = b'{"kind":"log","t_ms":%d,"node":"%s","text":"x"}'
         pytest.param([LOG % (0, b"zz")], 2, "node", "unknown node 'zz'", id="log-unknown-node"),
         pytest.param([metric_line(5), metric_line(6, "b"), metric_line(3)], 4, "t_ms",
                      "non-monotone timestamp in metric a/cpu", id="metric-order"),
-        pytest.param([LOG % (5, b"a"), LOG % (1, b"b"), LOG % (3, b"a")], 4, "t_ms",
-                     "non-monotone timestamp in logs of a", id="log-order"),
+        pytest.param([LOG % (5, b"a"), LOG % (1, b"b"), LOG % (3, b"a")], 3, "t_ms",
+                     "non-monotone timestamp in logs", id="log-order"),
         pytest.param([SPAN % (5, b"b"), SPAN % (3, b"b")], 3, "t_ms",
                      "non-monotone timestamp in spans", id="span-order"),
         pytest.param([SPAN % (0, b"b"), SPAN % (1, b"zz")], 3, "caller",
@@ -576,7 +569,8 @@ def block_stream(rng: np.random.Generator) -> TelemetryStream:
 
     metrics = {node: {ch: series_array(zip(times(12), rng.normal(size=12).tolist()))
                       for ch in ("cpu", "mem")} for node in ("a", "b", "c")}
-    logs = {node: [(t, f"req {t} café") for t in times(9)] for node in ("a", "c")}
+    logs = log_array(sorted(((t, node, f"req {t} café") for node in (0, 2) for t in times(9)),
+                            key=lambda line: line[0]))
     pairs = rng.integers(0, 3, size=(30, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     spans = np.array([(t, a, b, lat, err) for t, (a, b), lat, err in zip(
@@ -590,7 +584,7 @@ def block_stream(rng: np.random.Generator) -> TelemetryStream:
 def test_writer_matches_reference_across_small_blocks(case):
     stream = block_stream(np.random.default_rng(0))
     if case == "no-logs":
-        stream.logs = {}
+        stream.logs = stream.logs[:0]
     elif case == "no-spans":
         stream.spans = stream.spans[:0]
     elif case == "node-without-metrics":
@@ -663,7 +657,8 @@ def metric_heavy_stream(rng: np.random.Generator) -> TelemetryStream:
     times = np.arange(2500) * 1000
     metrics = {node: {ch: series_array(zip(times.tolist(), round6(rng.normal(50, 20, 2500))))
                       for ch in ("cpu", "mem", "latency", "qps")} for node in nodes}
-    return TelemetryStream(nodes=nodes, metrics=metrics, logs={}, spans=np.empty(0, SPAN_DTYPE))
+    return TelemetryStream(nodes=nodes, metrics=metrics, logs=log_array([]),
+                           spans=np.empty(0, SPAN_DTYPE))
 
 
 def test_codec_memory_stays_near_the_file_size(tiny_sim):

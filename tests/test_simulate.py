@@ -22,7 +22,7 @@ from microdiag.simulator import (
     generate_topology,
     simulate,
 )
-from microdiag.types import FaultSpec, FaultType, ServiceGraph, TelemetryStream
+from microdiag.types import LOG_DTYPE, FaultSpec, FaultType, ServiceGraph, TelemetryStream
 
 SPEC = ScenarioSpec(n_nodes=4, edge_density=1.0, duration_s=600, n_faults=1,
                     window_len_s=30, stride_s=30)
@@ -41,6 +41,12 @@ def run(faults, seed=11, spec=SPEC, graph=None):
 
 def series(stream: TelemetryStream, node: str, channel: str) -> np.ndarray:
     return stream.metrics[node][channel]["value"]
+
+
+def node_logs(stream: TelemetryStream, node: str) -> list[tuple[int, str]]:
+    """One node's (t_ms, text) log lines, in stream order."""
+    lines = stream.logs[stream.logs["node"] == stream.nodes.index(node)]
+    return list(zip(lines["t_ms"].tolist(), lines["text"].tolist()))
 
 
 def in_fault(stream: TelemetryStream, f: FaultSpec, column: str, node: int) -> np.ndarray:
@@ -79,6 +85,12 @@ class TestBaseline:
         assert {(stream.nodes[u], stream.nodes[v]) for u, v in pairs} == {
             ("svc-00", "svc-01"), ("svc-01", "svc-02"), ("svc-02", "svc-03")
         }
+
+    def test_logs_are_one_array_in_time_then_node_order(self):
+        logs = run([fault(FaultType.CPU_STRESS)]).logs
+        assert logs.dtype == LOG_DTYPE and logs.ndim == 1 and len(logs) > 0
+        keys = list(zip(logs["t_ms"].tolist(), logs["node"].tolist()))
+        assert keys == sorted(keys)
 
 
 class TestNullFault:
@@ -159,13 +171,13 @@ class TestLocalSymptoms:
     def test_fault_log_lines_appear_only_on_target(self):
         f = fault(FaultType.CRASH, target=1, severity=1.0)
         base, hot = run([]), run([f])
-        extra = len(hot.logs["svc-01"]) - len(base.logs["svc-01"])
+        extra = len(node_logs(hot, "svc-01")) - len(node_logs(base, "svc-01"))
         assert extra > 0
-        added = set(hot.logs["svc-01"]) - set(base.logs["svc-01"])
+        added = set(node_logs(hot, "svc-01")) - set(node_logs(base, "svc-01"))
         assert all("exited with code" in text for _, text in added)
         assert all(f.start_ms <= t < f.end_ms for t, _ in added)
         for node in ("svc-00", "svc-02", "svc-03"):
-            assert hot.logs[node] == base.logs[node]
+            assert node_logs(hot, node) == node_logs(base, node)
 
 
 class TestPropagation:
@@ -201,7 +213,7 @@ class TestPropagation:
         for node in ("svc-00", "svc-01", "svc-03"):
             for ch in ("cpu", "mem", "latency", "qps"):
                 assert np.array_equal(series(hot, node, ch), series(base, node, ch))
-            assert hot.logs[node] == base.logs[node]
+            assert node_logs(hot, node) == node_logs(base, node)
 
 
 class TestValidation:

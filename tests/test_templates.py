@@ -7,6 +7,8 @@ import pytest
 
 from microdiag.templates import WILDCARD, TemplateTable, mine_templates, template_series
 
+from helpers import log_array
+
 
 def test_ip_variants_merge_into_one_template():
     # "connect to 10.0.0.1 failed" vs "...10.0.0.2...": after masking, the
@@ -106,12 +108,9 @@ def test_json_round_trip_preserves_matching():
 
 def test_template_series_counts_and_conservation():
     table = mine_templates(["tick 1", "boom happened now"])
-    logs = [
-        [(0, "tick 5"), (500, "tick 6"), (1500, "boom happened now")],
-        [(2500, "tick 7")],
-        [],
-    ]
-    series = template_series(table, logs, n_buckets=3)
+    logs = log_array([(0, 0, "tick 5"), (500, 0, "tick 6"), (1500, 0, "boom happened now"),
+                      (2500, 1, "tick 7")])
+    series = template_series(table, logs, n_nodes=3, n_buckets=3)
     # one block per node; rows: one per template plus the UNK row; columns: 3 buckets
     assert series.shape == (3, table.n_templates + 1, 3)
     a, b, c = series
@@ -125,9 +124,9 @@ def test_template_series_counts_and_conservation():
 
 def test_template_series_rejects_lines_outside_range():
     table = mine_templates(["tick 1"])
-    logs = [[(0, "tick 1"), (5000, "tick 1")]]
+    logs = log_array([(0, 0, "tick 1"), (5000, 0, "tick 1")])
     with pytest.raises(ValueError, match="outside series range"):
-        template_series(table, logs, n_buckets=3)
+        template_series(table, logs, n_nodes=1, n_buckets=3)
 
 
 def test_wildcard_token_is_stable():

@@ -23,8 +23,9 @@ from microdiag.types import (
     TelemetryStream,
 )
 
-from helpers import series_array
+from helpers import log_array, series_array
 
+NO_LOGS = log_array([])
 NO_SPANS = np.empty(0, SPAN_DTYPE)
 
 
@@ -156,7 +157,7 @@ class TestTelemetryStream:
         stream = TelemetryStream(
             nodes=("a",),
             metrics={"a": {"cpu": series_array([(5, 1.0), (3, 1.0)])}},
-            logs={},
+            logs=NO_LOGS,
             spans=NO_SPANS,
         )
         with pytest.raises(ValueError, match="non-monotone"):
@@ -170,13 +171,13 @@ class TestTelemetryStream:
     )
     def test_series_must_be_a_1d_series_array(self, series):
         # the writer reads a series' columns, so any other series fails here
-        stream = TelemetryStream(nodes=("a",), metrics={"a": {"cpu": series}}, logs={},
+        stream = TelemetryStream(nodes=("a",), metrics={"a": {"cpu": series}}, logs=NO_LOGS,
                                  spans=NO_SPANS)
         with pytest.raises(ValueError, match=r"^metric a/cpu is not a 1-D SERIES_DTYPE array$"):
             stream.validate()
 
     def test_unknown_node_rejected(self):
-        stream = TelemetryStream(nodes=("a",), metrics={"b": {}}, logs={}, spans=NO_SPANS)
+        stream = TelemetryStream(nodes=("a",), metrics={"b": {}}, logs=NO_LOGS, spans=NO_SPANS)
         with pytest.raises(ValueError, match="unknown node"):
             stream.validate()
 
@@ -185,7 +186,7 @@ class TestTelemetryStream:
         stream = TelemetryStream(
             nodes=graph.node_names,
             metrics={},
-            logs={},
+            logs=NO_LOGS,
             spans=np.array([(0, 1, 0, 10.0, False)], dtype=SPAN_DTYPE),
         )
         with pytest.raises(ValueError, match=r"span \(svc-1 -> svc-0\) is not a graph edge"):
@@ -196,7 +197,7 @@ class TestTelemetryStream:
     @pytest.mark.parametrize("caller, callee", [(0, 2), (-1, 0)])
     def test_span_node_index_out_of_range_rejected(self, caller, callee):
         stream = TelemetryStream(
-            nodes=("a", "b"), metrics={}, logs={},
+            nodes=("a", "b"), metrics={}, logs=NO_LOGS,
             spans=np.array([(0, caller, callee, 1.0, False)], dtype=SPAN_DTYPE),
         )
         with pytest.raises(ValueError, match="span references unknown node"):
@@ -204,10 +205,40 @@ class TestTelemetryStream:
 
     def test_non_monotone_span_times_rejected(self):
         stream = TelemetryStream(
-            nodes=("a", "b"), metrics={}, logs={},
+            nodes=("a", "b"), metrics={}, logs=NO_LOGS,
             spans=np.array([(5, 0, 1, 1.0, False), (3, 0, 1, 1.0, False)], dtype=SPAN_DTYPE),
         )
         with pytest.raises(ValueError, match="non-monotone timestamps in spans"):
+            stream.validate()
+
+    def test_non_monotone_log_times_rejected(self):
+        # one global time order, not one per node
+        stream = TelemetryStream(nodes=("a", "b"), metrics={}, spans=NO_SPANS,
+                                 logs=log_array([(5, 0, "x"), (3, 1, "y")]))
+        with pytest.raises(ValueError, match=r"^non-monotone timestamps in logs$"):
+            stream.validate()
+
+    @pytest.mark.parametrize("node", [2, -1])
+    def test_log_node_index_out_of_range_rejected(self, node):
+        stream = TelemetryStream(nodes=("a", "b"), metrics={}, spans=NO_SPANS,
+                                 logs=log_array([(0, 0, "x"), (1, node, "y")]))
+        with pytest.raises(ValueError, match=rf"^log references unknown node: \(1, {node}, 'y'\)$"):
+            stream.validate()
+
+    @pytest.mark.parametrize(
+        "logs",
+        [{"a": [(0, "x")]}, [(0, 0, "x")], log_array([(0, 0, "x")]).reshape(1, 1),
+         np.zeros(1, [("t_ms", np.int64), ("node", np.int64), ("text", "U8")])],
+        ids=["per-node-dict", "tuple-list", "2-d", "fixed-width-text"],
+    )
+    def test_logs_must_be_a_1d_log_array(self, logs):
+        stream = TelemetryStream(nodes=("a",), metrics={}, logs=logs, spans=NO_SPANS)
+        with pytest.raises(ValueError, match=r"^logs is not a 1-D LOG_DTYPE array$"):
+            stream.validate()
+
+    def test_spans_must_be_a_1d_span_array(self):
+        stream = TelemetryStream(nodes=("a",), metrics={}, logs=NO_LOGS, spans=[])
+        with pytest.raises(ValueError, match=r"^spans is not a 1-D SPAN_DTYPE array$"):
             stream.validate()
 
 

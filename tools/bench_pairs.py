@@ -16,7 +16,9 @@ verdict against the metric's `bound` in `BENCHMARK.json` (see `verdict`).
 Under "runs" it gives each side's count of runs whose checks passed and its
 share of failed operations (failed / attempted over every run), and whether
 the change's share grew, which rejects the change on its own. With
-`--trace`, one `--trace 1` run per side at seed 0 follows the pairs.
+`--trace`, `TRACE_RUNS` `--trace 1` runs per side at seed 0 follow the
+pairs, alternating which side goes first; `trace[W]` holds them and, per
+metric, each side's median, min and max over them (see `trace_layers`).
 
 The result goes under `workloads[W]` (and `trace[W]`) of the `--out` file,
 together with both sides' `src/` line counts; the file's other keys are
@@ -37,6 +39,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# traced runs per side: enough for a median and a spread, few enough that
+# tracing stays a small share of the pairs' time
+TRACE_RUNS = 3
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -136,6 +141,21 @@ def flat(result: dict) -> dict:
     return record
 
 
+def trace_layers(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per metric that every traced run reports, each side's median, min and
+    max over its runs (side -> `flat` records)."""
+    records = [r for side in SIDES for r in runs[side]]
+    names = set.intersection(*map(set, records)) - {"correct", "attempted", "failed"}
+    out = {}
+    for name in sorted(names):
+        out[name] = {}
+        for side in SIDES:
+            values = [r[name] for r in runs[side]]
+            out[name][side] = {"median": statistics.median(values),
+                               "min": min(values), "max": max(values)}
+    return out
+
+
 def refusals(summary: dict, n_pairs: int) -> tuple[list[str], list[str]]:
     """What rejects the change under the no-regression rule: a metric worse
     than its bound, a grown share of failed operations, a side with fewer
@@ -168,7 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", action="store_true",
-                        help="one --trace 1 run per side after the pairs")
+                        help=f"{TRACE_RUNS} --trace 1 runs per side after the pairs")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -193,10 +213,11 @@ def main(argv=None) -> int:
     summary["runs"] = run_outcomes(pairs)
     doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs, "summary": summary}
     if args.trace:
-        doc.setdefault("trace", {})[args.workload] = {
-            side: flat(run_benchmark(d, args.workload, 0, seconds, 1))
-            for side, d in dirs.items()
-        }
+        runs = {side: [] for side in SIDES}
+        for i in range(TRACE_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(flat(run_benchmark(dirs[side], args.workload, 0, seconds, 1)))
+        doc.setdefault("trace", {})[args.workload] = {"runs": runs, "layers": trace_layers(runs)}
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         args.out.write_text(text, "utf-8")
