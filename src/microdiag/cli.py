@@ -12,6 +12,12 @@ its flags and writes atomically, so reruns are byte-identical.
 A command that fails prints `error: <cause>` and exits 1. For `ablate` the
 cause names the failing cell's backbone and seed, and no table is written.
 
+`ablate` trains its (backbone, seed) cells in worker processes, one per
+available CPU and at most one per cell; each cell's result equals its serial
+run bit for bit. Each worker limits OpenBLAS to one thread itself; where numpy
+links another BLAS, set MKL_NUM_THREADS or OMP_NUM_THREADS to 1, as
+`perfbench/run.py` does, or the workers' BLAS threads oversubscribe the cores.
+
 Only `simulate` takes --scenario; it writes to runs/<scenario>-s<seed> unless
 told otherwise. Window length and stride come from the scenario, never from
 a flag: `preprocess` reads them from the scenario.json that `simulate` wrote.

@@ -12,6 +12,13 @@ dataset bytes with identical shared-tensor initialization and batch
 schedules, so the only degree of freedom is the message-passing stage. Stage
 digests record this and are asserted, not assumed. A cell that fails stops
 the ablation with an error naming its backbone and seed.
+
+The ablation's (backbone, seed) cells are independent seeded runs, so they
+train in a pool of forked worker processes, one per available CPU and at most
+one per cell; each cell's result equals its serial, in-process run bit for
+bit. Each worker limits OpenBLAS to one thread itself; where numpy links
+another BLAS, callers set MKL_NUM_THREADS or OMP_NUM_THREADS to 1, as
+`perfbench/run.py` does, or the workers' BLAS threads oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -554,6 +563,56 @@ class AblateResult:
         return float(np.mean([self.reports[(backbone.value, s)].metric(metric) for s in self.seeds]))
 
 
+# (bundle, base config, disable_message_passing), set in each ablation worker
+# process by `_init_cell_worker`; the parent never sets it
+_CELL_CONTEXT: Optional[tuple[DatasetBundle, RunConfig, bool]] = None
+
+
+# OpenBLAS's thread-count setter under the names numpy's builds export it as
+OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Limit OpenBLAS, where numpy links it, to one thread in this process:
+    a worker per CPU, each with BLAS threads that spin waiting for work,
+    oversubscribes the cores many times over."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in OPENBLAS_SET_THREADS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+def _init_cell_worker(bundle: DatasetBundle, base: RunConfig, disable_message_passing: bool):
+    global _CELL_CONTEXT
+    _one_blas_thread()
+    _CELL_CONTEXT = (bundle, base, disable_message_passing)
+
+
+def _run_cell(backbone: Backbone, seed: int) -> bytes:
+    """Train and evaluate one ablation cell in a worker process; its report,
+    checkpoint, history and stage digests come back pickled, for the
+    caller's thread to unpickle (see `ablate`)."""
+    bundle, base, disable_message_passing = _CELL_CONTEXT
+    config = dataclasses.replace(base, seed=seed, backbone=backbone)
+    tr = train(bundle, config, disable_message_passing)
+    report = evaluate(
+        tr.params, bundle.split.test, base.task, bundle.vocab_size,
+        backbone=backbone, graph=bundle.graph,
+        disable_message_passing=disable_message_passing,
+    )
+    return pickle.dumps((report, tr.params, tr.history, tr.shared_init_digest,
+                         tr.schedule_digest), pickle.HIGHEST_PROTOCOL)
+
+
 def ablate(
     bundle: DatasetBundle,
     base: RunConfig,
@@ -566,9 +625,22 @@ def ablate(
     fixed identity message-passing weights — the controlled-equivalence
     configuration where the two backbones must coincide.
 
-    A cell that fails raises a RuntimeError naming its backbone and seed,
-    chained from the cause.
+    The cells run in forked worker processes, one per available CPU and at
+    most one per cell, which inherit the bundle rather than receive a copy;
+    each cell's result equals its serial run bit for bit, and the results
+    keep the serial cell order. Each worker limits OpenBLAS to one thread;
+    with another BLAS, set MKL_NUM_THREADS or OMP_NUM_THREADS to 1, or the
+    workers' BLAS threads oversubscribe the cores.
+
+    The first failing cell in cell order raises a RuntimeError naming its
+    backbone and seed, chained from the cause; cells not yet handed to a
+    worker are cancelled, and no worker outlives the call.
     """
+    # imported here, not at module level, so that commands which never
+    # ablate do not pay for importing them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
@@ -577,28 +649,37 @@ def ablate(
     result = AblateResult(task=base.task, seeds=list(seeds), reports={},
                           dataset_digest=bundle.digest)
 
-    for backbone in (Backbone.DIAGMLP, Backbone.GCN):
-        for seed in seeds:
-            config = dataclasses.replace(base, seed=seed, backbone=backbone)
+    cells = [(backbone, seed) for backbone in (Backbone.DIAGMLP, Backbone.GCN) for seed in seeds]
+    pool = ProcessPoolExecutor(
+        max_workers=min(len(cells), len(os.sched_getaffinity(0))),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_cell_worker,
+        initargs=(bundle, base, disable_message_passing),
+    )
+    try:
+        futures = [pool.submit(_run_cell, backbone, seed) for backbone, seed in cells]
+        for (backbone, seed), future in zip(cells, futures):
             try:
-                tr = train(bundle, config, disable_message_passing)
-                report = evaluate(
-                    tr.params, bundle.split.test, base.task, bundle.vocab_size,
-                    backbone=backbone, graph=bundle.graph,
-                    disable_message_passing=disable_message_passing,
-                )
+                cell = future.result()
             except Exception as exc:
                 raise RuntimeError(f"ablation cell {backbone.value} seed {seed}: "
                                    f"{type(exc).__name__}: {exc}") from exc
+            # unpickled by this thread, so the checkpoints go into the main
+            # malloc arena, where the set-up's freed memory has room, and not
+            # into the arena of the pool's result thread, which would grow by
+            # each cell's ~1 MB and add it to peak RSS
+            report, params, history, shared_init, schedule = pickle.loads(cell)
             key = (backbone.value, seed)
             result.reports[key] = report
-            result.checkpoints[key] = tr.params
-            result.histories[key] = tr.history
+            result.checkpoints[key] = params
+            result.histories[key] = history
             result.stage_digests[key] = {
                 "dataset": bundle.digest,
-                "shared_init": tr.shared_init_digest,
-                "schedule": tr.schedule_digest,
+                "shared_init": shared_init,
+                "schedule": schedule,
             }
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     for seed in seeds:
         a = result.stage_digests[(Backbone.DIAGMLP.value, seed)]

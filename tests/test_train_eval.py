@@ -1,10 +1,16 @@
 """Training, evaluation and ablation oracles on hand-built inputs and the
 tiny dataset."""
 
+import ctypes
 import dataclasses
+import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from microdiag import models, train_eval
 from microdiag.prng import prng_new
@@ -257,21 +263,106 @@ def hand_built_ablation(diagmlp_f1=(0.5, 0.75), gcn_f1=(1.0, 0.5)):
 
 
 def test_a_failing_cell_raises_naming_itself(tiny_bundle, monkeypatch):
-    # the third cell fails; `ablate` stops there, chained from the cause
-    real, trained = train_eval.train, []
+    # two cells fail, and GCN seed 2 usually first, while DIAGMLP seed 3
+    # sleeps; the error names the first in cell order, chained from its cause
+    real = train_eval.train
 
     def flaky(bundle, config, *args):
-        if (config.backbone, config.seed) == (Backbone.GCN, 2):
+        if (config.backbone, config.seed) == (Backbone.DIAGMLP, 3):
+            time.sleep(0.5)
             raise ValueError("boom")
-        trained.append((config.backbone.value, config.seed))
+        if (config.backbone, config.seed) == (Backbone.GCN, 2):
+            raise ValueError("bang")
         return real(bundle, config, *args)
 
     monkeypatch.setattr(train_eval, "train", flaky)
     with pytest.raises(RuntimeError) as info:
         ablate(tiny_bundle[0], quick_config(max_epochs=1), [1, 2, 3])
-    assert str(info.value) == "ablation cell GCN seed 2: ValueError: boom"
+    assert str(info.value) == "ablation cell DIAGMLP seed 3: ValueError: boom"
     assert isinstance(info.value.__cause__, ValueError)
-    assert trained == [("DIAGMLP", 1), ("DIAGMLP", 2), ("DIAGMLP", 3), ("GCN", 1)]
+    assert str(info.value.__cause__) == "boom"
+
+
+def openblas_threads():
+    """OpenBLAS's thread count in this process, or None where numpy links
+    another BLAS."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in train_eval.OPENBLAS_SET_THREADS:
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+@pytest.mark.parametrize("one_worker", [False, True], ids=["every-cpu", "one-worker"])
+def test_ablate_equals_each_cell_run_in_process(tiny_bundle, monkeypatch, tmp_path, one_worker):
+    # the pool's size and scheduling change no bit of any cell's result
+    if one_worker:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    workers = min(4, len(os.sched_getaffinity(0)))
+    real = train_eval.train
+
+    def recording(bundle, config, *args):
+        cell = tmp_path / f"{config.backbone.value}-{config.seed}"
+        cell.write_text(json.dumps([os.getpid(), openblas_threads()]))
+        return real(bundle, config, *args)
+
+    monkeypatch.setattr(train_eval, "train", recording)
+    bundle, base = tiny_bundle[0], quick_config(task=Task.LOCALIZE)
+    result = ablate(bundle, base, [1, 2])
+    cells = [(backbone, seed) for backbone in (Backbone.DIAGMLP, Backbone.GCN) for seed in (1, 2)]
+    assert list(result.reports) == [(backbone.value, seed) for backbone, seed in cells]
+
+    for backbone, seed in cells:
+        key = (backbone.value, seed)
+        tr = real(bundle, dataclasses.replace(base, seed=seed, backbone=backbone))
+        report = evaluate(tr.params, bundle.split.test, base.task, bundle.vocab_size,
+                          backbone=backbone, graph=bundle.graph)
+        assert result.reports[key].per_run == report.per_run
+        assert result.histories[key] == tr.history
+        checkpoint = result.checkpoints[key]
+        assert list(checkpoint) == list(tr.params)
+        for name, value in tr.params.items():
+            got = checkpoint[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape,
+                                                             value.tobytes()), (key, name)
+        assert result.stage_digests[key] == {"dataset": bundle.digest,
+                                             "shared_init": tr.shared_init_digest,
+                                             "schedule": tr.schedule_digest}
+
+    # every cell ran in a worker, in a pool of at most one worker per CPU,
+    # and each worker ran OpenBLAS on one thread
+    ran = [json.loads((tmp_path / f"{b.value}-{s}").read_text()) for b, s in cells]
+    pids = {pid for pid, _ in ran}
+    assert os.getpid() not in pids and 1 <= len(pids) <= workers
+    assert {threads for _, threads in ran} <= {1, None}
+
+
+def test_no_worker_outlives_ablate(tiny_bundle, monkeypatch, tmp_path):
+    bundle = tiny_bundle[0]
+    ablate(bundle, quick_config(max_epochs=1), [1, 2])
+    assert multiprocessing.active_children() == []
+
+    # one worker, whose first cell fails: the executor has handed it at most
+    # four cells when the failure is read (one running, two queued, one
+    # refilled), so the last of six is cancelled and never trained
+    real = train_eval.train
+
+    def marking(bundle, config, *args):
+        (tmp_path / f"{config.backbone.value}-{config.seed}").touch()
+        if (config.backbone, config.seed) == (Backbone.DIAGMLP, 1):
+            raise ValueError("boom")
+        time.sleep(0.1)  # so the failure is read before the queue drains
+        return real(bundle, config, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(train_eval, "train", marking)
+    with pytest.raises(RuntimeError, match="^ablation cell DIAGMLP seed 1: ValueError: boom$"):
+        ablate(bundle, quick_config(max_epochs=1), [1, 2, 3])
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "DIAGMLP-1").exists()
+    assert not (tmp_path / "GCN-3").exists()
 
 
 class TestAblateResult:
